@@ -7,8 +7,7 @@ referenced without being declared.
 
 from importlib import resources
 
-from ontodivide import (EntityRef, entity_labels, parse_ontology, serialize,
-                        signature)
+from ontodivide import EntityRef, entity_labels, parse_ontology, serialize
 
 # The package bundles a small anatomy pair used throughout the demos.
 text = resources.files("ontodivide.data").joinpath("anatomy_toy_1.ofn") \
@@ -16,8 +15,8 @@ text = resources.files("ontodivide.data").joinpath("anatomy_toy_1.ofn") \
 onto = parse_ontology(text)
 
 print("== signature ==")
-classes = sorted(e.iri for e in signature(onto) if e.kind == "class")
-props = sorted(e.iri for e in signature(onto) if e.kind == "object-property")
+classes = sorted(e.iri for e in onto.signature if e.kind == "class")
+props = sorted(e.iri for e in onto.signature if e.kind == "object-property")
 print(f"{len(classes)} classes, {len(props)} object properties")
 print("first five classes:")
 for iri in classes[:5]:

@@ -29,10 +29,10 @@ chain = parse_ontology(
 print()
 print("== transitive pull-in along a subclass chain ==")
 module = extract_module(chain, {A})
-print("seed {A} gives", len(module.ontology.logical_axioms),
+print("seed {A} gives", len(module.logical_axioms),
       "logical axioms (both links of the chain)")
 module = extract_module(chain, {C})
-print("seed {C} gives", len(module.ontology.logical_axioms),
+print("seed {C} gives", len(module.logical_axioms),
       "logical axioms (nothing above C)")
 
 data = resources.files("ontodivide.data")
@@ -60,4 +60,4 @@ print(f"left module: {len(left.signature)} entities, "
       f"right module: {len(right.signature)} entities")
 print()
 print("left module serialized:")
-print(serialize(left.ontology))
+print(serialize(left))

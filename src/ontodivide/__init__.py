@@ -20,7 +20,7 @@ from .errors import InvariantError, OfnSyntaxError, UnsupportedConstructError
 from .lexindex import (LexConfig, LexIndex, Mapping, all_candidate_mappings,
                        build_lexi, load_default_stopwords, mappings_of,
                        normalize_label, word_subsets, write_index_tsv)
-from .locality import (Module, context_of, extract_module, is_bot_equivalent,
+from .locality import (context_of, extract_module, is_bot_equivalent,
                        is_local, is_top_equivalent)
 from .metrics import (Alignment, EvalReport, coverage, coverage_ratio,
                       precision_recall_f, size_ratio_division,
@@ -31,7 +31,7 @@ from .ontology import (DEFAULT_LABEL_PROPERTIES, AnnotationAssertion, Axiom,
                        SomeValuesFrom, SubClassOf, SubObjectPropertyOf,
                        Thing, UnionOf, axiom_signature, entity_labels,
                        fragment_label, parse_ontology, read_ontology,
-                       serialize, signature)
+                       serialize)
 from .stemming import PorterStemmer, porter_stem
 
 __version__ = "0.1.0"

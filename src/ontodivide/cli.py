@@ -44,8 +44,7 @@ def cmd_divide(args) -> int:
     cfg = DivisionConfig(seed=args.seed, alpha=args.alpha,
                          max_subsets=args.max_subsets, dim=args.dim,
                          epochs=args.epochs, negatives=args.negatives,
-                         margin=args.margin, learning_rate=args.lr,
-                         workers=args.workers)
+                         margin=args.margin, learning_rate=args.lr)
     div = divide(o1, o2, args.n, cfg)
     out = write_division(div, (o1, o2), args.output)
     total = 0.0
@@ -149,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial learning rate (default 0.05)")
     p.add_argument("--max-subsets", type=int, default=50,
                    help="word-subset keys per label (default 50)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads for per-cluster module extraction")
     p.set_defaults(func=cmd_divide)
 
     p = sub.add_parser("coverage",

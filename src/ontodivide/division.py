@@ -2,17 +2,16 @@
 
 Stages: build the inverted index, train embeddings for its words and
 entities, compose per-entry vectors, cluster them with k-means, then turn
-each cluster's candidate mappings into a pair of locality modules.  The
-final stage is an order-independent map over clusters gathered in cluster
-id order, so it may run on several threads without affecting the output.
+each cluster's candidate mappings into a pair of locality modules, in
+cluster id order.  Every stage is serial and seeded, so one configuration
+always gives the same division.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping as MappingT
 
@@ -56,19 +55,10 @@ class DivisionConfig:
     margin: float = 0.05
     learning_rate: float = 0.05
     kmeans_max_iters: int = 300
-    workers: int = 1
 
     def provenance(self) -> dict[str, object]:
-        return {
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "max_subsets": self.max_subsets,
-            "dim": self.dim,
-            "epochs": self.epochs,
-            "negatives": self.negatives,
-            "margin": self.margin,
-            "learning_rate": self.learning_rate,
-        }
+        # every field changes the output, so all of them are needed to rerun
+        return asdict(self)
 
 
 def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
@@ -80,7 +70,7 @@ def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
         raise ValueError("cluster must be non-empty")
     candidates = mappings_of(cluster)
     left, right = context_of(candidates, o1, o2)
-    return MatchingTask(left.ontology, right.ontology, candidates, task_id)
+    return MatchingTask(left, right, candidates, task_id)
 
 
 def divide(o1: Ontology, o2: Ontology, n: int,
@@ -111,16 +101,8 @@ def divide(o1: Ontology, o2: Ontology, n: int,
     if any(not c for c in clusters):
         raise InvariantError("k-means returned an empty cluster")
 
-    def build(item: tuple[int, tuple]) -> MatchingTask:
-        i, cluster = item
-        return subtask_from_cluster(cluster, o1, o2, task_id=i)
-
-    items = list(enumerate(clusters))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            subtasks = tuple(pool.map(build, items))
-    else:
-        subtasks = tuple(build(it) for it in items)
+    subtasks = tuple(subtask_from_cluster(c, o1, o2, task_id=i)
+                     for i, c in enumerate(clusters))
     logger.info("divided task into %d subtasks from %d index entries",
                 n, len(lexi))
     return Division(n, subtasks, cfg.provenance())
@@ -133,8 +115,9 @@ def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
     rows = sorted(mappings, key=lambda m: m.key)
     with open(path, "w", encoding="utf-8") as fh:
         for m in rows:
+            # repr is the shortest text that reads back as the same float
             fh.write(f"{m.e1.iri}\t{m.e2.iri}\t{m.relation}"
-                     f"\t{m.confidence:.6f}\n")
+                     f"\t{m.confidence!r}\n")
 
 
 def read_alignment_tsv(path) -> Alignment:
@@ -191,6 +174,18 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
     return out
 
 
+def _check_division_meta(meta, path) -> None:
+    """Raise ValueError unless `meta` has the fields `read_division` uses."""
+    if not isinstance(meta, dict) or type(meta.get("n")) is not int:
+        raise ValueError(f"{path}: 'n' must be an integer")
+    tasks = meta.get("tasks")
+    if not isinstance(tasks, list) or not all(
+            isinstance(row, dict) and type(row.get("task")) is int
+            for row in tasks):
+        raise ValueError(f"{path}: 'tasks' must be a list of rows with an "
+                         "integer 'task'")
+
+
 def read_division(path) -> Division:
     """Load a division directory written by `write_division`."""
     root = Path(path)
@@ -198,6 +193,7 @@ def read_division(path) -> Division:
     if not meta_path.is_file():
         raise FileNotFoundError(f"not a division directory: {root}")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    _check_division_meta(meta, meta_path)
     subtasks = []
     for row in meta["tasks"]:
         task_dir = root / f"task_{row['task']}"

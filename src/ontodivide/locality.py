@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvariantError
 from .lexindex import Mapping
-from .ontology import (AnnotationAssertion, Axiom, ClassExpr, Declaration,
-                       EntityRef, EquivalentClasses, IntersectionOf,
-                       NamedClass, Nothing, Ontology, SomeValuesFrom,
-                       SubClassOf, SubObjectPropertyOf, Thing, UnionOf,
-                       axiom_signature)
+from .ontology import (LOGICAL_AXIOM_TYPES, AnnotationAssertion, Axiom,
+                       ClassExpr, Declaration, EntityRef, EquivalentClasses,
+                       IntersectionOf, NamedClass, Nothing, Ontology,
+                       SomeValuesFrom, SubClassOf, SubObjectPropertyOf, Thing,
+                       UnionOf, axiom_signature)
 
 logger = logging.getLogger(__name__)
-
-Signature = frozenset[EntityRef]
 
 
 def is_bot_equivalent(expr: ClassExpr, sig: Iterable[EntityRef]) -> bool:
@@ -82,30 +79,19 @@ def is_local(axiom: Axiom, sig: Iterable[EntityRef]) -> bool:
     raise TypeError(f"not an axiom: {axiom!r}")
 
 
-@dataclass(frozen=True)
-class Module:
-    """Self-contained fragment of an ontology for a seed signature."""
-
-    ontology: Ontology
-    seed: Signature
-
-    @property
-    def signature(self) -> frozenset[EntityRef]:
-        return self.ontology.signature
-
-
-def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Module:
+def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Ontology:
     """Least set of axioms closed under non-locality for the growing signature.
 
     Seed entities not in the ontology's signature are ignored with a warning.
     Declarations and annotations for every module entity are attached, so the
-    result is a valid ontology usable on its own.
+    result is a valid ontology usable on its own.  Only axioms that mention a
+    module entity are visited, through the per-ontology `occurrences` and
+    `unconditional_axioms`, so the cost grows with the module.
     """
-    by_iri = {e.iri: e for e in onto.signature}
     resolved: set[EntityRef] = set()
     unknown: list[str] = []
     for e in seed:
-        hit = by_iri.get(e.iri)
+        hit = onto.entity_by_iri.get(e.iri)
         if hit is None:
             unknown.append(e.iri)
         else:
@@ -115,61 +101,49 @@ def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Module:
                        len(unknown), "y" if len(unknown) == 1 else "ies",
                        ", ".join(sorted(unknown)[:5]))
 
-    logical = [(i, a) for i, a in enumerate(onto.axioms)
-               if not isinstance(a, (Declaration, AnnotationAssertion))]
-    occurs: dict[EntityRef, list[int]] = {}
-    axiom_at: dict[int, Axiom] = {}
-    for i, a in logical:
-        axiom_at[i] = a
-        for e in axiom_signature(a):
-            occurs.setdefault(e, []).append(i)
-
+    axioms = onto.axioms
+    occurrences = onto.occurrences
     sig: set[EntityRef] = set(resolved)
     member: set[int] = set()
-    queue: deque[EntityRef] = deque()
+    queue: deque[EntityRef] = deque(resolved)
 
-    def include(idx: int, a: Axiom) -> None:
+    def include(idx: int) -> None:
         member.add(idx)
-        for e in axiom_signature(a):
+        for e in axiom_signature(axioms[idx]):
             if e not in sig:
                 sig.add(e)
                 queue.append(e)
 
-    for i, a in logical:
-        if i not in member and not is_local(a, sig):
-            include(i, a)
+    # An axiom is local for a signature iff it is local for the part of the
+    # signature it mentions, so a non-local axiom either is unconditional or
+    # mentions an entity of the module; every entity is visited once.
+    for i in onto.unconditional_axioms:
+        include(i)
     while queue:
-        ent = queue.popleft()
-        for i in occurs.get(ent, ()):
-            if i not in member and not is_local(axiom_at[i], sig):
-                include(i, axiom_at[i])
+        for i in occurrences.get(queue.popleft(), ()):
+            if i in member:
+                continue
+            a = axioms[i]
+            # declarations and annotations of a module entity join with it
+            if not isinstance(a, LOGICAL_AXIOM_TYPES) or not is_local(a, sig):
+                include(i)
 
-    module_entities = sig | resolved
-    axioms: list[Axiom] = []
-    for i, a in enumerate(onto.axioms):
-        if isinstance(a, Declaration):
-            if a.entity in module_entities:
-                axioms.append(a)
-        elif isinstance(a, AnnotationAssertion):
-            if a.subject in module_entities:
-                axioms.append(a)
-        elif i in member:
-            axioms.append(a)
-    mod_onto = Ontology(tuple(axioms), onto.label_properties, onto.iri)
+    mod_onto = Ontology(tuple(axioms[i] for i in sorted(member)),
+                        onto.label_properties, onto.iri)
     if not resolved <= mod_onto.signature:
         raise InvariantError("module lost part of its seed signature")
-    return Module(mod_onto, frozenset(resolved))
+    return mod_onto
 
 
 def context_of(mappings: Iterable[Mapping], o1: Ontology,
-               o2: Ontology) -> tuple[Module, Module]:
+               o2: Ontology) -> tuple[Ontology, Ontology]:
     """Pair of modules for the left- and right-hand entities of an alignment.
 
     Mappings whose entities are missing from the respective signatures are
     dropped with a warning.
     """
-    sig1 = o1.signature_iris
-    sig2 = o2.signature_iris
+    sig1 = o1.entity_by_iri
+    sig2 = o2.entity_by_iri
     left_seed: set[EntityRef] = set()
     right_seed: set[EntityRef] = set()
     dropped = 0

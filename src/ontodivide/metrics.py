@@ -70,8 +70,8 @@ def size_ratio_division(div: "Division",
 
 def coverage(task: "MatchingTask", m: Alignment) -> frozenset[Mapping]:
     """Mappings of `m` whose two entities fall inside the task signatures."""
-    sig1 = task.source.signature_iris
-    sig2 = task.target.signature_iris
+    sig1 = task.source.entity_by_iri
+    sig2 = task.target.entity_by_iri
     return frozenset(mp for mp in m.mappings
                      if mp.e1.iri in sig1 and mp.e2.iri in sig2)
 

@@ -3,8 +3,8 @@
 The model is deliberately small: named classes, object properties and
 individuals; subclass/equivalence/subproperty axioms; intersection, union
 and existential restrictions as class expressions; plus label annotations.
-Everything is immutable after parsing, so ontologies can be shared freely
-across threads.
+Everything is immutable after parsing; derived structures (signature,
+entity occurrences, IRI lookup) are computed once per ontology on first use.
 """
 
 from __future__ import annotations
@@ -181,13 +181,34 @@ class Ontology:
                          if isinstance(a, Declaration))
 
     @cached_property
-    def signature_iris(self) -> frozenset[str]:
-        return frozenset(e.iri for e in self.signature)
+    def entity_by_iri(self) -> dict[str, EntityRef]:
+        return {e.iri: e for e in self.signature}
 
     @cached_property
     def logical_axioms(self) -> tuple[Axiom, ...]:
         return tuple(a for a in self.axioms
                      if isinstance(a, LOGICAL_AXIOM_TYPES))
+
+    @cached_property
+    def occurrences(self) -> dict[EntityRef, list[int]]:
+        """Entity -> indices of every axiom whose signature contains it."""
+        out: dict[EntityRef, list[int]] = {}
+        for i, a in enumerate(self.axioms):
+            for e in axiom_signature(a):
+                out.setdefault(e, []).append(i)
+        return out
+
+    @cached_property
+    def unconditional_axioms(self) -> tuple[int, ...]:
+        """Indices of logical axioms non-local for the empty signature.
+
+        Such an axiom (e.g. ``owl:Thing ⊑ C``) is non-local for every
+        signature, so it belongs to every bottom-locality module.
+        """
+        from .locality import is_local  # the locality rule lives there only
+        return tuple(i for i, a in enumerate(self.axioms)
+                     if isinstance(a, LOGICAL_AXIOM_TYPES)
+                     and not is_local(a, frozenset()))
 
     @cached_property
     def _label_map(self) -> dict[EntityRef, tuple[str, ...]]:
@@ -197,19 +218,6 @@ class Ontology:
                     and a.property in self.label_properties:
                 out.setdefault(a.subject, []).append(a.literal)
         return {e: tuple(ls) for e, ls in out.items()}
-
-    @cached_property
-    def annotations_by_subject(self) -> dict[EntityRef, tuple[AnnotationAssertion, ...]]:
-        out: dict[EntityRef, list[AnnotationAssertion]] = {}
-        for a in self.axioms:
-            if isinstance(a, AnnotationAssertion):
-                out.setdefault(a.subject, []).append(a)
-        return {e: tuple(v) for e, v in out.items()}
-
-
-def signature(onto: Ontology) -> frozenset[EntityRef]:
-    """All declared entities (explicit and auto-declared)."""
-    return onto.signature
 
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
@@ -255,6 +263,8 @@ class _Token:
 
 _IDENT_START = re.compile(r"[A-Za-z_]")
 _IDENT_CHAR = re.compile(r"[A-Za-z0-9_.\-]")
+# would split the IRI's row in the TSV files written for a division
+_IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -293,6 +303,11 @@ def _tokenize(text: str) -> list[_Token]:
             if j < 0:
                 raise OfnSyntaxError("unterminated IRI", start_line, start_col)
             iri = text[i + 1:j]
+            bad = _IRI_FORBIDDEN.search(iri)
+            if bad:
+                raise OfnSyntaxError(
+                    f"control character {bad.group()!r} in IRI",
+                    start_line, start_col + 1 + bad.start())
             advance(j - i + 1)
             tokens.append(_Token("iri", iri, start_line, start_col))
             continue

@@ -10,14 +10,22 @@ package's syntactic rules, so it can catch them being unsound.
 from __future__ import annotations
 
 import itertools
+import logging
+from collections import deque
+from typing import Iterable
 
 import numpy as np
 
-from ontodivide.ontology import (OBJECT_PROPERTY, AnnotationAssertion,
+from ontodivide.errors import InvariantError
+from ontodivide.locality import is_local
+from ontodivide.ontology import (OBJECT_PROPERTY, AnnotationAssertion, Axiom,
                                  Declaration, EntityRef, EquivalentClasses,
                                  IntersectionOf, NamedClass, Nothing,
                                  Ontology, SomeValuesFrom, SubClassOf,
-                                 SubObjectPropertyOf, Thing, UnionOf)
+                                 SubObjectPropertyOf, Thing, UnionOf,
+                                 axiom_signature)
+
+logger = logging.getLogger(__name__)
 
 # --- name collection (kept local so the oracle stands on its own) ----------
 
@@ -190,3 +198,73 @@ def random_ontology(rng: np.random.Generator, base: str = "http://example.org/ra
 
 def random_signature(rng: np.random.Generator, onto: Ontology):
     return frozenset(e for e in sorted(onto.signature) if rng.random() < 0.5)
+
+
+# --- reference module extraction ---------------------------------------------
+
+
+def reference_extract_module(onto: Ontology,
+                             seed: Iterable[EntityRef]) -> Ontology:
+    """Module extraction by full scans of the ontology on every call.
+
+    Least set of axioms closed under non-locality for the growing signature,
+    plus the declarations and annotations of every module entity.
+    """
+    by_iri = {e.iri: e for e in onto.signature}
+    resolved: set[EntityRef] = set()
+    unknown: list[str] = []
+    for e in seed:
+        hit = by_iri.get(e.iri)
+        if hit is None:
+            unknown.append(e.iri)
+        else:
+            resolved.add(hit)
+    if unknown:
+        logger.warning("ignoring %d seed entit%s outside the signature: %s",
+                       len(unknown), "y" if len(unknown) == 1 else "ies",
+                       ", ".join(sorted(unknown)[:5]))
+
+    logical = [(i, a) for i, a in enumerate(onto.axioms)
+               if not isinstance(a, (Declaration, AnnotationAssertion))]
+    occurs: dict[EntityRef, list[int]] = {}
+    axiom_at: dict[int, Axiom] = {}
+    for i, a in logical:
+        axiom_at[i] = a
+        for e in axiom_signature(a):
+            occurs.setdefault(e, []).append(i)
+
+    sig: set[EntityRef] = set(resolved)
+    member: set[int] = set()
+    queue: deque[EntityRef] = deque()
+
+    def include(idx: int, a: Axiom) -> None:
+        member.add(idx)
+        for e in axiom_signature(a):
+            if e not in sig:
+                sig.add(e)
+                queue.append(e)
+
+    for i, a in logical:
+        if i not in member and not is_local(a, sig):
+            include(i, a)
+    while queue:
+        ent = queue.popleft()
+        for i in occurs.get(ent, ()):
+            if i not in member and not is_local(axiom_at[i], sig):
+                include(i, axiom_at[i])
+
+    module_entities = sig | resolved
+    axioms: list[Axiom] = []
+    for i, a in enumerate(onto.axioms):
+        if isinstance(a, Declaration):
+            if a.entity in module_entities:
+                axioms.append(a)
+        elif isinstance(a, AnnotationAssertion):
+            if a.subject in module_entities:
+                axioms.append(a)
+        elif i in member:
+            axioms.append(a)
+    mod_onto = Ontology(tuple(axioms), onto.label_properties, onto.iri)
+    if not resolved <= mod_onto.signature:
+        raise InvariantError("module lost part of its seed signature")
+    return mod_onto

@@ -24,7 +24,7 @@ from ontodivide.metrics import (Alignment, coverage_ratio,
                                 precision_recall_f, size_ratio_division,
                                 size_ratio_task)
 from ontodivide.ontology import (Declaration, EntityRef, Ontology,
-                                 parse_ontology, read_ontology, signature)
+                                 parse_ontology, read_ontology)
 
 CRITERIA = {
     1: "syntactic locality is sound vs the semantic oracle "
@@ -87,15 +87,15 @@ def test_criterion_2_context_coverage_theorem():
     for trial in range(100):
         o1 = random_ontology(rng, base=f"http://example.org/a{trial}#")
         o2 = random_ontology(rng, base=f"http://example.org/b{trial}#")
-        sig1 = sorted(signature(o1))
-        sig2 = sorted(signature(o2))
+        sig1 = sorted(o1.signature)
+        sig2 = sorted(o2.signature)
         mappings = frozenset(
             Mapping(sig1[rng.integers(len(sig1))],
                     sig2[rng.integers(len(sig2))])
             for _ in range(int(rng.integers(1, 7))))
         left, right = context_of(mappings, o1, o2)
         division = Division(
-            1, (MatchingTask(left.ontology, right.ontology, mappings),), {})
+            1, (MatchingTask(left, right, mappings),), {})
         ratio = coverage_ratio(division, Alignment(mappings))
         assert ratio == 1.0, (trial, ratio)
     record(2)

@@ -101,6 +101,15 @@ class TestCoverage:
         report = json.loads((out / "coverage_report.json").read_text())
         assert report["coverage_ratio"] == 1.0
 
+    def test_malformed_division_json_is_user_error(self, tmp_path, capsys):
+        (tmp_path / "division.json").write_text('{"n": 1}')
+        reference = tmp_path / "ref.tsv"
+        reference.write_text(f"{TOY1_NS}Heart\t{TOY2_NS}Heart\t=\n")
+        assert main(["coverage", str(tmp_path), str(reference)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'tasks'" in err
+        assert "Traceback" not in err
+
     def test_empty_alignment_is_user_error(self, toy_files, tmp_path,
                                            capsys):
         out = tmp_path / "division"

@@ -125,7 +125,7 @@ class TestBuildLexi:
         # with a huge alpha nothing is size-filtered, so any cross-ontology
         # pair sharing a stem must meet in some entry (toy labels are short
         # enough that singleton keys always exist)
-        from ontodivide.ontology import entity_labels, signature
+        from ontodivide.ontology import entity_labels
         o1, o2 = toy_pair
         lexi = build_lexi(o1, o2, LexConfig(alpha=10_000))
 
@@ -135,8 +135,8 @@ class TestBuildLexi:
                 out |= normalize_label(label, STOPWORDS)
             return out
 
-        stems1 = {ent: stems(o1, ent) for ent in signature(o1)}
-        stems2 = {ent: stems(o2, ent) for ent in signature(o2)}
+        stems1 = {ent: stems(o1, ent) for ent in o1.signature}
+        stems2 = {ent: stems(o2, ent) for ent in o2.signature}
         for ent1, s1 in stems1.items():
             for ent2, s2 in stems2.items():
                 if s1 & s2:

@@ -1,7 +1,8 @@
 import numpy as np
 
 from conftest import TOY1_NS, TOY2_NS
-from oracles import (random_ontology, random_signature, semantically_bot,
+from oracles import (random_ontology, random_signature,
+                     reference_extract_module, semantically_bot,
                      semantically_local, semantically_top)
 
 from ontodivide.lexindex import Mapping
@@ -9,11 +10,11 @@ from ontodivide.locality import (context_of, extract_module,
                                  is_bot_equivalent, is_local,
                                  is_top_equivalent)
 from ontodivide.metrics import Alignment, coverage
-from ontodivide.ontology import (OBJECT_PROPERTY, Declaration, EntityRef,
-                                 EquivalentClasses, IntersectionOf,
-                                 NamedClass, Nothing, SomeValuesFrom,
-                                 SubClassOf, Thing, UnionOf, parse_ontology,
-                                 signature)
+from ontodivide.ontology import (CLASS, OBJECT_PROPERTY, AnnotationAssertion,
+                                 Declaration, EntityRef, EquivalentClasses,
+                                 IntersectionOf, NamedClass, Nothing,
+                                 Ontology, SomeValuesFrom, SubClassOf, Thing,
+                                 UnionOf, parse_ontology, serialize)
 
 NS = "http://example.org/ontology#"
 A = EntityRef(NS + "A")
@@ -127,85 +128,150 @@ class TestExtractModule:
     def test_chain_pulled_in_transitively(self):
         onto = parse_ontology(CHAIN)
         module = extract_module(onto, {A})
-        logical = set(module.ontology.logical_axioms)
+        logical = set(module.logical_axioms)
         assert logical == set(onto.logical_axioms)
         assert module.signature == {A, B, C}
 
     def test_chain_from_top_is_empty(self):
         onto = parse_ontology(CHAIN)
         module = extract_module(onto, {C})
-        assert module.ontology.logical_axioms == ()
+        assert module.logical_axioms == ()
         assert module.signature == {C}
 
     def test_full_seed_keeps_all_non_tautologies(self, toy_pair):
         o1, _ = toy_pair
-        module = extract_module(o1, signature(o1))
-        assert set(module.ontology.logical_axioms) == set(o1.logical_axioms)
+        module = extract_module(o1, o1.signature)
+        assert set(module.logical_axioms) == set(o1.logical_axioms)
 
     def test_tautologies_stay_out(self):
         onto = parse_ontology(
             "Declaration(Class(:A)) SubClassOf(:A owl:Thing)")
         module = extract_module(onto, {A})
-        assert module.ontology.logical_axioms == ()
+        assert module.logical_axioms == ()
 
     def test_unknown_seed_ignored_with_warning(self, caplog):
         onto = parse_ontology(CHAIN)
         with caplog.at_level("WARNING"):
             module = extract_module(onto, {A, EntityRef(NS + "Ghost")})
         assert "outside the signature" in caplog.text
-        assert module.seed == {A}
+        assert module.axioms == extract_module(onto, {A}).axioms
 
     def test_monotone_in_seed(self, toy_pair):
         o1, _ = toy_pair
         rng = np.random.default_rng(5)
-        entities = sorted(signature(o1))
+        entities = sorted(o1.signature)
         for _ in range(20):
             small = {e for e in entities if rng.random() < 0.3}
             extra = {e for e in entities if rng.random() < 0.3}
             m_small = extract_module(o1, small)
             m_big = extract_module(o1, small | extra)
-            assert set(m_small.ontology.axioms) <= set(m_big.ontology.axioms)
+            assert set(m_small.axioms) <= set(m_big.axioms)
 
     def test_self_contained_fixpoint(self, toy_pair):
         o1, _ = toy_pair
         rng = np.random.default_rng(11)
-        entities = sorted(signature(o1))
+        entities = sorted(o1.signature)
         for _ in range(10):
             seed = {e for e in entities if rng.random() < 0.4}
             module = extract_module(o1, seed)
-            again = extract_module(module.ontology, seed)
-            assert set(again.ontology.axioms) == set(module.ontology.axioms)
+            again = extract_module(module, seed)
+            assert set(again.axioms) == set(module.axioms)
 
     def test_module_annotations_attached(self, toy_pair):
         o1, _ = toy_pair
         mitral = EntityRef(TOY1_NS + "Mitral_valve")
         module = extract_module(o1, {mitral})
         from ontodivide.ontology import entity_labels
-        assert entity_labels(module.ontology, mitral) == \
+        assert entity_labels(module, mitral) == \
             ["Mitral valve", "Left atrioventricular valve"]
+
+
+RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
+
+
+def _shuffled_variant(rng, onto: Ontology) -> Ontology:
+    """`onto` with top axioms, labels, a duplicate and a missing
+    declaration mixed in, in random axiom order."""
+    decls = [a for a in onto.axioms if isinstance(a, Declaration)]
+    classes = [d.entity for d in decls if d.entity.kind == CLASS]
+    axioms = [d for d in decls if rng.random() < 0.9]
+    axioms += onto.logical_axioms
+    if rng.random() < 0.3:
+        axioms.append(SubClassOf(Thing(),
+                                 NamedClass(classes[rng.integers(3)])))
+    if rng.random() < 0.1:
+        axioms.append(SubClassOf(Thing(), Nothing()))
+    if onto.logical_axioms and rng.random() < 0.2:
+        axioms.append(onto.logical_axioms[0])
+    for d in decls:
+        axioms += [AnnotationAssertion(d.entity, RDFS_LABEL, f"label {k}")
+                   for k in range(int(rng.integers(0, 3)))]
+    order = rng.permutation(len(axioms))
+    return Ontology(tuple(axioms[i] for i in order), iri=onto.iri)
+
+
+def _seed(rng, onto: Ontology, base: str) -> frozenset[EntityRef]:
+    """Random signature plus, sometimes, an unknown entity and an IRI of the
+    signature under the wrong kind."""
+    seed = set(random_signature(rng, onto))
+    if rng.random() < 0.3:
+        seed.add(EntityRef(base + "Ghost"))
+    if rng.random() < 0.3:
+        seed.add(EntityRef(base + "r", CLASS))
+    return frozenset(seed)
+
+
+class TestExtractModuleDifferential:
+    """The indexed extraction equals the whole-ontology reference."""
+
+    def test_random_ontologies(self):
+        rng = np.random.default_rng(31)
+        unconditional = unknown = 0
+        for trial in range(1200):
+            base = f"http://example.org/d{trial}#"
+            onto = _shuffled_variant(rng, random_ontology(rng, base))
+            seed = _seed(rng, onto, base)
+            unconditional += bool(onto.unconditional_axioms)
+            unknown += any(e.iri not in onto.entity_by_iri for e in seed)
+            assert serialize(extract_module(onto, seed)) == \
+                serialize(reference_extract_module(onto, seed)), trial
+        # the cases the per-ontology structures must get right did occur
+        assert unconditional > 100 and unknown > 100
+
+    def test_toy_pair_random_seeds(self, toy_pair):
+        rng = np.random.default_rng(8)
+        for onto in toy_pair:
+            entities = sorted(onto.signature)
+            for _ in range(60):
+                share = rng.random() * 0.3
+                seed = {e for e in entities if rng.random() < share}
+                if rng.random() < 0.2:
+                    seed.add(EntityRef(entities[0].iri + "_ghost"))
+                assert serialize(extract_module(onto, seed)) == \
+                    serialize(reference_extract_module(onto, seed))
 
 
 class TestContext:
     def test_empty_alignment(self, toy_pair):
         left, right = context_of([], *toy_pair)
-        assert left.ontology.axioms == ()
-        assert right.ontology.axioms == ()
+        assert left.axioms == ()
+        assert right.axioms == ()
 
     def test_single_mapping_definition(self, toy_pair):
         o1, o2 = toy_pair
         heart1 = EntityRef(TOY1_NS + "Heart")
         heart2 = EntityRef(TOY2_NS + "Heart")
         left, right = context_of([Mapping(heart1, heart2)], o1, o2)
-        assert left.ontology.axioms == \
-            extract_module(o1, {heart1}).ontology.axioms
-        assert right.ontology.axioms == \
-            extract_module(o2, {heart2}).ontology.axioms
+        assert left.axioms == \
+            extract_module(o1, {heart1}).axioms
+        assert right.axioms == \
+            extract_module(o2, {heart2}).axioms
 
     def test_context_covers_its_alignment(self, toy_pair):
         o1, o2 = toy_pair
         rng = np.random.default_rng(3)
-        sig1 = sorted(signature(o1))
-        sig2 = sorted(signature(o2))
+        sig1 = sorted(o1.signature)
+        sig2 = sorted(o2.signature)
         for _ in range(10):
             mappings = frozenset(
                 Mapping(sig1[rng.integers(len(sig1))],
@@ -222,9 +288,9 @@ class TestContext:
         with caplog.at_level("WARNING"):
             left, _ = context_of([ghost], o1, o2)
         assert "dropped 1 mapping" in caplog.text
-        assert left.ontology.axioms == ()
+        assert left.axioms == ()
 
 
 def _task(left, right, mappings):
     from ontodivide.division import MatchingTask
-    return MatchingTask(left.ontology, right.ontology, frozenset(mappings))
+    return MatchingTask(left, right, frozenset(mappings))

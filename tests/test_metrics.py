@@ -157,8 +157,8 @@ class TestCoverage:
         covered = 0
         for mp in reference:
             for t in tasks:
-                if mp.e1.iri in t.source.signature_iris and \
-                        mp.e2.iri in t.target.signature_iris:
+                if mp.e1.iri in t.source.entity_by_iri and \
+                        mp.e2.iri in t.target.entity_by_iri:
                     covered += 1
                     break
         ratio = coverage_ratio(div, Alignment(frozenset(reference)))

@@ -9,8 +9,7 @@ from ontodivide.ontology import (CLASS, OBJECT_PROPERTY,
                                  AnnotationAssertion, Declaration, EntityRef,
                                  NamedClass, Ontology, SomeValuesFrom,
                                  SubClassOf, axiom_signature, entity_labels,
-                                 fragment_label, parse_ontology, serialize,
-                                 signature)
+                                 fragment_label, parse_ontology, serialize)
 
 NS = "http://example.org/ontology#"  # default prefix expansion
 
@@ -50,6 +49,15 @@ class TestParsing:
         assert err.value.line == 2
         assert err.value.column == 3
 
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    def test_control_character_in_iri_rejected(self, char):
+        text = ("Declaration(Class(:A))\n"
+                f"Declaration(Class(<http://a#x{char}y>))")
+        with pytest.raises(OfnSyntaxError, match="control character") as err:
+            parse_ontology(text)
+        assert err.value.line == 2
+        assert err.value.column == 30  # the character itself
+
     def test_kind_conflict_rejected(self):
         with pytest.raises(OfnSyntaxError, match="already known"):
             parse_ontology("Declaration(ObjectProperty(:r)) SubClassOf(:r :B)")
@@ -77,25 +85,25 @@ class TestParsing:
         assert class_lines == 30
         assert prop_lines == 2
         onto = parse_ontology(text)
-        sig = signature(onto)
+        sig = onto.signature
         assert sum(1 for e in sig if e.kind == CLASS) == class_lines
         assert sum(1 for e in sig if e.kind == OBJECT_PROPERTY) == prop_lines
 
 
 class TestSignature:
     def test_empty_ontology(self):
-        assert signature(Ontology(())) == frozenset()
+        assert Ontology(()).signature == frozenset()
 
     def test_auto_declared_included(self):
         onto = parse_ontology("Declaration(Class(:A)) SubClassOf(:A :B)")
-        assert signature(onto) == {EntityRef(NS + "A"), EntityRef(NS + "B")}
+        assert onto.signature == {EntityRef(NS + "A"), EntityRef(NS + "B")}
 
     def test_signature_equals_union_of_axiom_signatures(self, toy_pair):
         for onto in toy_pair:
             from_axioms = frozenset()
             for a in onto.logical_axioms:
                 from_axioms |= axiom_signature(a)
-            declared = signature(onto)
+            declared = onto.signature
             assert from_axioms <= declared
             assert declared == from_axioms | declared
 
