@@ -14,12 +14,11 @@ from .division import (Division, DivisionConfig, MatchingTask, divide,
                        write_division)
 from .embedding import (EmbeddingSpace, TrainingConfig, entry_vector,
                         entry_vectors, hinge_gradients, hinge_loss,
-                        positive_pairs, sample_negatives, similarity,
-                        train_embeddings, write_embeddings_tsv)
+                        positive_pairs, similarity, train_embeddings)
 from .errors import InvariantError, OfnSyntaxError, UnsupportedConstructError
 from .lexindex import (LexConfig, LexIndex, Mapping, all_candidate_mappings,
                        build_lexi, load_default_stopwords, mappings_of,
-                       normalize_label, word_subsets, write_index_tsv)
+                       normalize_label, word_subsets)
 from .locality import (context_of, extract_module, is_bot_equivalent,
                        is_local, is_top_equivalent)
 from .metrics import (Alignment, EvalReport, coverage, coverage_ratio,

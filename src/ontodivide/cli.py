@@ -22,6 +22,8 @@ from .ontology import read_ontology
 
 logger = logging.getLogger(__name__)
 
+DEFAULTS = DivisionConfig()
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; 2 is reserved for internal
@@ -117,6 +119,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _add_index_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=int, default=DEFAULTS.alpha,
+                   help="max entities per index entry (default %(default)s)")
+    p.add_argument("--max-subsets", type=int, default=DEFAULTS.max_subsets,
+                   help="word-subset keys per label (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="ontodivide",
@@ -132,22 +141,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of matching subtasks")
     p.add_argument("-o", "--output", required=True,
                    help="output directory for the division")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for every random choice (default 0)")
-    p.add_argument("--alpha", type=int, default=60,
-                   help="max entities per index entry (default 60)")
-    p.add_argument("--dim", type=int, default=64,
-                   help="embedding dimension (default 64)")
-    p.add_argument("--epochs", type=int, default=100,
-                   help="training epochs (default 100)")
-    p.add_argument("--negatives", type=int, default=10,
-                   help="negative samples per positive pair (default 10)")
-    p.add_argument("--margin", type=float, default=0.05,
-                   help="ranking margin (default 0.05)")
-    p.add_argument("--lr", type=float, default=0.05,
-                   help="initial learning rate (default 0.05)")
-    p.add_argument("--max-subsets", type=int, default=50,
-                   help="word-subset keys per label (default 50)")
+    p.add_argument("--seed", type=int, default=DEFAULTS.seed,
+                   help="seed for every random choice (default %(default)s)")
+    _add_index_flags(p)
+    p.add_argument("--dim", type=int, default=DEFAULTS.dim,
+                   help="embedding dimension (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=DEFAULTS.epochs,
+                   help="training epochs (default %(default)s)")
+    p.add_argument("--negatives", type=int, default=DEFAULTS.negatives,
+                   help="negative samples per positive pair "
+                        "(default %(default)s)")
+    p.add_argument("--margin", type=float, default=DEFAULTS.margin,
+                   help="ranking margin (default %(default)s)")
+    p.add_argument("--lr", type=float, default=DEFAULTS.learning_rate,
+                   help="initial learning rate (default %(default)s)")
     p.set_defaults(func=cmd_divide)
 
     p = sub.add_parser("coverage",
@@ -168,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="signature and index statistics for a pair")
     p.add_argument("source", help="source ontology (.ofn)")
     p.add_argument("target", help="target ontology (.ofn)")
-    p.add_argument("--alpha", type=int, default=60)
-    p.add_argument("--max-subsets", type=int, default=50)
+    _add_index_flags(p)
     p.set_defaults(func=cmd_stats)
     return parser
 

@@ -133,11 +133,3 @@ def clusters_to_entries(asg: ClusterAssignment, lexi: LexIndex
     for key, value in lexi.sorted_entries:
         buckets[asg.assignment[key]].append((key, value))
     return [tuple(b) for b in buckets]
-
-
-def write_clusters_tsv(asg: ClusterAssignment, path) -> None:
-    """`cluster-id \\t key-words`, sorted by (cluster, key)."""
-    rows = sorted((c, key) for key, c in asg.assignment.items())
-    with open(path, "w", encoding="utf-8") as fh:
-        for c, key in rows:
-            fh.write(f"{c}\t{'|'.join(key)}\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping as MappingT
@@ -135,7 +136,15 @@ def read_alignment_tsv(path) -> Alignment:
             e1, e2, rel = parts[0], parts[1], parts[2]
             if rel not in RELATIONS:
                 raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
-            conf = float(parts[3]) if len(parts) == 4 else 1.0
+            conf = 1.0
+            if len(parts) == 4:
+                try:
+                    conf = float(parts[3])
+                except ValueError:
+                    conf = math.nan
+                if not 0.0 < conf <= 1.0:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad confidence {parts[3]!r}")
             mappings.add(Mapping(EntityRef(e1), EntityRef(e2), rel, conf))
     return Alignment(frozenset(mappings))
 

@@ -103,18 +103,6 @@ def positive_pairs(lexi: LexIndex) -> list[tuple[str, EntityRef]]:
     return pairs
 
 
-def sample_negatives(lexi: LexIndex, j: int,
-                     rng: np.random.Generator) -> list[EntityRef]:
-    """j entities drawn uniformly, with replacement, from the value multiset."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    multiset = lexi.value_entity_multiset
-    if not multiset:
-        raise ValueError("index has no value entities")
-    idx = rng.integers(0, len(multiset), size=j)
-    return [multiset[i] for i in idx]
-
-
 def _pair_gaps(v_w, v_e, v_negs, margin):
     return margin - v_w @ v_e + v_negs @ v_w
 
@@ -227,15 +215,3 @@ def entry_vectors(lexi: LexIndex,
                   space: EmbeddingSpace) -> list[tuple[LexKey, FloatArray]]:
     return [(key, entry_vector((key, value), space))
             for key, value in lexi.sorted_entries]
-
-
-def write_embeddings_tsv(space: EmbeddingSpace, path) -> None:
-    """`token \\t kind \\t d floats` with 9-significant-digit formatting."""
-    def fmt(vec: FloatArray) -> str:
-        return "\t".join(f"{x:.9g}" for x in vec)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for w in space.words:
-            fh.write(f"{w}\tword\t{fmt(space.word_vector(w))}\n")
-        for e in space.entities:
-            fh.write(f"{e.iri}\tentity\t{fmt(space.entity_vector(e))}\n")

@@ -187,12 +187,3 @@ def mappings_of(entries: Iterable[tuple[LexKey, LexValue]]
 
 def all_candidate_mappings(lexi: LexIndex) -> frozenset[Mapping]:
     return mappings_of(lexi.sorted_entries)
-
-
-def write_index_tsv(lexi: LexIndex, path) -> None:
-    """`key-words \\t o1-entities \\t o2-entities`, sorted by key."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in lexi.sorted_entries:
-            e1 = ",".join(e.iri for e in sorted(value.entities1))
-            e2 = ",".join(e.iri for e in sorted(value.entities2))
-            fh.write(f"{'|'.join(key)}\t{e1}\t{e2}\n")

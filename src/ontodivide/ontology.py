@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import OfnSyntaxError, UnsupportedConstructError
 
@@ -253,104 +253,68 @@ def entity_labels(onto: Ontology, entity: EntityRef) -> list[str]:
 
 # --- tokenizer ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "(", ")", "=", "iri", "pname", "string", "ident", "eof"
     value: str
-    line: int
-    column: int
+    pos: int  # offset into the text; _line_col turns it into line/column
 
 
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT_CHAR = re.compile(r"[A-Za-z0-9_.\-]")
-# would split the IRI's row in the TSV files written for a division
+# One alternative per token kind.  An IRI holds no tab/CR/LF (they would
+# split its row in the TSV files written for a division).  In a string a
+# backslash always pairs with the next character, but only \" and \\ are
+# escapes.  A prefixed name's prefix may be empty (the default prefix).
+_NAME_CHARS = r"[A-Za-z0-9_.\-]*"
+_TOKEN = re.compile(rf"""
+    (?P<skip>   (?: [ \t\r\n]+ | \#[^\n]* )+ )
+  | (?P<punct>  [()=] )
+  | < (?P<iri>  [^>\t\r\n]* ) >
+  | " (?P<string> [^"\\]* (?: \\[\s\S] [^"\\]* )* ) "
+  | (?P<pname>  (?: [A-Za-z_]{_NAME_CHARS} )? : {_NAME_CHARS} )
+  | (?P<ident>  [A-Za-z_]{_NAME_CHARS} )
+""", re.VERBOSE)
+_ESCAPE = re.compile(r'\\(["\\])')
 _IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of the character at offset `pos`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _scan_error(text: str, pos: int) -> OfnSyntaxError:
+    """Why no token starts at offset `pos`."""
+    ch = text[pos]
+    if ch == "<":
+        end = text.find(">", pos + 1)
+        if end < 0:
+            message = "unterminated IRI"
+        else:
+            pos = _IRI_FORBIDDEN.search(text, pos + 1, end).start()
+            message = f"control character {text[pos]!r} in IRI"
+    elif ch == '"':
+        message = "unterminated string literal"
+    else:
+        message = f"unexpected character {ch!r}"
+    return OfnSyntaxError(message, *_line_col(text, pos))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch in "()=":
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            advance()
-            continue
-        if ch == "<":
-            j = text.find(">", i + 1)
-            if j < 0:
-                raise OfnSyntaxError("unterminated IRI", start_line, start_col)
-            iri = text[i + 1:j]
-            bad = _IRI_FORBIDDEN.search(iri)
-            if bad:
-                raise OfnSyntaxError(
-                    f"control character {bad.group()!r} in IRI",
-                    start_line, start_col + 1 + bad.start())
-            advance(j - i + 1)
-            tokens.append(_Token("iri", iri, start_line, start_col))
-            continue
-        if ch == '"':
-            buf = []
-            advance()
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    buf.append(text[i + 1])
-                    advance(2)
-                else:
-                    buf.append(text[i])
-                    advance()
-            if i >= n:
-                raise OfnSyntaxError("unterminated string literal",
-                                     start_line, start_col)
-            advance()  # closing quote
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            continue
-        if _IDENT_START.match(ch) or ch == ":":
-            j = i
-            while j < n and _IDENT_CHAR.match(text[j]):
-                j += 1
-            name = text[i:j]
-            if j < n and text[j] == ":":
-                # prefixed name (prefix may be empty for the default prefix)
-                k = j + 1
-                while k < n and _IDENT_CHAR.match(text[k]):
-                    k += 1
-                local = text[j + 1:k]
-                advance(k - i)
-                tokens.append(_Token("pname", f"{name}:{local}",
-                                     start_line, start_col))
-            elif name:
-                advance(j - i)
-                tokens.append(_Token("ident", name, start_line, start_col))
-            else:
-                raise OfnSyntaxError(f"unexpected character {ch!r}",
-                                     start_line, start_col)
-            continue
-        raise OfnSyntaxError(f"unexpected character {ch!r}", start_line,
-                             start_col)
-    tokens.append(_Token("eof", "", line, col))
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise _scan_error(text, pos)
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "punct":
+            kind = value
+        elif kind == "string":
+            value = _ESCAPE.sub(r"\1", value)
+        if kind != "skip":
+            tokens.append(_Token(kind, value, pos))
+        pos = m.end()
+    tokens.append(_Token("eof", "", pos))
     return tokens
 
 
@@ -362,10 +326,13 @@ _EXPR_KEYWORDS = {"ObjectIntersectionOf", "ObjectUnionOf",
                   "ObjectSomeValuesFrom"}
 _DECL_KEYWORDS = {"Class": CLASS, "ObjectProperty": OBJECT_PROPERTY,
                   "NamedIndividual": INDIVIDUAL}
+# keeps every recursive walk over a parsed expression within Python's stack
+MAX_EXPR_DEPTH = 100
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.prefixes = dict(BUILTIN_PREFIXES)
@@ -387,13 +354,12 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise OfnSyntaxError(
-                f"expected {kind!r} but found {tok.value!r}", tok.line,
-                tok.column)
+            self.fail(f"expected {kind!r} but found {tok.value!r}", tok)
         return tok
 
-    def fail(self, message: str, tok: _Token):
-        raise OfnSyntaxError(message, tok.line, tok.column)
+    def fail(self, message: str, tok: _Token,
+             error: type[OfnSyntaxError] = OfnSyntaxError):
+        raise error(message, *_line_col(self.text, tok.pos))
 
     # IRI resolution
 
@@ -466,7 +432,7 @@ class _Parser:
             self.fail(f"expected an axiom but found {tok.value!r}", tok)
         kw = tok.value
         if kw not in _AXIOM_KEYWORDS:
-            raise UnsupportedConstructError(kw, tok.line, tok.column)
+            self.fail(kw, tok, UnsupportedConstructError)
         self.expect("(")
         if kw == "Declaration":
             axiom = self.parse_declaration_body()
@@ -505,8 +471,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "ident" or tok.value not in _DECL_KEYWORDS:
             if tok.kind == "ident":
-                raise UnsupportedConstructError(tok.value, tok.line,
-                                                tok.column)
+                self.fail(tok.value, tok, UnsupportedConstructError)
             self.fail("expected Class/ObjectProperty/NamedIndividual", tok)
         kind = _DECL_KEYWORDS[tok.value]
         self.expect("(")
@@ -529,7 +494,8 @@ class _Parser:
             self.fail(f"owl:{iri_fragment(iri)} is not allowed here", tok)
         return self.record_use(iri, kind, tok)
 
-    def parse_class_expr(self) -> ClassExpr:
+    def parse_class_expr(self, depth: int = 0) -> ClassExpr:
+        """`depth` counts the constructors enclosing this expression."""
         tok = self.next()
         if tok.kind in ("iri", "pname"):
             iri = self.resolve_iri(tok)
@@ -541,16 +507,19 @@ class _Parser:
         if tok.kind == "ident":
             kw = tok.value
             if kw not in _EXPR_KEYWORDS:
-                raise UnsupportedConstructError(kw, tok.line, tok.column)
+                self.fail(kw, tok, UnsupportedConstructError)
+            if depth == MAX_EXPR_DEPTH:
+                self.fail(f"class expression nested deeper than "
+                          f"{MAX_EXPR_DEPTH}", tok)
             self.expect("(")
             if kw == "ObjectSomeValuesFrom":
                 prop = self.parse_entity(OBJECT_PROPERTY)
-                filler = self.parse_class_expr()
+                filler = self.parse_class_expr(depth + 1)
                 self.expect(")")
                 return SomeValuesFrom(prop, filler)
             parts = []
             while self.peek().kind != ")":
-                parts.append(self.parse_class_expr())
+                parts.append(self.parse_class_expr(depth + 1))
             self.expect(")")
             if len(parts) < 2:
                 self.fail(f"{kw} requires ≥ 2 members", tok)

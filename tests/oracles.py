@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from ontodivide.errors import InvariantError
+from ontodivide.errors import InvariantError, OfnSyntaxError
 from ontodivide.locality import is_local
 from ontodivide.ontology import (OBJECT_PROPERTY, AnnotationAssertion, Axiom,
                                  Declaration, EntityRef, EquivalentClasses,
@@ -268,3 +270,108 @@ def reference_extract_module(onto: Ontology,
     if not resolved <= mod_onto.signature:
         raise InvariantError("module lost part of its seed signature")
     return mod_onto
+
+
+# --- reference tokenizer ----------------------------------------------------
+# The character-at-a-time `.ofn` scanner the token pattern replaced, kept
+# verbatim as the differential reference for `ontology._tokenize`.
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "(", ")", "=", "iri", "pname", "string", "ident", "eof"
+    value: str
+    line: int
+    column: int
+
+
+_IDENT_START = re.compile(r"[A-Za-z_]")
+_IDENT_CHAR = re.compile(r"[A-Za-z0-9_.\-]")
+# would split the IRI's row in the TSV files written for a division
+_IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def advance(k: int = 1):
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                advance()
+            continue
+        start_line, start_col = line, col
+        if ch in "()=":
+            tokens.append(_Token(ch, ch, start_line, start_col))
+            advance()
+            continue
+        if ch == "<":
+            j = text.find(">", i + 1)
+            if j < 0:
+                raise OfnSyntaxError("unterminated IRI", start_line, start_col)
+            iri = text[i + 1:j]
+            bad = _IRI_FORBIDDEN.search(iri)
+            if bad:
+                raise OfnSyntaxError(
+                    f"control character {bad.group()!r} in IRI",
+                    start_line, start_col + 1 + bad.start())
+            advance(j - i + 1)
+            tokens.append(_Token("iri", iri, start_line, start_col))
+            continue
+        if ch == '"':
+            buf = []
+            advance()
+            while i < n and text[i] != '"':
+                if text[i] == "\\" and i + 1 < n and text[i + 1] in '"\\':
+                    buf.append(text[i + 1])
+                    advance(2)
+                else:
+                    buf.append(text[i])
+                    advance()
+            if i >= n:
+                raise OfnSyntaxError("unterminated string literal",
+                                     start_line, start_col)
+            advance()  # closing quote
+            tokens.append(_Token("string", "".join(buf), start_line, start_col))
+            continue
+        if _IDENT_START.match(ch) or ch == ":":
+            j = i
+            while j < n and _IDENT_CHAR.match(text[j]):
+                j += 1
+            name = text[i:j]
+            if j < n and text[j] == ":":
+                # prefixed name (prefix may be empty for the default prefix)
+                k = j + 1
+                while k < n and _IDENT_CHAR.match(text[k]):
+                    k += 1
+                local = text[j + 1:k]
+                advance(k - i)
+                tokens.append(_Token("pname", f"{name}:{local}",
+                                     start_line, start_col))
+            elif name:
+                advance(j - i)
+                tokens.append(_Token("ident", name, start_line, start_col))
+            else:
+                raise OfnSyntaxError(f"unexpected character {ch!r}",
+                                     start_line, start_col)
+            continue
+        raise OfnSyntaxError(f"unexpected character {ch!r}", start_line,
+                             start_col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens

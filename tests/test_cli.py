@@ -5,7 +5,7 @@ import pytest
 from conftest import TOY1_NS, TOY2_NS, load_toy_text
 
 from ontodivide.cli import main
-from ontodivide.division import write_alignment_tsv
+from ontodivide.division import DivisionConfig, write_alignment_tsv
 from ontodivide.lexindex import Mapping
 from ontodivide.ontology import EntityRef
 
@@ -71,6 +71,26 @@ class TestDivide:
         with pytest.raises(SystemExit) as err:
             main(["divide", str(src), str(tgt), "--bogus"])
         assert err.value.code == 1
+
+    def test_flag_defaults_are_division_config_defaults(self, toy_files,
+                                                        tmp_path,
+                                                        monkeypatch):
+        from ontodivide import cli
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(o1, o2, n, cfg):
+            seen.append(cfg)
+            raise Stop
+
+        monkeypatch.setattr(cli, "divide", capture)
+        src, tgt = toy_files
+        with pytest.raises(Stop):
+            main(["divide", str(src), str(tgt), "-n", "1",
+                  "-o", str(tmp_path / "out")])
+        assert seen == [DivisionConfig()]
 
     def test_invariant_violation_exits_two(self, toy_files, tmp_path,
                                            capsys, monkeypatch):
@@ -230,3 +250,18 @@ class TestStats:
         other.write_text("Declaration(Class(:A))")
         assert main(["stats", str(src), str(other)]) == 1
         assert "empty signature" in capsys.readouterr().err
+
+    def test_deep_nesting_is_one_error_line(self, toy_files, tmp_path,
+                                            capsys):
+        expr = ":B"
+        for _ in range(1000):
+            expr = f"ObjectIntersectionOf(:A {expr})"
+        deep = tmp_path / "deep.ofn"
+        deep.write_text(f"SubClassOf(:A {expr})\n")
+        _, tgt = toy_files
+        assert main(["stats", str(deep), str(tgt)]) == 1
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == \
+            ["error: class expression nested deeper than 100 "
+             "(line 1, column 2415)"]  # 14 + 100 * 24 + 1
+        assert "Traceback" not in err

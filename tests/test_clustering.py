@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ontodivide.clustering import (ClusterAssignment, clusters_to_entries,
-                                   kmeans, write_clusters_tsv)
+                                   kmeans)
 from ontodivide.embedding import TrainingConfig, entry_vectors, \
     train_embeddings
 from ontodivide.lexindex import build_lexi
@@ -125,13 +125,3 @@ class TestClustersToEntries:
         asg = ClusterAssignment(1, {}, np.zeros((1, 2)), 0.0, 1, (0.0,))
         with pytest.raises(ValueError, match="does not cover"):
             clusters_to_entries(asg, lexi)
-
-
-def test_cluster_dump(tmp_path):
-    X = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 9.0]])
-    asg = kmeans(keyed(X), 2, seed=0)
-    out = tmp_path / "clusters.tsv"
-    write_clusters_tsv(asg, out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3
-    assert all("\t" in line for line in lines)

@@ -188,6 +188,15 @@ class TestAlignmentTsv:
         with pytest.raises(ValueError, match="bad relation"):
             read_alignment_tsv(path)
 
+    @pytest.mark.parametrize("text", ["abc", "nan", "inf", "0", "-0.5", "2",
+                                      ""])
+    def test_bad_confidence_located(self, tmp_path, text):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tb\t=\t1.0\na\tc\t=\t{text}\n")
+        with pytest.raises(ValueError) as err:
+            read_alignment_tsv(path)
+        assert str(err.value) == f"{path}:2: bad confidence {text!r}"
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "alignment.tsv"
         path.write_text("# header\n\n" f"{O1_NS}a\t{O2_NS}x\t=\n")

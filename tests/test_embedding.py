@@ -5,9 +5,8 @@ from conftest import O1_NS, O2_NS
 
 from ontodivide.embedding import (EmbeddingSpace, TrainingConfig,
                                   entry_vector, entry_vectors, hinge_gradients,
-                                  hinge_loss, positive_pairs,
-                                  sample_negatives, similarity,
-                                  train_embeddings, write_embeddings_tsv)
+                                  hinge_loss, positive_pairs, similarity,
+                                  train_embeddings)
 from ontodivide.lexindex import (IndexStats, LexIndex, LexValue, build_lexi)
 from ontodivide.ontology import EntityRef
 
@@ -46,33 +45,6 @@ class TestPositivePairs:
 
     def test_canonical_order(self, table1_lexi):
         assert positive_pairs(table1_lexi) == positive_pairs(table1_lexi)
-
-
-class TestSampleNegatives:
-    def test_j_must_be_positive(self, table1_lexi):
-        with pytest.raises(ValueError):
-            sample_negatives(table1_lexi, 0, np.random.default_rng(0))
-
-    def test_single_entity_index(self):
-        e = ent(O1_NS, "Only")
-        lexi = make_lexi({("only",): LexValue(frozenset({e}), frozenset())})
-        drawn = sample_negatives(lexi, 3, np.random.default_rng(0))
-        assert drawn == [e, e, e]
-
-    def test_matches_multiset_frequencies(self, table1_lexi):
-        # frequency check against the exact multiset, 3 sigma per entity
-        rng = np.random.default_rng(99)
-        n = 100_000
-        drawn = sample_negatives(table1_lexi, n, rng)
-        multiset = table1_lexi.value_entity_multiset
-        counts = {}
-        for e in drawn:
-            counts[e] = counts.get(e, 0) + 1
-        for e in set(multiset):
-            p = multiset.count(e) / len(multiset)
-            expected = n * p
-            sigma = (n * p * (1 - p)) ** 0.5
-            assert abs(counts.get(e, 0) - expected) <= 3 * sigma, e
 
 
 class TestSimilarity:
@@ -259,15 +231,3 @@ class TestEntryVector:
                                  TrainingConfig(dim=6, epochs=1, seed=2))
         for key, vec in entry_vectors(table1_lexi, space):
             assert vec.shape == (12,)
-
-
-def test_embedding_dump_format(tmp_path, table1_pair):
-    lexi = build_lexi(*table1_pair)
-    space = train_embeddings(lexi, TrainingConfig(dim=3, epochs=1, seed=0))
-    out = tmp_path / "emb.tsv"
-    write_embeddings_tsv(space, out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == len(space.words) + len(space.entities)
-    first = lines[0].split("\t")
-    assert first[1] == "word"
-    assert len(first) == 2 + 3

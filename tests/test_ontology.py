@@ -5,13 +5,22 @@ from conftest import TOY1_NS, load_toy_text
 from oracles import random_ontology
 
 from ontodivide.errors import OfnSyntaxError, UnsupportedConstructError
-from ontodivide.ontology import (CLASS, OBJECT_PROPERTY,
+from ontodivide.ontology import (CLASS, MAX_EXPR_DEPTH, OBJECT_PROPERTY,
                                  AnnotationAssertion, Declaration, EntityRef,
                                  NamedClass, Ontology, SomeValuesFrom,
                                  SubClassOf, axiom_signature, entity_labels,
                                  fragment_label, parse_ontology, serialize)
 
 NS = "http://example.org/ontology#"  # default prefix expansion
+
+
+def nested_axiom(depth: int) -> str:
+    """`SubClassOf` whose superclass nests `depth` constructors."""
+    expr = ":B"
+    for i in range(depth):
+        expr = f"ObjectIntersectionOf(:A {expr})" if i % 2 \
+            else f"ObjectSomeValuesFrom(:r {expr})"
+    return f"SubClassOf(:A {expr})"
 
 
 class TestParsing:
@@ -88,6 +97,21 @@ class TestParsing:
         sig = onto.signature
         assert sum(1 for e in sig if e.kind == CLASS) == class_lines
         assert sum(1 for e in sig if e.kind == OBJECT_PROPERTY) == prop_lines
+
+
+class TestNestingLimit:
+    def test_limit_parses_and_round_trips(self):
+        onto = parse_ontology(nested_axiom(MAX_EXPR_DEPTH))
+        text = serialize(onto)
+        assert parse_ontology(text) == onto
+
+    def test_past_limit_rejected_at_the_keyword(self):
+        text = "\n" + nested_axiom(MAX_EXPR_DEPTH + 1)
+        with pytest.raises(OfnSyntaxError,
+                           match=f"nested deeper than {MAX_EXPR_DEPTH}") as err:
+            parse_ontology(text)
+        assert err.value.line == 2
+        assert err.value.column == text.rindex("Object")
 
 
 class TestSignature:
