@@ -7,14 +7,15 @@ locality modules, giving n independent matching subtasks.  Quality of a
 division is measured by alignment coverage and search-space size ratios.
 """
 
+from ._version import __version__
 from .clustering import ClusterAssignment, clusters_to_entries, kmeans
 from .division import (Division, DivisionConfig, MatchingTask, divide,
                        read_alignment_tsv, read_division,
                        subtask_from_cluster, write_alignment_tsv,
                        write_division)
 from .embedding import (EmbeddingSpace, TrainingConfig, entry_vector,
-                        entry_vectors, hinge_gradients, hinge_loss,
-                        positive_pairs, similarity, train_embeddings)
+                        entry_vectors, positive_pairs, similarity,
+                        train_embeddings)
 from .errors import InvariantError, OfnSyntaxError, UnsupportedConstructError
 from .lexindex import (LexConfig, LexIndex, Mapping, all_candidate_mappings,
                        build_lexi, load_default_stopwords, mappings_of,
@@ -32,5 +33,3 @@ from .ontology import (DEFAULT_LABEL_PROPERTIES, AnnotationAssertion, Axiom,
                        fragment_label, parse_ontology, read_ontology,
                        serialize)
 from .stemming import PorterStemmer, porter_stem
-
-__version__ = "0.1.0"

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping as MappingT
 
 import numpy as np
 
+from ._version import __version__
 from .clustering import clusters_to_entries, kmeans
 from .embedding import TrainingConfig, entry_vectors, train_embeddings
 from .errors import InvariantError
@@ -58,8 +59,9 @@ class DivisionConfig:
     kmeans_max_iters: int = 300
 
     def provenance(self) -> dict[str, object]:
-        # every field changes the output, so all of them are needed to rerun
-        return asdict(self)
+        # every field changes the output, so all of them are needed to rerun,
+        # and so does the package version that trained the embeddings
+        return {**asdict(self), "version": __version__}
 
 
 def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
@@ -124,7 +126,7 @@ def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
 def read_alignment_tsv(path) -> Alignment:
     """Read mappings from TSV; missing confidence defaults to 1.0."""
     mappings: set[Mapping] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -134,6 +136,8 @@ def read_alignment_tsv(path) -> Alignment:
                 raise ValueError(
                     f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
             e1, e2, rel = parts[0], parts[1], parts[2]
+            if not e1 or not e2:
+                raise ValueError(f"{path}:{lineno}: empty IRI")
             if rel not in RELATIONS:
                 raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
             conf = 1.0

@@ -2,15 +2,16 @@
 
 Every key word and value entity of the index gets a d-dimensional vector.
 Training ranks each observed word-entity pair above sampled negative
-entities by a margin, with plain SGD and a linearly decayed learning rate;
-per-entry vectors are the concatenation of the key-word mean and the
-value-entity mean.
+entities by a margin, with mini-batch SGD (`_BATCH` pairs per step,
+colliding updates summed) and a linearly decayed learning rate; per-entry
+vectors are the concatenation of the key-word mean and the value-entity
+mean.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -103,51 +104,90 @@ def positive_pairs(lexi: LexIndex) -> list[tuple[str, EntityRef]]:
     return pairs
 
 
-def _pair_gaps(v_w, v_e, v_negs, margin):
-    return margin - v_w @ v_e + v_negs @ v_w
+# pairs per SGD step; colliding updates within a batch sum.  On the
+# benchmark pairs 256 kept planted coverage within 0.02 and size ratio within
+# 5 % of one-pair steps; 1024 raised the size ratio by 13-17 %.
+_BATCH = 256
 
 
-def _loss_from_gaps(gaps) -> float:
-    return float(np.maximum(gaps, 0.0).sum())
+def batch_gaps(v_w: FloatArray, v_cand: FloatArray,
+               margin: float) -> FloatArray:
+    """(b, j) gaps margin - v_w.v_e + v_w.v_neg for b pairs, j negatives each.
+
+    v_w is (b, d); v_cand is (b, 1 + j, d), each pair's positive entity
+    vector followed by its j negative ones.
+    """
+    scores = (v_cand @ v_w[:, :, None])[..., 0]
+    return margin - scores[:, :1] + scores[:, 1:]
 
 
-def _gradients_from_gaps(v_w, v_e, v_negs, gaps):
+def batch_loss(gaps: FloatArray) -> FloatArray:
+    """Per-pair hinge loss: sum_k max(0, gap_k), shape (b,)."""
+    return np.maximum(gaps, 0.0).sum(axis=1)
+
+
+def batch_gradients(v_w: FloatArray, v_cand: FloatArray,
+                    gaps: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Per-pair gradients of `batch_loss` w.r.t. v_w (b, d) and v_cand.
+
+    With c = (-k, [gap_1 > 0], ..., [gap_j > 0]), k the number of violated
+    margins, the gradient is c . v_cand for v_w and c_i v_w for v_cand[i].
+    """
     viol = gaps > 0
-    k = int(viol.sum())
-    g_negs = np.where(viol[:, None], v_w, 0.0)
-    if k == 0:
-        return np.zeros_like(v_w), np.zeros_like(v_e), g_negs
-    g_w = v_negs[viol].sum(axis=0) - k * v_e
-    g_e = -k * v_w
-    return g_w, g_e, g_negs
+    c = np.empty(v_cand.shape[:2])
+    c[:, 0] = -viol.sum(axis=1)
+    c[:, 1:] = viol
+    return (c[:, None, :] @ v_cand)[:, 0], c[:, :, None] * v_w[:, None, :]
+
+
+def _one_pair(v_w: FloatArray, v_e: FloatArray,
+              v_negs: FloatArray) -> tuple[FloatArray, FloatArray]:
+    return v_w[None], np.concatenate([v_e[None], v_negs])[None]
 
 
 def hinge_loss(v_w: FloatArray, v_e: FloatArray, v_negs: FloatArray,
                margin: float) -> float:
-    """sum_k max(0, margin - v_w.v_e + v_w.v_neg_k)."""
-    return _loss_from_gaps(_pair_gaps(v_w, v_e, v_negs, margin))
+    """sum_k max(0, margin - v_w.v_e + v_w.v_neg_k).
+
+    The batch-of-one case of `batch_loss`, as the trainer computes it.
+    """
+    return float(batch_loss(batch_gaps(*_one_pair(v_w, v_e, v_negs),
+                                       margin))[0])
 
 
 def hinge_gradients(v_w: FloatArray, v_e: FloatArray, v_negs: FloatArray,
                     margin: float) -> tuple[FloatArray, FloatArray, FloatArray]:
     """Gradients of `hinge_loss` w.r.t. v_w, v_e and each negative vector."""
-    return _gradients_from_gaps(v_w, v_e, v_negs,
-                                _pair_gaps(v_w, v_e, v_negs, margin))
+    w, cand = _one_pair(v_w, v_e, v_negs)
+    g_w, g_cand = batch_gradients(w, cand, batch_gaps(w, cand, margin))
+    return g_w[0], g_cand[0, 0], g_cand[0, 1:]
 
 
-def _project(matrix: FloatArray, rows: Iterable[int], max_norm: float) -> None:
-    for r in set(rows):
-        norm = float(np.linalg.norm(matrix[r]))
-        if norm > max_norm:
-            matrix[r] *= max_norm / norm
+def _flat_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """Indices into `matrix.reshape(-1)` of every element of `rows`."""
+    return (rows[:, None] * d + np.arange(d)).reshape(-1)
+
+
+def _project(matrix: FloatArray, rows: np.ndarray, max_norm: float) -> None:
+    """Rescale the given rows whose norm exceeds max_norm onto the ball."""
+    # a mask dedupes the rows faster than np.unique's hash table
+    touched = np.zeros(len(matrix), dtype=bool)
+    touched[rows] = True
+    rows = np.flatnonzero(touched)
+    norms = np.linalg.norm(matrix[rows], axis=1)
+    over = norms > max_norm
+    matrix[rows[over]] *= (max_norm / norms[over])[:, None]
 
 
 def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
-    """SGD over positive pairs with sampled negatives.
+    """Mini-batch SGD over positive pairs with sampled negatives.
 
-    Vectors start uniform in [-1/d, 1/d]; one gradient step per positive
-    pair per epoch, pairs reshuffled every epoch, learning rate decayed
-    linearly to zero over all steps.  Fully deterministic given the seed.
+    Vectors start uniform in [-1/d, 1/d].  Every epoch reshuffles the pairs
+    and walks them in batches of `_BATCH`; each batch takes one step whose
+    gradients come from the parameters as they stand at its start, with
+    updates to the same row summed.  Each pair keeps its own learning rate,
+    decayed linearly to zero over all pairs of all epochs.  Fully
+    deterministic given the seed.
     """
     pairs = positive_pairs(lexi)
     if not pairs:
@@ -162,6 +202,8 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
     bound = 1.0 / d
     W = rng.uniform(-bound, bound, size=(len(words), d))
     E = rng.uniform(-bound, bound, size=(len(entities), d))
+    flat_w = W.reshape(-1)
+    flat_e = E.reshape(-1)
 
     pair_w = np.array([word_index[w] for w, _ in pairs], dtype=np.intp)
     pair_e = np.array([entity_index[e] for _, e in pairs], dtype=np.intp)
@@ -174,27 +216,34 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
-        for p in order:
-            lr = cfg.learning_rate * (1.0 - step / total_steps)
-            step += 1
-            wi = pair_w[p]
-            ei = pair_e[p]
-            negs = multiset[rng.integers(0, len(multiset),
-                                         size=cfg.negatives)]
-            v_negs = E[negs]
-            gaps = _pair_gaps(W[wi], E[ei], v_negs, cfg.margin)
-            epoch_loss += _loss_from_gaps(gaps)
-            if not (gaps > 0).any():
-                continue
-            g_w, g_e, g_negs = _gradients_from_gaps(W[wi], E[ei], v_negs,
-                                                    gaps)
-            W[wi] -= lr * g_w
-            E[ei] -= lr * g_e
-            np.add.at(E, negs, -lr * g_negs)
-            _project(W, (wi,), cfg.max_norm)
-            _project(E, [ei, *negs.tolist()], cfg.max_norm)
+        for start in range(0, len(pairs), _BATCH):
+            batch = order[start:start + _BATCH]
+            b = len(batch)
+            lr = cfg.learning_rate * (
+                1.0 - (step + np.arange(b)) / total_steps)[:, None]
+            step += b
+            wi = pair_w[batch]
+            # entity rows of each pair: its positive, then its negatives
+            rows = np.empty((b, 1 + cfg.negatives), dtype=np.intp)
+            rows[:, 0] = pair_e[batch]
+            rows[:, 1:] = multiset[rng.integers(0, len(multiset),
+                                                size=(b, cfg.negatives))]
+            rows = rows.reshape(-1)
+            v_w = W[wi]
+            v_cand = E[rows].reshape(b, 1 + cfg.negatives, d)
+            gaps = batch_gaps(v_w, v_cand, cfg.margin)
+            epoch_loss += float(batch_loss(gaps).sum())
+            g_w, g_cand = batch_gradients(v_w, v_cand, gaps)
+            g_w *= -lr
+            g_cand *= -lr[:, :, None]
+            np.add.at(flat_w, _flat_rows(wi, d), g_w.reshape(-1))
+            np.add.at(flat_e, _flat_rows(rows, d), g_cand.reshape(-1))
+            _project(W, wi, cfg.max_norm)
+            _project(E, rows, cfg.max_norm)
         losses.append(epoch_loss)
-        if not (np.isfinite(W).all() and np.isfinite(E).all()):
+        # overflowing dot products give NaN gaps while W and E stay finite
+        if not (math.isfinite(epoch_loss) and np.isfinite(W).all()
+                and np.isfinite(E).all()):
             raise RuntimeError(
                 f"non-finite embedding values after epoch {epoch}; "
                 "lower the learning rate")

@@ -574,7 +574,8 @@ def parse_ontology(text: str,
 def read_ontology(path,
                   label_properties: frozenset[str] = DEFAULT_LABEL_PROPERTIES,
                   ) -> Ontology:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which is not OFN syntax
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_ontology(fh.read(), label_properties)
 
 

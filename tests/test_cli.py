@@ -243,6 +243,14 @@ class TestStats:
         # 1x2 + 2x3 (dedup), the follicular rows 1x1; total distinct = 8
         assert "candidate mappings = 8" in out
 
+    def test_byte_order_mark_accepted(self, toy_files, tmp_path, capsys):
+        src, tgt = toy_files
+        bom = tmp_path / "bom.ofn"
+        bom.write_text("\ufeff" + src.read_text(encoding="utf-8"),
+                       encoding="utf-8")
+        assert main(["stats", str(bom), str(tgt)]) == 0
+        assert "|Sig(O1)| = 32" in capsys.readouterr().out
+
     def test_empty_ontology_is_user_error(self, tmp_path, capsys):
         src = tmp_path / "empty.ofn"
         src.write_text("Ontology(<http://x.org/empty>\n)\n")

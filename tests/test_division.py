@@ -1,11 +1,13 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import O1_NS, O2_NS, TOY1_NS, TOY2_NS
 
+import ontodivide
 from ontodivide.division import (DivisionConfig, divide, read_alignment_tsv,
                                  read_division, subtask_from_cluster,
                                  write_alignment_tsv, write_division)
@@ -141,7 +143,16 @@ class TestDivide:
         assert prov["learning_rate"] == 0.05
         assert prov["max_subsets"] == 50
         assert prov["kmeans_max_iters"] == 300
-        assert set(prov) == {f.name for f in fields(DivisionConfig)}
+        assert set(prov) == {f.name for f in fields(DivisionConfig)} | {
+            "version"}
+
+    def test_provenance_version_is_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        version = DivisionConfig().provenance()["version"]
+        assert version == ontodivide.__version__ == declared
 
 
 class TestAlignmentTsv:
@@ -196,6 +207,20 @@ class TestAlignmentTsv:
         with pytest.raises(ValueError) as err:
             read_alignment_tsv(path)
         assert str(err.value) == f"{path}:2: bad confidence {text!r}"
+
+    @pytest.mark.parametrize("row", ["\t\t=", "a\t\t=", "\tb\t<\t0.5"])
+    def test_empty_iri_located(self, tmp_path, row):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tb\t=\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            read_alignment_tsv(path)
+        assert str(err.value) == f"{path}:2: empty IRI"
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_text(f"\ufeff{O1_NS}a\t{O2_NS}x\t=\n", encoding="utf-8")
+        (mp,) = read_alignment_tsv(path).mappings
+        assert mp.e1 == EntityRef(O1_NS + "a")
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "alignment.tsv"

@@ -4,6 +4,7 @@ import pytest
 from conftest import O1_NS, O2_NS
 
 from ontodivide.embedding import (EmbeddingSpace, TrainingConfig,
+                                  batch_gaps, batch_gradients, batch_loss,
                                   entry_vector, entry_vectors, hinge_gradients,
                                   hinge_loss, positive_pairs, similarity,
                                   train_embeddings)
@@ -106,6 +107,36 @@ class TestHingeLoss:
             fd(lambda v: hinge_loss(v_w, v_e, v, margin), lambda: negs, g_n)
 
 
+class TestBatchHinge:
+    def test_batch_equals_stack_of_single_pairs(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            b = int(rng.integers(1, 40))
+            d = int(rng.integers(2, 9))
+            j = int(rng.integers(1, 7))
+            v_w = rng.normal(size=(b, d))
+            v_e = rng.normal(size=(b, d))
+            negs = rng.normal(size=(b, j, d))
+            v_cand = np.concatenate([v_e[:, None], negs], axis=1)
+            margin = float(rng.uniform(0.01, 0.5))
+            gaps = batch_gaps(v_w, v_cand, margin)
+            # the one-pair formula, written out without the batch code
+            explicit = np.array([margin - v_w[i] @ v_e[i] + negs[i] @ v_w[i]
+                                 for i in range(b)])
+            assert np.allclose(gaps, explicit, rtol=1e-12, atol=0)
+            single = [hinge_loss(v_w[i], v_e[i], negs[i], margin)
+                      for i in range(b)]
+            assert np.allclose(batch_loss(gaps), single, rtol=1e-12, atol=0)
+            g_w, g_cand = batch_gradients(v_w, v_cand, gaps)
+            stacked = [hinge_gradients(v_w[i], v_e[i], negs[i], margin)
+                       for i in range(b)]
+            for got, which in ((g_w, 0), (g_cand[:, 0], 1),
+                               (g_cand[:, 1:], 2)):
+                expected = np.stack([g[which] for g in stacked])
+                assert got.shape == expected.shape
+                assert np.allclose(got, expected, rtol=1e-12, atol=0)
+
+
 class TestTraining:
     def test_zero_epochs_returns_seeded_init(self, table1_lexi):
         cfg = TrainingConfig(dim=8, epochs=0, seed=4)
@@ -145,12 +176,23 @@ class TestTraining:
         space = train_embeddings(table1_lexi, cfg)
         assert np.isfinite(space.word_matrix).all()
         assert np.isfinite(space.entity_matrix).all()
-        norms = np.linalg.norm(space.entity_matrix, axis=1)
-        assert (norms <= 2.0 + 1e-9).all()
+        for matrix in (space.word_matrix, space.entity_matrix):
+            norms = np.linalg.norm(matrix, axis=1)
+            assert (norms <= 2.0 + 1e-9).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self, table1_lexi):
         cfg = TrainingConfig(dim=4, epochs=60, seed=0, learning_rate=1e120,
+                             max_norm=float("inf"))
+        with np.errstate(all="ignore"), \
+                pytest.raises(RuntimeError, match="non-finite"):
+            train_embeddings(table1_lexi, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_loss_aborts(self, table1_lexi):
+        # here v_w.v_e overflows to NaN gaps while W and E stay finite, so
+        # only the check on the epoch loss can stop the run
+        cfg = TrainingConfig(dim=4, epochs=5, seed=1, learning_rate=1e200,
                              max_norm=float("inf"))
         with np.errstate(all="ignore"), \
                 pytest.raises(RuntimeError, match="non-finite"):

@@ -9,7 +9,8 @@ from ontodivide.ontology import (CLASS, MAX_EXPR_DEPTH, OBJECT_PROPERTY,
                                  AnnotationAssertion, Declaration, EntityRef,
                                  NamedClass, Ontology, SomeValuesFrom,
                                  SubClassOf, axiom_signature, entity_labels,
-                                 fragment_label, parse_ontology, serialize)
+                                 fragment_label, parse_ontology,
+                                 read_ontology, serialize)
 
 NS = "http://example.org/ontology#"  # default prefix expansion
 
@@ -97,6 +98,14 @@ class TestParsing:
         sig = onto.signature
         assert sum(1 for e in sig if e.kind == CLASS) == class_lines
         assert sum(1 for e in sig if e.kind == OBJECT_PROPERTY) == prop_lines
+
+
+class TestReadOntology:
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = "Declaration(Class(:A)) SubClassOf(:A :B)"
+        path = tmp_path / "bom.ofn"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_ontology(path) == parse_ontology(text)
 
 
 class TestNestingLimit:
