@@ -35,10 +35,11 @@ for word in ("heart", "femur"):
     print(f"sim({word!r}, Heart) = {s_heart:+.3f}   "
           f"sim({word!r}, Femur) = {s_femur:+.3f}")
 
-# Entry vectors concatenate the key-word mean with the value-entity mean.
+# Entry vectors concatenate the key-word mean with the value-entity mean:
+# one row per index entry, in `lexi.sorted_entries` order.
 points = entry_vectors(lexi, space)
 print()
-print(f"{len(points)} entry vectors of length {points[0][1].shape[0]}")
+print(f"{points.shape[0]} entry vectors of length {points.shape[1]}")
 
 print()
 print("== k-means over the entry vectors ==")
@@ -46,8 +47,8 @@ assignment = kmeans(points, n=4, seed=0)
 print(f"inertia: {assignment.inertia:.3f} "
       f"after {assignment.n_iter} iterations")
 for cluster_id in range(assignment.n):
-    keys = sorted(k for k, c in assignment.assignment.items()
-                  if c == cluster_id)
+    keys = [k for (k, _), c in zip(lexi.sorted_entries, assignment.labels)
+            if c == cluster_id]
     words = sorted({w for k in keys for w in k})
     print(f"cluster {cluster_id}: {len(keys)} entries, "
           f"vocabulary {words[:8]}{' ...' if len(words) > 8 else ''}")

@@ -13,18 +13,17 @@ from .division import (Division, DivisionConfig, MatchingTask, divide,
                        read_alignment_tsv, read_division,
                        subtask_from_cluster, write_alignment_tsv,
                        write_division)
-from .embedding import (EmbeddingSpace, TrainingConfig, entry_vector,
-                        entry_vectors, positive_pairs, similarity,
-                        train_embeddings)
+from .embedding import (EmbeddingSpace, TrainingConfig, entry_vectors,
+                        positive_pairs, similarity, train_embeddings)
 from .errors import InvariantError, OfnSyntaxError, UnsupportedConstructError
 from .lexindex import (LexConfig, LexIndex, Mapping, all_candidate_mappings,
                        build_lexi, load_default_stopwords, mappings_of,
                        normalize_label, word_subsets)
 from .locality import (context_of, extract_module, is_bot_equivalent,
                        is_local, is_top_equivalent)
-from .metrics import (Alignment, EvalReport, coverage, coverage_ratio,
-                      precision_recall_f, size_ratio_division,
-                      size_ratio_task, uncovered_mappings, union_alignments)
+from .metrics import (Alignment, coverage, coverage_ratio, precision_recall_f,
+                      size_ratio_division, size_ratio_task,
+                      uncovered_mappings, union_alignments)
 from .ontology import (DEFAULT_LABEL_PROPERTIES, AnnotationAssertion, Axiom,
                        ClassExpr, Declaration, EntityRef, EquivalentClasses,
                        IntersectionOf, NamedClass, Nothing, Ontology,

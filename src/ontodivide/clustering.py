@@ -11,7 +11,6 @@ identical assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping as MappingT, Sequence
 
 import numpy as np
 
@@ -26,7 +25,7 @@ _INERTIA_TOL = 1e-9
 @dataclass(frozen=True)
 class ClusterAssignment:
     n: int
-    assignment: MappingT[LexKey, int]
+    labels: np.ndarray     # (m,) cluster id of each point
     centroids: np.ndarray  # (n, dim)
     inertia: float
     n_iter: int
@@ -56,43 +55,36 @@ def _plus_plus_init(X: np.ndarray, n: int,
     return centroids
 
 
-def kmeans(points: Sequence[tuple[LexKey, np.ndarray]], n: int, seed: int,
+def kmeans(points: np.ndarray, n: int, seed: int,
            max_iters: int = 300) -> ClusterAssignment:
-    """Cluster keyed vectors into exactly n non-empty clusters."""
+    """Cluster the rows of an (m, dim) matrix into n non-empty clusters."""
     if n <= 0:
         raise ValueError("n must be >= 1")
-    if not points:
-        raise ValueError("no points to cluster")
-    keys = [k for k, _ in points]
-    X = np.asarray([v for _, v in points], dtype=float)
-    if X.ndim != 2:
-        raise ValueError("all vectors must have the same length")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2 or not len(X):
+        raise ValueError("points must be a non-empty (m, dim) matrix")
     m = X.shape[0]
-    distinct = np.unique(X, axis=0).shape[0]
-    if n > distinct:
+    if n > (distinct := np.unique(X, axis=0).shape[0]):
         raise ValueError(
             f"n={n} exceeds the {distinct} distinct points available")
 
-    rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(X, n, rng)
+    centroids = _plus_plus_init(X, n, np.random.default_rng(seed))
 
     history: list[float] = []
     assign = np.full(m, -1, dtype=np.intp)
-    for it in range(max_iters):
+    for _ in range(max_iters):
         d2 = _pairwise_sq_dists(X, centroids)
         new_assign = d2.argmin(axis=1)
 
-        repairs = 0
-        while True:
-            counts = np.bincount(new_assign, minlength=n)
-            empties = np.flatnonzero(counts == 0)
+        for repairs in range(n + 1):
+            empties = np.flatnonzero(np.bincount(new_assign, minlength=n) == 0)
             if empties.size == 0:
                 break
-            repairs += 1
-            if repairs > n:
+            if repairs == n:
                 raise InvariantError("empty-cluster repair failed to settle")
-            own = d2[np.arange(m), new_assign]
-            far = int(own.argmax())
+            far = int(d2[np.arange(m), new_assign].argmax())
             empty_id = int(empties[0])
             centroids[empty_id] = X[far]
             d2[:, empty_id] = np.sum((X - centroids[empty_id]) ** 2, axis=1)
@@ -110,26 +102,21 @@ def kmeans(points: Sequence[tuple[LexKey, np.ndarray]], n: int, seed: int,
         for c in range(n):
             centroids[c] = X[assign == c].mean(axis=0)
 
-    centroids.flags.writeable = False
-    return ClusterAssignment(
-        n=n,
-        assignment={k: int(c) for k, c in zip(keys, assign)},
-        centroids=centroids,
-        inertia=history[-1],
-        n_iter=len(history),
-        inertia_history=tuple(history),
-    )
+    centroids.flags.writeable = assign.flags.writeable = False
+    return ClusterAssignment(n, assign, centroids, history[-1], len(history),
+                             tuple(history))
 
 
 def clusters_to_entries(asg: ClusterAssignment, lexi: LexIndex
                         ) -> list[tuple[tuple[LexKey, LexValue], ...]]:
-    """Partition the index entries by cluster id (clusters in id order)."""
-    missing = set(lexi.entries) - set(asg.assignment)
-    if missing:
-        raise ValueError(
-            f"assignment does not cover {len(missing)} index entr"
-            f"{'y' if len(missing) == 1 else 'ies'}")
+    """Partition the index entries by cluster id (clusters in id order).
+
+    `asg.labels[i]` is the cluster of entry i of `lexi.sorted_entries`.
+    """
+    if len(asg.labels) != len(lexi):
+        raise ValueError(f"assignment of {len(asg.labels)} labels does not "
+                         f"cover the {len(lexi)} index entries")
     buckets: list[list[tuple[LexKey, LexValue]]] = [[] for _ in range(asg.n)]
-    for key, value in lexi.sorted_entries:
-        buckets[asg.assignment[key]].append((key, value))
+    for entry, c in zip(lexi.sorted_entries, asg.labels.tolist()):
+        buckets[c].append(entry)
     return [tuple(b) for b in buckets]

@@ -11,11 +11,12 @@ mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lexindex import LexIndex, LexKey, LexValue
+from .lexindex import LexIndex
 from .ontology import EntityRef
 
 FloatArray = np.ndarray
@@ -38,10 +39,12 @@ class TrainingConfig:
             raise ValueError("epochs must be >= 0")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError("margin must be finite and >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not self.max_norm > 0:  # +inf is allowed: no projection
+            raise ValueError("max_norm must be > 0")
 
 
 @dataclass(frozen=True)
@@ -50,34 +53,29 @@ class EmbeddingSpace:
     entities: tuple[EntityRef, ...]
     word_matrix: FloatArray    # (len(words), dim)
     entity_matrix: FloatArray  # (len(entities), dim)
-    word_index: dict[str, int] = field(repr=False)
-    entity_index: dict[EntityRef, int] = field(repr=False)
     epoch_losses: tuple[float, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.word_matrix.shape[1]
 
+    @cached_property
+    def word_index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.words)}
+
+    @cached_property
+    def entity_index(self) -> dict[EntityRef, int]:
+        return {e: i for i, e in enumerate(self.entities)}
+
     def word_vector(self, word: str) -> FloatArray:
-        try:
-            return self.word_matrix[self.word_index[word]]
-        except KeyError:
-            raise KeyError(f"no vector for word {word!r}") from None
+        if word not in self.word_index:
+            raise KeyError(f"no vector for word {word!r}")
+        return self.word_matrix[self.word_index[word]]
 
     def entity_vector(self, entity: EntityRef) -> FloatArray:
-        try:
-            return self.entity_matrix[self.entity_index[entity]]
-        except KeyError:
-            raise KeyError(f"no vector for entity {entity.iri!r}") from None
-
-
-def _make_space(words, entities, W, E, losses=()) -> EmbeddingSpace:
-    W.flags.writeable = False
-    E.flags.writeable = False
-    return EmbeddingSpace(tuple(words), tuple(entities), W, E,
-                          {w: i for i, w in enumerate(words)},
-                          {e: i for i, e in enumerate(entities)},
-                          tuple(losses))
+        if entity not in self.entity_index:
+            raise KeyError(f"no vector for entity {entity.iri!r}")
+        return self.entity_matrix[self.entity_index[entity]]
 
 
 def similarity(a: FloatArray, b: FloatArray) -> float:
@@ -90,18 +88,11 @@ def similarity(a: FloatArray, b: FloatArray) -> float:
 
 
 def positive_pairs(lexi: LexIndex) -> list[tuple[str, EntityRef]]:
-    """All word-entity pairs of the index, in canonical order.
-
-    Each entry contributes its key words crossed with its value entities
-    from both ontologies; training shuffles this list per epoch.
-    """
-    pairs: list[tuple[str, EntityRef]] = []
-    for key, value in lexi.sorted_entries:
-        ents = value.all_entities()
-        for w in key:
-            for e in ents:
-                pairs.append((w, e))
-    return pairs
+    """`IndexEncoding.pairs` as (word, entity), in the order training uses."""
+    enc = lexi.encoding
+    pair_w, pair_e = enc.pairs
+    return [(enc.words[w], enc.entities[e])
+            for w, e in zip(pair_w.tolist(), pair_e.tolist())]
 
 
 # pairs per SGD step; colliding updates within a batch sum.  On the
@@ -189,34 +180,27 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
     decayed linearly to zero over all pairs of all epochs.  Fully
     deterministic given the seed.
     """
-    pairs = positive_pairs(lexi)
-    if not pairs:
+    enc = lexi.encoding
+    pair_w, pair_e = enc.pairs
+    multiset = enc.value_entities
+    if not len(pair_w):
         raise ValueError("cannot train on an empty index")
-    words = sorted({w for w, _ in pairs})
-    entities = sorted({e for _, e in pairs})
-    word_index = {w: i for i, w in enumerate(words)}
-    entity_index = {e: i for i, e in enumerate(entities)}
 
     rng = np.random.default_rng(cfg.seed)
     d = cfg.dim
     bound = 1.0 / d
-    W = rng.uniform(-bound, bound, size=(len(words), d))
-    E = rng.uniform(-bound, bound, size=(len(entities), d))
+    W = rng.uniform(-bound, bound, size=(len(enc.words), d))
+    E = rng.uniform(-bound, bound, size=(len(enc.entities), d))
     flat_w = W.reshape(-1)
     flat_e = E.reshape(-1)
 
-    pair_w = np.array([word_index[w] for w, _ in pairs], dtype=np.intp)
-    pair_e = np.array([entity_index[e] for _, e in pairs], dtype=np.intp)
-    multiset = np.array([entity_index[e] for e in lexi.value_entity_multiset],
-                        dtype=np.intp)
-
-    total_steps = cfg.epochs * len(pairs)
+    total_steps = cfg.epochs * len(pair_w)
     step = 0
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(len(pair_w))
         epoch_loss = 0.0
-        for start in range(0, len(pairs), _BATCH):
+        for start in range(0, len(pair_w), _BATCH):
             batch = order[start:start + _BATCH]
             b = len(batch)
             lr = cfg.learning_rate * (
@@ -247,20 +231,31 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
             raise RuntimeError(
                 f"non-finite embedding values after epoch {epoch}; "
                 "lower the learning rate")
-    return _make_space(words, entities, W, E, losses)
+    W.flags.writeable = E.flags.writeable = False
+    return EmbeddingSpace(enc.words, enc.entities, W, E, tuple(losses))
 
 
-def entry_vector(entry: tuple[LexKey, LexValue],
-                 space: EmbeddingSpace) -> FloatArray:
-    """Key-word mean concatenated with value-entity mean (length 2d)."""
-    key, value = entry
-    word_mean = np.mean([space.word_vector(w) for w in key], axis=0)
-    ent_mean = np.mean([space.entity_vector(e) for e in value.all_entities()],
-                       axis=0)
-    return np.concatenate([word_mean, ent_mean])
+def _segment_means(matrix: FloatArray, ids: np.ndarray,
+                   sizes: np.ndarray) -> FloatArray:
+    """Mean of the rows `matrix[ids]` over each consecutive run of `sizes`.
+
+    Runs of one length are averaged as one (count, length, d) block, row by
+    row as `np.mean` over one run does: bit-identical, unlike reduceat.
+    """
+    out = np.empty((len(sizes), matrix.shape[1]))
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        out[rows] = matrix[ids[starts[rows, None] + np.arange(size)]].mean(1)
+    return out
 
 
-def entry_vectors(lexi: LexIndex,
-                  space: EmbeddingSpace) -> list[tuple[LexKey, FloatArray]]:
-    return [(key, entry_vector((key, value), space))
-            for key, value in lexi.sorted_entries]
+def entry_vectors(lexi: LexIndex, space: EmbeddingSpace) -> FloatArray:
+    """Row i: key-word mean, then value-entity mean of `sorted_entries[i]`."""
+    enc = lexi.encoding
+    if space.words != enc.words or space.entities != enc.entities:
+        raise ValueError("embedding space does not match the index")
+    return np.hstack([
+        _segment_means(space.word_matrix, enc.key_words, enc.key_sizes),
+        _segment_means(space.entity_matrix, enc.value_entities,
+                       enc.value_sizes)])

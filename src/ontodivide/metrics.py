@@ -8,9 +8,8 @@ immutable inputs, so they are safe to call concurrently.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from .lexindex import Mapping
 from .ontology import Ontology
@@ -28,8 +27,6 @@ class Alignment:
     """
 
     mappings: frozenset[Mapping]
-    source_label: str = ""
-    target_label: str = ""
 
     def __len__(self) -> int:
         return len(self.mappings)
@@ -76,54 +73,27 @@ def coverage(task: "MatchingTask", m: Alignment) -> frozenset[Mapping]:
                      if mp.e1.iri in sig1 and mp.e2.iri in sig2)
 
 
+def _covered(div: "Division", m: Alignment) -> frozenset[Mapping]:
+    return frozenset().union(*(coverage(task, m) for task in div.subtasks))
+
+
 def coverage_ratio(div: "Division", m: Alignment) -> float:
     """Fraction of `m` covered by at least one subtask."""
     if not m.mappings:
         raise ValueError("reference alignment is empty")
-    covered: set[Mapping] = set()
-    for task in div.subtasks:
-        covered.update(coverage(task, m))
-    return len(covered) / len(m.mappings)
+    return len(_covered(div, m)) / len(m.mappings)
 
 
 def uncovered_mappings(div: "Division", m: Alignment) -> list[Mapping]:
-    covered: set[Mapping] = set()
-    for task in div.subtasks:
-        covered.update(coverage(task, m))
-    return sorted(m.mappings - covered, key=lambda mp: mp.key)
+    return sorted(m.mappings - _covered(div, m), key=lambda mp: mp.key)
 
 
-def union_alignments(parts: Sequence[Alignment] | Iterable[Alignment]
-                     ) -> Alignment:
+def union_alignments(parts: Iterable[Alignment]) -> Alignment:
     """Set union of partial alignments; duplicates keep the max confidence."""
     best: dict[tuple[str, str, str], Mapping] = {}
-    source_label = target_label = ""
     for part in parts:
-        source_label = source_label or part.source_label
-        target_label = target_label or part.target_label
         for mp in part.mappings:
             prior = best.get(mp.key)
             if prior is None or mp.confidence > prior.confidence:
                 best[mp.key] = mp
-    return Alignment(frozenset(best.values()), source_label, target_label)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    precision: float = 0.0
-    recall: float = 0.0
-    f_measure: float = 0.0
-    coverage_ratio: float = 0.0
-    size_ratio_total: float = 0.0
-    size_ratio_per_task: tuple[float, ...] = field(default_factory=tuple)
-
-    def to_json(self) -> str:
-        payload = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "coverage_ratio": self.coverage_ratio,
-            "size_ratio_total": self.size_ratio_total,
-            "size_ratio_per_task": list(self.size_ratio_per_task),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return Alignment(frozenset(best.values()))

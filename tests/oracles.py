@@ -375,3 +375,39 @@ def _tokenize(text: str) -> list[_Token]:
                              start_col)
     tokens.append(_Token("eof", "", line, col))
     return tokens
+
+
+# --- reference entry vectors and training pairs -----------------------------
+# The per-entry object code that `LexIndex.encoding` replaced, kept as the
+# differential reference for the encoding and `entry_vectors`; the removed
+# `LexValue.all_entities` method is the free function `all_entities` here.
+
+def all_entities(value) -> tuple[EntityRef, ...]:
+    return tuple(sorted(value.entities1)) + tuple(sorted(value.entities2))
+
+
+def reference_positive_pairs(lexi) -> list[tuple[str, EntityRef]]:
+    pairs: list[tuple[str, EntityRef]] = []
+    for key, value in lexi.sorted_entries:
+        ents = all_entities(value)
+        for w in key:
+            for e in ents:
+                pairs.append((w, e))
+    return pairs
+
+
+def reference_value_entity_multiset(lexi) -> tuple[EntityRef, ...]:
+    """Value entities with one occurrence per containing entry."""
+    out: list[EntityRef] = []
+    for _, value in lexi.sorted_entries:
+        out.extend(all_entities(value))
+    return tuple(out)
+
+
+def reference_entry_vector(entry, space) -> np.ndarray:
+    """Key-word mean concatenated with value-entity mean (length 2d)."""
+    key, value = entry
+    word_mean = np.mean([space.word_vector(w) for w in key], axis=0)
+    ent_mean = np.mean([space.entity_vector(e) for e in all_entities(value)],
+                       axis=0)
+    return np.concatenate([word_mean, ent_mean])

@@ -164,9 +164,8 @@ def test_criterion_6_clustering_recovery():
         b[:, 0] += 10.0
         X = np.vstack([a, b])
         truth = np.array([0] * 25 + [1] * 25)
-        points = [((f"p{i:02d}",), X[i]) for i in range(len(X))]
-        asg = kmeans(points, 2, seed=seed)
-        got = np.array([asg.assignment[k] for k, _ in points])
+        asg = kmeans(X, 2, seed=seed)
+        got = np.array([asg.labels[i] for i in range(len(X))])
         assert (got == truth).all() or (got == 1 - truth).all(), seed
         hist = asg.inertia_history
         assert all(later <= earlier * (1 + 1e-9) + 1e-12

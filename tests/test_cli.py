@@ -53,6 +53,20 @@ class TestDivide:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--margin", "nan"),
+        ("--margin", "inf")])
+    def test_non_finite_training_flag_is_user_error(
+            self, toy_files, tmp_path, capsys, flag, value):
+        code = run_divide(toy_files, tmp_path / "division", n=1,
+                          extra=(flag, value))
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error" in ln]
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "must be finite" in errors[0]
+        assert "Traceback" not in err
+
     def test_same_seed_byte_identical(self, toy_files, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -118,7 +132,10 @@ class TestCoverage:
         assert main(["coverage", str(out), str(candidates)]) == 0
         captured = capsys.readouterr()
         assert "coverage_ratio = 1.000000" in captured.out
-        report = json.loads((out / "coverage_report.json").read_text())
+        text = (out / "coverage_report.json").read_text()
+        assert text.endswith("}\n")
+        report = json.loads(text)
+        assert set(report) == {"coverage_ratio"}
         assert report["coverage_ratio"] == 1.0
 
     def test_malformed_division_json_is_user_error(self, tmp_path, capsys):
@@ -215,7 +232,10 @@ class TestEval:
         assert main(["eval", ms, "--reference", mra,
                      "--report", str(report)]) == 0
         capsys.readouterr()
-        payload = json.loads(report.read_text())
+        text = report.read_text()
+        assert text.endswith("}\n")
+        payload = json.loads(text)
+        assert set(payload) == {"precision", "recall", "f_measure"}
         assert payload["precision"] == 1.0
         assert payload["f_measure"] == 1.0
 

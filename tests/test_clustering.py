@@ -8,11 +8,6 @@ from ontodivide.embedding import TrainingConfig, entry_vectors, \
 from ontodivide.lexindex import build_lexi
 
 
-def keyed(X):
-    return [((f"p{i:03d}",), np.asarray(v, dtype=float))
-            for i, v in enumerate(X)]
-
-
 def two_blobs(seed, per_blob=30, sigma=0.1, distance=10.0, dim=4):
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, sigma, size=(per_blob, dim))
@@ -25,43 +20,48 @@ def two_blobs(seed, per_blob=30, sigma=0.1, distance=10.0, dim=4):
 class TestKmeansBasics:
     def test_single_cluster_centroid_is_mean(self):
         X = np.arange(12, dtype=float).reshape(6, 2)
-        asg = kmeans(keyed(X), 1, seed=0)
-        assert set(asg.assignment.values()) == {0}
+        asg = kmeans(X, 1, seed=0)
+        assert set(asg.labels.tolist()) == {0}
         assert np.allclose(asg.centroids[0], X.mean(axis=0))
 
     def test_one_point_per_cluster(self):
         X = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [7.0, 7.0]])
-        asg = kmeans(keyed(X), 4, seed=1)
-        assert sorted(asg.assignment.values()) == [0, 1, 2, 3]
+        asg = kmeans(X, 4, seed=1)
+        assert sorted(asg.labels.tolist()) == [0, 1, 2, 3]
         assert asg.inertia == 0.0
 
     def test_n_larger_than_distinct_points(self):
         X = np.zeros((4, 2))
         with pytest.raises(ValueError, match="distinct"):
-            kmeans(keyed(X), 2, seed=0)
+            kmeans(X, 2, seed=0)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
-            kmeans(keyed(np.zeros((3, 2))), 0, seed=0)
+            kmeans(np.zeros((3, 2)), 0, seed=0)
 
     def test_no_points(self):
         with pytest.raises(ValueError):
             kmeans([], 1, seed=0)
+
+    def test_zero_iterations_rejected(self):
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            kmeans(X, 2, seed=0, max_iters=0)
 
 
 class TestBlobRecovery:
     @pytest.mark.parametrize("seed", range(10))
     def test_two_blobs_recovered(self, seed):
         X, truth = two_blobs(seed)
-        asg = kmeans(keyed(X), 2, seed=seed)
-        got = np.array([asg.assignment[k] for k, _ in keyed(X)])
+        asg = kmeans(X, 2, seed=seed)
+        got = np.array([asg.labels[i] for i in range(len(X))])
         same = (got == truth).all()
         flipped = (got == 1 - truth).all()
         assert same or flipped
 
     def test_inertia_history_non_increasing(self):
         X, _ = two_blobs(3, per_blob=50)
-        asg = kmeans(keyed(X), 2, seed=3)
+        asg = kmeans(X, 2, seed=3)
         hist = asg.inertia_history
         assert all(b <= a * (1 + 1e-9) + 1e-12
                    for a, b in zip(hist, hist[1:]))
@@ -72,9 +72,9 @@ class TestDeterminism:
     def test_same_seed_same_result(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 6))
-        a = kmeans(keyed(X), 5, seed=77)
-        b = kmeans(keyed(X), 5, seed=77)
-        assert a.assignment == b.assignment
+        a = kmeans(X, 5, seed=77)
+        b = kmeans(X, 5, seed=77)
+        assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia_history == b.inertia_history
 
@@ -87,7 +87,7 @@ def lexi(table1_pair):
 class TestClustersToEntries:
     def test_single_cluster_is_everything(self, lexi):
         keys = [k for k, _ in lexi.sorted_entries]
-        asg = ClusterAssignment(1, {k: 0 for k in keys},
+        asg = ClusterAssignment(1, np.zeros(len(keys), dtype=int),
                                 np.zeros((1, 2)), 0.0, 1, (0.0,))
         clusters = clusters_to_entries(asg, lexi)
         assert len(clusters) == 1
@@ -95,10 +95,9 @@ class TestClustersToEntries:
 
     def test_hand_set_two_clusters(self, lexi):
         # disorder-flavoured entries together, carcinoma-flavoured together
-        assignment = {}
-        for key, _ in lexi.sorted_entries:
-            assignment[key] = 0 if {"disord", "pregnanc"} & set(key) else 1
-        asg = ClusterAssignment(2, assignment, np.zeros((2, 2)), 0.0, 1,
+        labels = np.array([0 if {"disord", "pregnanc"} & set(key) else 1
+                           for key, _ in lexi.sorted_entries])
+        asg = ClusterAssignment(2, labels, np.zeros((2, 2)), 0.0, 1,
                                 (0.0,))
         clusters = clusters_to_entries(asg, lexi)
         assert len(clusters) == 2
@@ -122,6 +121,7 @@ class TestClustersToEntries:
                 seen.add(key)
 
     def test_incomplete_assignment_rejected(self, lexi):
-        asg = ClusterAssignment(1, {}, np.zeros((1, 2)), 0.0, 1, (0.0,))
+        asg = ClusterAssignment(1, np.zeros(len(lexi) - 1, dtype=int),
+                                np.zeros((1, 2)), 0.0, 1, (0.0,))
         with pytest.raises(ValueError, match="does not cover"):
             clusters_to_entries(asg, lexi)

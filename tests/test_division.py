@@ -132,6 +132,11 @@ class TestDivide:
         with pytest.raises(ValueError, match="n must be"):
             divide(*toy_pair, 0, FAST)
 
+    def test_zero_kmeans_iterations(self, toy_pair):
+        cfg = DivisionConfig(epochs=0, kmeans_max_iters=0)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            divide(*toy_pair, 2, cfg)
+
     def test_provenance_snapshot(self, toy_division4):
         prov = toy_division4.provenance
         assert prov["seed"] == 42

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import O1_NS, O2_NS
+from oracles import (all_entities, reference_entry_vector,
+                     reference_positive_pairs, reference_value_entity_multiset)
 
 from ontodivide.embedding import (EmbeddingSpace, TrainingConfig,
                                   batch_gaps, batch_gradients, batch_loss,
-                                  entry_vector, entry_vectors, hinge_gradients,
-                                  hinge_loss, positive_pairs, similarity,
+                                  entry_vectors, hinge_gradients, hinge_loss,
+                                  positive_pairs, similarity,
                                   train_embeddings)
 from ontodivide.lexindex import (IndexStats, LexIndex, LexValue, build_lexi)
-from ontodivide.ontology import EntityRef
+from ontodivide.ontology import OBJECT_PROPERTY, EntityRef
 
 
 def make_lexi(entries, alpha=60):
@@ -167,7 +169,7 @@ class TestTraining:
         for key, value in table1_lexi.sorted_entries:
             for w in key:
                 assert w in space.word_index
-            for e in value.all_entities():
+            for e in all_entities(value):
                 assert e in space.entity_index
 
     def test_all_finite_and_norm_bounded(self, table1_lexi):
@@ -215,7 +217,7 @@ class TestTraining:
         for key, value in lexi.sorted_entries:
             word = key[0]
             for other_key, other_value in lexi.sorted_entries:
-                for e in other_value.all_entities():
+                for e in all_entities(other_value):
                     sim = similarity(space.word_vector(word),
                                      space.entity_vector(e))
                     same = word[:2] == other_key[0][:2]
@@ -237,9 +239,7 @@ class TestEntryVector:
     def _space(self, words, entities, W, E):
         W = np.asarray(W, dtype=float)
         E = np.asarray(E, dtype=float)
-        return EmbeddingSpace(tuple(words), tuple(entities), W, E,
-                              {w: i for i, w in enumerate(words)},
-                              {e: i for i, e in enumerate(entities)})
+        return EmbeddingSpace(tuple(words), tuple(entities), W, E)
 
     def test_hand_set_vectors(self):
         e1a = ent(O1_NS, "Disorder_of_pregnancy")
@@ -248,7 +248,8 @@ class TestEntryVector:
                             [[1.0, 0.0], [0.0, 1.0]],
                             [[2.0, 0.0], [0.0, 2.0]])
         value = LexValue(frozenset({e1a}), frozenset({e2a}))
-        vec = entry_vector((("disord", "pregnanc"), value), space)
+        vec = entry_vectors(make_lexi({("disord", "pregnanc"): value}),
+                            space)[0]
         assert np.allclose(vec, [0.5, 0.5, 1.0, 1.0])
 
     def test_singletons(self):
@@ -257,19 +258,102 @@ class TestEntryVector:
         space = self._space(["w"], [e, t], [[1.0, 2.0]],
                             [[3.0, 4.0], [5.0, 6.0]])
         value = LexValue(frozenset({e}), frozenset({t}))
-        vec = entry_vector((("w",), value), space)
+        vec = entry_vectors(make_lexi({("w",): value}), space)[0]
         assert np.allclose(vec, [1.0, 2.0, 4.0, 5.0])
 
     def test_missing_token_is_named(self):
         space = self._space(["w"], [], [[1.0]], np.zeros((0, 1)))
-        value = LexValue(frozenset({ent(O1_NS, "X")}), frozenset())
         with pytest.raises(KeyError, match="X"):
-            entry_vector((("w",), value), space)
+            space.entity_vector(ent(O1_NS, "X"))
         with pytest.raises(KeyError, match="nope"):
-            entry_vector((("nope",), value), space)
+            space.word_vector("nope")
+
+    def test_foreign_space_rejected(self):
+        space = self._space(["w"], [], [[1.0]], np.zeros((0, 1)))
+        value = LexValue(frozenset({ent(O1_NS, "X")}), frozenset())
+        for key in (("w",), ("nope",)):
+            with pytest.raises(ValueError, match="does not match the index"):
+                entry_vectors(make_lexi({key: value}), space)
 
     def test_length_is_twice_dim(self, table1_lexi):
         space = train_embeddings(table1_lexi,
                                  TrainingConfig(dim=6, epochs=1, seed=2))
-        for key, vec in entry_vectors(table1_lexi, space):
-            assert vec.shape == (12,)
+        assert entry_vectors(table1_lexi, space).shape == (len(table1_lexi),
+                                                           12)
+
+
+def random_lexi(rng):
+    """Hand-built index: keys of 1-3 words, values of 1-40 entities.
+
+    Some IRIs come in two kinds, so the entity order must break ties on
+    the kind as `EntityRef` does.
+    """
+    words = [f"w{i:02d}" for i in range(25)]
+    pool = [[EntityRef(f"{ns}e{i:02d}") for i in range(50)]
+            for ns in (O1_NS, O2_NS)]
+    for side in pool:
+        side += [EntityRef(e.iri, OBJECT_PROPERTY) for e in side[::7]]
+    entries = {}
+    for _ in range(int(rng.integers(1, 60))):
+        key = tuple(sorted(rng.choice(words, size=int(rng.integers(1, 4)),
+                                      replace=False).tolist()))
+        size = int(rng.integers(1, 41))
+        left = int(rng.integers(0, size + 1))
+        sides = [frozenset(pool[s][i] for i in rng.choice(
+            len(pool[s]), size=k, replace=False))
+            for s, k in ((0, left), (1, size - left))]
+        entries[key] = LexValue(*sides)
+    return make_lexi(entries)
+
+
+def random_space(rng, lexi, dim):
+    """A space over the index's vocabulary, rows of widely varied scale."""
+    pairs = reference_positive_pairs(lexi)
+    words = sorted({w for w, _ in pairs})
+    entities = sorted({e for _, e in pairs})
+
+    def rows(n):
+        return rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(
+            -3, 3, size=(n, 1))
+    return EmbeddingSpace(tuple(words), tuple(entities), rows(len(words)),
+                          rows(len(entities)))
+
+
+class TestEncoding:
+    """The integer encoding against the per-entry object code it replaced."""
+
+    def check(self, lexi, space):
+        enc = lexi.encoding
+        pair_w, pair_e = enc.pairs
+        pairs = [(enc.words[w], enc.entities[e])
+                 for w, e in zip(pair_w, pair_e)]
+        assert pairs == reference_positive_pairs(lexi)
+        assert positive_pairs(lexi) == pairs
+        assert tuple(enc.entities[i] for i in enc.value_entities) \
+            == reference_value_entity_multiset(lexi)
+        expected = np.stack([reference_entry_vector(entry, space)
+                             for entry in lexi.sorted_entries])
+        assert np.array_equal(entry_vectors(lexi, space), expected)
+
+    def test_table1(self, table1_lexi):
+        space = train_embeddings(table1_lexi,
+                                 TrainingConfig(dim=8, epochs=3, seed=5))
+        self.check(table1_lexi, space)
+
+    def test_toy_pair(self, toy_pair):
+        lexi = build_lexi(*toy_pair)
+        space = train_embeddings(lexi, TrainingConfig(dim=16, epochs=3,
+                                                      seed=6))
+        self.check(lexi, space)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_index(self, seed):
+        rng = np.random.default_rng(seed)
+        lexi = random_lexi(rng)
+        self.check(lexi, random_space(rng, lexi, int(rng.integers(1, 9))))
+
+    def test_training_vocabulary_is_the_encoding(self, table1_lexi):
+        space = train_embeddings(table1_lexi,
+                                 TrainingConfig(dim=4, epochs=0, seed=0))
+        assert space.words is table1_lexi.encoding.words
+        assert space.entities is table1_lexi.encoding.entities

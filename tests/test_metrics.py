@@ -6,10 +6,9 @@ from conftest import O1_NS, O2_NS
 
 from ontodivide.division import Division, MatchingTask
 from ontodivide.lexindex import Mapping
-from ontodivide.metrics import (Alignment, EvalReport, coverage,
-                                coverage_ratio, precision_recall_f,
-                                size_ratio_division, size_ratio_task,
-                                union_alignments)
+from ontodivide.metrics import (Alignment, coverage, coverage_ratio,
+                                precision_recall_f, size_ratio_division,
+                                size_ratio_task, union_alignments)
 from ontodivide.ontology import Declaration, EntityRef, Ontology
 
 
@@ -217,15 +216,3 @@ class TestBounds:
             ratio = coverage_ratio(div, Alignment(mappings))
             assert 0.0 <= ratio <= 1.0
 
-
-def test_eval_report_json_fields():
-    report = EvalReport(precision=0.5, recall=0.25, f_measure=1 / 3,
-                        coverage_ratio=0.9, size_ratio_total=1.2,
-                        size_ratio_per_task=(0.6, 0.6))
-    text = report.to_json()
-    import json
-    payload = json.loads(text)
-    assert set(payload) == {"precision", "recall", "f_measure",
-                            "coverage_ratio", "size_ratio_total",
-                            "size_ratio_per_task"}
-    assert payload["size_ratio_per_task"] == [0.6, 0.6]
