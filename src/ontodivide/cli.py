@@ -17,7 +17,7 @@ from .division import (DivisionConfig, divide, read_alignment_tsv,
                        read_division, write_division)
 from .errors import InvariantError
 from .lexindex import LexConfig, all_candidate_mappings, build_lexi
-from .metrics import coverage_ratio, precision_recall_f, size_ratio_task, \
+from .metrics import precision_recall_f, size_ratio_task, \
     uncovered_mappings, union_alignments
 from .ontology import read_ontology
 
@@ -48,12 +48,13 @@ def _write_report(path: Path, payload: dict[str, float]) -> None:
 def cmd_divide(args) -> int:
     if args.n < 1:
         return _fail("n must be ≥ 1")
-    o1 = read_ontology(args.source)
-    o2 = read_ontology(args.target)
     cfg = DivisionConfig(seed=args.seed, alpha=args.alpha,
                          max_subsets=args.max_subsets, dim=args.dim,
                          epochs=args.epochs, negatives=args.negatives,
                          margin=args.margin, learning_rate=args.lr)
+    cfg.training()  # a bad flag fails before any input is read
+    o1 = read_ontology(args.source)
+    o2 = read_ontology(args.target)
     div = divide(o1, o2, args.n, cfg)
     out = write_division(div, (o1, o2), args.output)
     total = 0.0
@@ -74,8 +75,8 @@ def cmd_coverage(args) -> int:
     alignment = read_alignment_tsv(args.alignment)
     if not alignment.mappings:
         return _fail("reference alignment is empty")
-    ratio = coverage_ratio(div, alignment)
     missing = uncovered_mappings(div, alignment)
+    ratio = (len(alignment) - len(missing)) / len(alignment)
     print(f"coverage_ratio = {ratio:.6f}")
     print(f"covered {len(alignment) - len(missing)} of {len(alignment)} "
           "mappings")

@@ -58,6 +58,18 @@ class DivisionConfig:
     learning_rate: float = 0.05
     kmeans_max_iters: int = 300
 
+    def training(self, seed: int = 0) -> TrainingConfig:
+        """The embedding settings with `seed`.
+
+        Raises ValueError if any setting is bad, the k-means one included,
+        so a caller can check a config before it does any work.
+        """
+        if self.kmeans_max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        return TrainingConfig(dim=self.dim, epochs=self.epochs,
+                              negatives=self.negatives, margin=self.margin,
+                              learning_rate=self.learning_rate, seed=seed)
+
     def provenance(self) -> dict[str, object]:
         # every field changes the output, so all of them are needed to rerun,
         # and so does the package version that trained the embeddings
@@ -83,6 +95,10 @@ def divide(o1: Ontology, o2: Ontology, n: int,
         cfg = DivisionConfig()
     if n < 1:
         raise ValueError("n must be ≥ 1")
+    emb_seq, km_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    emb_seed = int(emb_seq.generate_state(1, np.uint64)[0])
+    km_seed = int(km_seq.generate_state(1, np.uint64)[0])
+    training = cfg.training(emb_seed)  # every setting checked before any work
 
     lexi = build_lexi(o1, o2, LexConfig(alpha=cfg.alpha,
                                         max_subsets=cfg.max_subsets))
@@ -91,13 +107,7 @@ def divide(o1: Ontology, o2: Ontology, n: int,
             f"n={n} exceeds the number of index entries ({len(lexi)}); "
             "choose a smaller n")
 
-    emb_seq, km_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    emb_seed = int(emb_seq.generate_state(1, np.uint64)[0])
-    km_seed = int(km_seq.generate_state(1, np.uint64)[0])
-
-    space = train_embeddings(lexi, TrainingConfig(
-        dim=cfg.dim, epochs=cfg.epochs, negatives=cfg.negatives,
-        margin=cfg.margin, learning_rate=cfg.learning_rate, seed=emb_seed))
+    space = train_embeddings(lexi, training)
     points = entry_vectors(lexi, space)
     assignment = kmeans(points, n, km_seed, cfg.kmeans_max_iters)
     clusters = clusters_to_entries(assignment, lexi)

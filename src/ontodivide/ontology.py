@@ -13,7 +13,8 @@ import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Union
+from itertools import islice
+from typing import Iterator, Union
 
 from .errors import OfnSyntaxError, UnsupportedConstructError
 
@@ -252,33 +253,50 @@ def entity_labels(onto: Ontology, entity: EntityRef) -> list[str]:
 
 
 # --- tokenizer ----------------------------------------------------------------
-
-class _Token(NamedTuple):
-    kind: str  # "(", ")", "=", "iri", "pname", "string", "ident", "eof"
-    value: str
-    pos: int  # offset into the text; _line_col turns it into line/column
-
-
-# One alternative per token kind.  An IRI holds no tab/CR/LF (they would
-# split its row in the TSV files written for a division).  In a string a
-# backslash always pairs with the next character, but only \" and \\ are
-# escapes.  A prefixed name's prefix may be empty (the default prefix).
+# A token is its text: `(`, `)`, `=`, an IRI in brackets, a quoted string, a
+# prefixed name or an identifier; "" ends the text.  An IRI holds no tab/CR/LF
+# (they would split its row in the TSV files written for a division).  In a
+# string a backslash always pairs with the next character, but only \" and \\
+# are escapes.  A prefixed name's prefix may be empty (the default prefix).
 _NAME_CHARS = r"[A-Za-z0-9_.\-]*"
-_TOKEN = re.compile(rf"""
-    (?P<skip>   (?: [ \t\r\n]+ | \#[^\n]* )+ )
-  | (?P<punct>  [()=] )
-  | < (?P<iri>  [^>\t\r\n]* ) >
-  | " (?P<string> [^"\\]* (?: \\[\s\S] [^"\\]* )* ) "
-  | (?P<pname>  (?: [A-Za-z_]{_NAME_CHARS} )? : {_NAME_CHARS} )
-  | (?P<ident>  [A-Za-z_]{_NAME_CHARS} )
-""", re.VERBOSE)
+_WORD = rf"""
+    [()=]
+  | <[^>\t\r\n]*>
+  | "[^"\\]*(?:\\[\s\S][^"\\]*)*"
+  | (?:[A-Za-z_]{_NAME_CHARS})?:{_NAME_CHARS}
+  | [A-Za-z_]{_NAME_CHARS}
+"""
+_ONE_TOKEN = re.compile(_WORD, re.VERBOSE)
+# Blanks and comments prefix each match.  The group then always matches: a
+# token, else a catch-all taking the rest of the text (a scan error), else
+# `\Z`; so no prefix is given back and trailing blanks are not rescanned.
+_TOKEN = re.compile(rf"(?:[ \t\r\n]+|\#[^\n]*)* ({_WORD}|[\s\S]+|\Z)",
+                    re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
 _IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
+_KINDS = {"(": "(", ")": ")", "=": "=", "<": "iri", '"': "string", "": "eof"}
+
+
+def _kind(tok: str) -> str:
+    """One of "(", ")", "=", "iri", "string", "pname", "ident", "eof"."""
+    return _KINDS.get(tok[:1]) or ("pname" if ":" in tok else "ident")
+
+
+def _value(tok: str) -> str:
+    """The token without IRI brackets, string quotes or escapes."""
+    if tok[:1] == '"':
+        return _ESCAPE.sub(r"\1", tok[1:-1])
+    return tok[1:-1] if tok[:1] == "<" else tok
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     """1-based line and column of the character at offset `pos`."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _token_offset(text: str, i: int) -> int:
+    """Offset of token `i` of `_tokenize(text)`, by scanning again."""
+    return next(islice(_TOKEN.finditer(text), i, None)).start(1)
 
 
 def _scan_error(text: str, pos: int) -> OfnSyntaxError:
@@ -298,23 +316,15 @@ def _scan_error(text: str, pos: int) -> OfnSyntaxError:
     return OfnSyntaxError(message, *_line_col(text, pos))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise _scan_error(text, pos)
-        kind = m.lastgroup
-        value = m[kind]
-        if kind == "punct":
-            kind = value
-        elif kind == "string":
-            value = _ESCAPE.sub(r"\1", value)
-        if kind != "skip":
-            tokens.append(_Token(kind, value, pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", pos))
+def _tokenize(text: str) -> list[str]:
+    """Token strings of `text`, ending in one ""."""
+    tokens = _TOKEN.findall(text)
+    if len(tokens) > 1:
+        last = tokens[-2]
+        if not last:  # trailing blanks leave a second "" at the very end
+            tokens.pop()
+        elif not _ONE_TOKEN.fullmatch(last):  # the catch-all: a scan error
+            raise _scan_error(text, len(text) - len(last))
     return tokens
 
 
@@ -334,105 +344,101 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.pos = 0                              # index of the next token
         self.prefixes = dict(BUILTIN_PREFIXES)
         self.declared: dict[str, str] = {}        # iri -> declared kind
         self.used: dict[str, str] = {}            # iri -> kind from position of use
         self.annotation_subjects: list[str] = []  # iris used only as subjects
         self.ontology_iri: str | None = None
 
-    # token plumbing
+    def expect(self, punct: str) -> None:
+        at = self.pos
+        self.pos = at + 1
+        if self.tokens[at] != punct:
+            self.fail(f"expected {punct!r} but found "
+                      f"{_value(self.tokens[at])!r}", at)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r} but found {tok.value!r}", tok)
-        return tok
-
-    def fail(self, message: str, tok: _Token,
+    def fail(self, message: str, at: int,
              error: type[OfnSyntaxError] = OfnSyntaxError):
-        raise error(message, *_line_col(self.text, tok.pos))
+        """Raise `error` at the line and column of token `at`."""
+        offset = _token_offset(self.text, at)
+        raise error(message, *_line_col(self.text, offset))
 
     # IRI resolution
 
-    def resolve_iri(self, tok: _Token) -> str:
-        if tok.kind == "iri":
-            return tok.value
-        if tok.kind == "pname":
-            prefix, local = tok.value.split(":", 1)
+    def take_iri(self) -> str:
+        """Consume an <IRI> or prefixed name and return the full IRI."""
+        at = self.pos
+        self.pos = at + 1
+        tok = self.tokens[at]
+        if tok[:1] == "<":
+            return tok[1:-1]
+        if _kind(tok) == "pname":
+            prefix, local = tok.split(":", 1)
             if prefix not in self.prefixes:
-                self.fail(f"undeclared prefix {prefix + ':'!r}", tok)
+                self.fail(f"undeclared prefix {prefix + ':'!r}", at)
             return self.prefixes[prefix] + local
-        self.fail(f"expected an IRI but found {tok.value!r}", tok)
+        self.fail(f"expected an IRI but found {_value(tok)!r}", at)
 
-    def record_use(self, iri: str, kind: str, tok: _Token) -> EntityRef:
+    def take_keyword(self, keywords, expected: str) -> str:
+        """Consume one of `keywords`; `expected` formats any other token."""
+        at = self.pos
+        self.pos = at + 1
+        tok = self.tokens[at]
+        if tok not in keywords:
+            if _kind(tok) == "ident":
+                self.fail(tok, at, UnsupportedConstructError)
+            self.fail(expected.format(_value(tok)), at)
+        return tok
+
+    def record_use(self, iri: str, kind: str, at: int) -> EntityRef:
         prior = self.used.get(iri) or self.declared.get(iri)
         if prior is not None and prior != kind:
-            self.fail(f"{iri} used as {kind} but already known as {prior}",
-                      tok)
+            self.fail(f"{iri} used as {kind} but already known as {prior}", at)
         self.used.setdefault(iri, kind)
         return EntityRef(iri, kind)
 
     # grammar
 
     def parse_document(self) -> tuple[list[Axiom], str | None]:
+        tokens = self.tokens
         axioms: list[Axiom] = []
-        while self.peek().kind == "ident" and self.peek().value == "Prefix":
+        while tokens[self.pos] == "Prefix":
             self.parse_prefix()
-        wrapped = False
-        if self.peek().kind == "ident" and self.peek().value == "Ontology":
-            wrapped = True
-            self.next()
+        wrapped = tokens[self.pos] == "Ontology"
+        if wrapped:
+            self.pos += 1
             self.expect("(")
-            if self.peek().kind == "iri":
-                self.ontology_iri = self.next().value
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                if wrapped:
-                    self.fail("missing ')' closing Ontology(...)", tok)
-                break
-            if tok.kind == ")":
-                if not wrapped:
-                    self.fail("unexpected ')'", tok)
-                self.next()
-                trailing = self.peek()
-                if trailing.kind != "eof":
-                    self.fail("content after closing ')' of Ontology(...)",
-                              trailing)
-                break
+            if tokens[self.pos][:1] == "<":
+                self.ontology_iri = self.take_iri()
+        while tokens[self.pos] not in ("", ")"):
             axioms.append(self.parse_axiom())
+        at = self.pos  # the end of the text or a ')'
+        if wrapped and not tokens[at]:
+            self.fail("missing ')' closing Ontology(...)", at)
+        if tokens[at] and not wrapped:
+            self.fail("unexpected ')'", at)
+        if wrapped and tokens[at + 1]:
+            self.fail("content after closing ')' of Ontology(...)", at + 1)
         return axioms, self.ontology_iri
 
     def parse_prefix(self) -> None:
-        self.next()  # Prefix
+        self.pos += 1  # Prefix
         self.expect("(")
-        tok = self.next()
-        if tok.kind != "pname" or tok.value.split(":", 1)[1]:
-            self.fail("expected prefix declaration like p:=<iri>", tok)
-        name = tok.value.split(":", 1)[0]
+        name = self.tokens[self.pos]
+        if _kind(name) != "pname" or not name.endswith(":"):
+            self.fail("expected prefix declaration like p:=<iri>", self.pos)
+        self.pos += 1
         self.expect("=")
-        iri_tok = self.next()
-        if iri_tok.kind != "iri":
-            self.fail("prefix must expand to a full <IRI>", iri_tok)
+        if self.tokens[self.pos][:1] != "<":
+            self.fail("prefix must expand to a full <IRI>", self.pos)
+        self.prefixes[name[:-1]] = self.take_iri()
         self.expect(")")
-        self.prefixes[name] = iri_tok.value
 
     def parse_axiom(self) -> Axiom:
-        tok = self.next()
-        if tok.kind != "ident":
-            self.fail(f"expected an axiom but found {tok.value!r}", tok)
-        kw = tok.value
-        if kw not in _AXIOM_KEYWORDS:
-            self.fail(kw, tok, UnsupportedConstructError)
+        at = self.pos
+        kw = self.take_keyword(_AXIOM_KEYWORDS,
+                               "expected an axiom but found {!r}")
         self.expect("(")
         if kw == "Declaration":
             axiom = self.parse_declaration_body()
@@ -440,92 +446,86 @@ class _Parser:
             axiom = SubClassOf(self.parse_class_expr(), self.parse_class_expr())
         elif kw == "EquivalentClasses":
             parts = []
-            while self.peek().kind != ")":
+            while self.tokens[self.pos] != ")":
                 parts.append(self.parse_class_expr())
             if len(parts) < 2:
-                self.fail("EquivalentClasses requires ≥ 2 members", tok)
+                self.fail("EquivalentClasses requires ≥ 2 members", at)
             axiom = EquivalentClasses(tuple(parts))
         elif kw == "SubObjectPropertyOf":
             sub = self.parse_entity(OBJECT_PROPERTY)
             sup = self.parse_entity(OBJECT_PROPERTY)
             axiom = SubObjectPropertyOf(sub, sup)
         else:  # AnnotationAssertion(property subject "literal")
-            prop_tok = self.next()
-            prop_iri = self.resolve_iri(prop_tok)
-            subj_tok = self.next()
-            subj_iri = self.resolve_iri(subj_tok)
+            prop_iri = self.take_iri()
+            subj_at = self.pos
+            subj_iri = self.take_iri()
             if subj_iri in (THING_IRI, NOTHING_IRI):
                 self.fail("owl:Thing/owl:Nothing cannot carry annotations",
-                          subj_tok)
-            lit_tok = self.next()
-            if lit_tok.kind != "string":
-                self.fail("annotation value must be a quoted string", lit_tok)
+                          subj_at)
+            literal = self.tokens[self.pos]
+            if literal[:1] != '"':
+                self.fail("annotation value must be a quoted string", self.pos)
+            self.pos += 1
             self.annotation_subjects.append(subj_iri)
             # provisional kind; fixed up once declarations are all known
             axiom = AnnotationAssertion(EntityRef(subj_iri, CLASS),
-                                        prop_iri, lit_tok.value)
+                                        prop_iri, _value(literal))
         self.expect(")")
         return axiom
 
     def parse_declaration_body(self) -> Declaration:
-        tok = self.next()
-        if tok.kind != "ident" or tok.value not in _DECL_KEYWORDS:
-            if tok.kind == "ident":
-                self.fail(tok.value, tok, UnsupportedConstructError)
-            self.fail("expected Class/ObjectProperty/NamedIndividual", tok)
-        kind = _DECL_KEYWORDS[tok.value]
+        kind = _DECL_KEYWORDS[self.take_keyword(
+            _DECL_KEYWORDS, "expected Class/ObjectProperty/NamedIndividual")]
         self.expect("(")
-        iri_tok = self.next()
-        iri = self.resolve_iri(iri_tok)
+        iri_at = self.pos
+        iri = self.take_iri()
         if iri in (THING_IRI, NOTHING_IRI):
-            self.fail("owl:Thing and owl:Nothing cannot be declared", iri_tok)
+            self.fail("owl:Thing and owl:Nothing cannot be declared", iri_at)
         prior = self.declared.get(iri) or self.used.get(iri)
         if prior is not None and prior != kind:
             self.fail(f"{iri} declared as {kind} but already known as {prior}",
-                      iri_tok)
+                      iri_at)
         self.declared[iri] = kind
         self.expect(")")
         return Declaration(EntityRef(iri, kind))
 
     def parse_entity(self, kind: str) -> EntityRef:
-        tok = self.next()
-        iri = self.resolve_iri(tok)
+        at = self.pos
+        iri = self.take_iri()
         if iri in (THING_IRI, NOTHING_IRI):
-            self.fail(f"owl:{iri_fragment(iri)} is not allowed here", tok)
-        return self.record_use(iri, kind, tok)
+            self.fail(f"owl:{iri_fragment(iri)} is not allowed here", at)
+        return self.record_use(iri, kind, at)
 
     def parse_class_expr(self, depth: int = 0) -> ClassExpr:
         """`depth` counts the constructors enclosing this expression."""
-        tok = self.next()
-        if tok.kind in ("iri", "pname"):
-            iri = self.resolve_iri(tok)
+        at = self.pos
+        tok = self.tokens[at]
+        if tok[:1] == "<" or _kind(tok) == "pname":
+            iri = self.take_iri()
             if iri == THING_IRI:
                 return Thing()
             if iri == NOTHING_IRI:
                 return Nothing()
-            return NamedClass(self.record_use(iri, CLASS, tok))
-        if tok.kind == "ident":
-            kw = tok.value
-            if kw not in _EXPR_KEYWORDS:
-                self.fail(kw, tok, UnsupportedConstructError)
-            if depth == MAX_EXPR_DEPTH:
-                self.fail(f"class expression nested deeper than "
-                          f"{MAX_EXPR_DEPTH}", tok)
-            self.expect("(")
-            if kw == "ObjectSomeValuesFrom":
-                prop = self.parse_entity(OBJECT_PROPERTY)
-                filler = self.parse_class_expr(depth + 1)
-                self.expect(")")
-                return SomeValuesFrom(prop, filler)
-            parts = []
-            while self.peek().kind != ")":
-                parts.append(self.parse_class_expr(depth + 1))
+            return NamedClass(self.record_use(iri, CLASS, at))
+        self.take_keyword(_EXPR_KEYWORDS,
+                          "expected a class expression but found {!r}")
+        if depth == MAX_EXPR_DEPTH:
+            self.fail(f"class expression nested deeper than {MAX_EXPR_DEPTH}",
+                      at)
+        self.expect("(")
+        if tok == "ObjectSomeValuesFrom":
+            prop = self.parse_entity(OBJECT_PROPERTY)
+            filler = self.parse_class_expr(depth + 1)
             self.expect(")")
-            if len(parts) < 2:
-                self.fail(f"{kw} requires ≥ 2 members", tok)
-            return IntersectionOf(tuple(parts)) if kw == "ObjectIntersectionOf" \
-                else UnionOf(tuple(parts))
-        self.fail(f"expected a class expression but found {tok.value!r}", tok)
+            return SomeValuesFrom(prop, filler)
+        parts = []
+        while self.tokens[self.pos] != ")":
+            parts.append(self.parse_class_expr(depth + 1))
+        self.expect(")")
+        if len(parts) < 2:
+            self.fail(f"{tok} requires ≥ 2 members", at)
+        return IntersectionOf(tuple(parts)) if tok == "ObjectIntersectionOf" \
+            else UnionOf(tuple(parts))
 
 
 def _fix_annotation_kinds(axioms: list[Axiom],

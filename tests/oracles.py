@@ -14,18 +14,23 @@ import logging
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ontodivide.errors import InvariantError, OfnSyntaxError
+from ontodivide.errors import (InvariantError, OfnSyntaxError,
+                               UnsupportedConstructError)
 from ontodivide.locality import is_local
-from ontodivide.ontology import (OBJECT_PROPERTY, AnnotationAssertion, Axiom,
+from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS,
+                                 DEFAULT_LABEL_PROPERTIES, INDIVIDUAL,
+                                 MAX_EXPR_DEPTH, NOTHING_IRI,
+                                 OBJECT_PROPERTY, THING_IRI,
+                                 AnnotationAssertion, Axiom, ClassExpr,
                                  Declaration, EntityRef, EquivalentClasses,
                                  IntersectionOf, NamedClass, Nothing,
                                  Ontology, SomeValuesFrom, SubClassOf,
                                  SubObjectPropertyOf, Thing, UnionOf,
-                                 axiom_signature)
+                                 axiom_signature, iri_fragment)
 
 logger = logging.getLogger(__name__)
 
@@ -375,6 +380,325 @@ def _tokenize(text: str) -> list[_Token]:
                              start_col)
     tokens.append(_Token("eof", "", line, col))
     return tokens
+
+
+# --- reference parser -------------------------------------------------------
+# The `.ofn` front end that the token-string parser replaced: one match
+# object and one `_RefToken` per token, each carrying its offset.  Kept
+# verbatim (only renamed) as the differential reference for
+# `ontology.parse_ontology`.
+
+class _RefToken(NamedTuple):
+    kind: str  # "(", ")", "=", "iri", "pname", "string", "ident", "eof"
+    value: str
+    pos: int  # offset into the text; _line_col turns it into line/column
+
+
+# One alternative per token kind.  An IRI holds no tab/CR/LF (they would
+# split its row in the TSV files written for a division).  In a string a
+# backslash always pairs with the next character, but only \" and \\ are
+# escapes.  A prefixed name's prefix may be empty (the default prefix).
+_NAME_CHARS = r"[A-Za-z0-9_.\-]*"
+_REF_TOKEN = re.compile(rf"""
+    (?P<skip>   (?: [ \t\r\n]+ | \#[^\n]* )+ )
+  | (?P<punct>  [()=] )
+  | < (?P<iri>  [^>\t\r\n]* ) >
+  | " (?P<string> [^"\\]* (?: \\[\s\S] [^"\\]* )* ) "
+  | (?P<pname>  (?: [A-Za-z_]{_NAME_CHARS} )? : {_NAME_CHARS} )
+  | (?P<ident>  [A-Za-z_]{_NAME_CHARS} )
+""", re.VERBOSE)
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of the character at offset `pos`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _scan_error(text: str, pos: int) -> OfnSyntaxError:
+    """Why no token starts at offset `pos`."""
+    ch = text[pos]
+    if ch == "<":
+        end = text.find(">", pos + 1)
+        if end < 0:
+            message = "unterminated IRI"
+        else:
+            pos = _IRI_FORBIDDEN.search(text, pos + 1, end).start()
+            message = f"control character {text[pos]!r} in IRI"
+    elif ch == '"':
+        message = "unterminated string literal"
+    else:
+        message = f"unexpected character {ch!r}"
+    return OfnSyntaxError(message, *_line_col(text, pos))
+
+
+def _ref_tokenize(text: str) -> list[_RefToken]:
+    tokens: list[_RefToken] = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            raise _scan_error(text, pos)
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "punct":
+            kind = value
+        elif kind == "string":
+            value = _ESCAPE.sub(r"\1", value)
+        if kind != "skip":
+            tokens.append(_RefToken(kind, value, pos))
+        pos = m.end()
+    tokens.append(_RefToken("eof", "", pos))
+    return tokens
+
+
+_AXIOM_KEYWORDS = {"Declaration", "SubClassOf", "EquivalentClasses",
+                   "SubObjectPropertyOf", "AnnotationAssertion"}
+_EXPR_KEYWORDS = {"ObjectIntersectionOf", "ObjectUnionOf",
+                  "ObjectSomeValuesFrom"}
+_DECL_KEYWORDS = {"Class": CLASS, "ObjectProperty": OBJECT_PROPERTY,
+                  "NamedIndividual": INDIVIDUAL}
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _ref_tokenize(text)
+        self.pos = 0
+        self.prefixes = dict(BUILTIN_PREFIXES)
+        self.declared: dict[str, str] = {}        # iri -> declared kind
+        self.used: dict[str, str] = {}            # iri -> kind from position of use
+        self.annotation_subjects: list[str] = []  # iris used only as subjects
+        self.ontology_iri: str | None = None
+
+    # token plumbing
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def next(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _RefToken:
+        tok = self.next()
+        if tok.kind != kind:
+            self.fail(f"expected {kind!r} but found {tok.value!r}", tok)
+        return tok
+
+    def fail(self, message: str, tok: _RefToken,
+             error: type[OfnSyntaxError] = OfnSyntaxError):
+        raise error(message, *_line_col(self.text, tok.pos))
+
+    # IRI resolution
+
+    def resolve_iri(self, tok: _RefToken) -> str:
+        if tok.kind == "iri":
+            return tok.value
+        if tok.kind == "pname":
+            prefix, local = tok.value.split(":", 1)
+            if prefix not in self.prefixes:
+                self.fail(f"undeclared prefix {prefix + ':'!r}", tok)
+            return self.prefixes[prefix] + local
+        self.fail(f"expected an IRI but found {tok.value!r}", tok)
+
+    def record_use(self, iri: str, kind: str, tok: _RefToken) -> EntityRef:
+        prior = self.used.get(iri) or self.declared.get(iri)
+        if prior is not None and prior != kind:
+            self.fail(f"{iri} used as {kind} but already known as {prior}",
+                      tok)
+        self.used.setdefault(iri, kind)
+        return EntityRef(iri, kind)
+
+    # grammar
+
+    def parse_document(self) -> tuple[list[Axiom], str | None]:
+        axioms: list[Axiom] = []
+        while self.peek().kind == "ident" and self.peek().value == "Prefix":
+            self.parse_prefix()
+        wrapped = False
+        if self.peek().kind == "ident" and self.peek().value == "Ontology":
+            wrapped = True
+            self.next()
+            self.expect("(")
+            if self.peek().kind == "iri":
+                self.ontology_iri = self.next().value
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                if wrapped:
+                    self.fail("missing ')' closing Ontology(...)", tok)
+                break
+            if tok.kind == ")":
+                if not wrapped:
+                    self.fail("unexpected ')'", tok)
+                self.next()
+                trailing = self.peek()
+                if trailing.kind != "eof":
+                    self.fail("content after closing ')' of Ontology(...)",
+                              trailing)
+                break
+            axioms.append(self.parse_axiom())
+        return axioms, self.ontology_iri
+
+    def parse_prefix(self) -> None:
+        self.next()  # Prefix
+        self.expect("(")
+        tok = self.next()
+        if tok.kind != "pname" or tok.value.split(":", 1)[1]:
+            self.fail("expected prefix declaration like p:=<iri>", tok)
+        name = tok.value.split(":", 1)[0]
+        self.expect("=")
+        iri_tok = self.next()
+        if iri_tok.kind != "iri":
+            self.fail("prefix must expand to a full <IRI>", iri_tok)
+        self.expect(")")
+        self.prefixes[name] = iri_tok.value
+
+    def parse_axiom(self) -> Axiom:
+        tok = self.next()
+        if tok.kind != "ident":
+            self.fail(f"expected an axiom but found {tok.value!r}", tok)
+        kw = tok.value
+        if kw not in _AXIOM_KEYWORDS:
+            self.fail(kw, tok, UnsupportedConstructError)
+        self.expect("(")
+        if kw == "Declaration":
+            axiom = self.parse_declaration_body()
+        elif kw == "SubClassOf":
+            axiom = SubClassOf(self.parse_class_expr(), self.parse_class_expr())
+        elif kw == "EquivalentClasses":
+            parts = []
+            while self.peek().kind != ")":
+                parts.append(self.parse_class_expr())
+            if len(parts) < 2:
+                self.fail("EquivalentClasses requires ≥ 2 members", tok)
+            axiom = EquivalentClasses(tuple(parts))
+        elif kw == "SubObjectPropertyOf":
+            sub = self.parse_entity(OBJECT_PROPERTY)
+            sup = self.parse_entity(OBJECT_PROPERTY)
+            axiom = SubObjectPropertyOf(sub, sup)
+        else:  # AnnotationAssertion(property subject "literal")
+            prop_tok = self.next()
+            prop_iri = self.resolve_iri(prop_tok)
+            subj_tok = self.next()
+            subj_iri = self.resolve_iri(subj_tok)
+            if subj_iri in (THING_IRI, NOTHING_IRI):
+                self.fail("owl:Thing/owl:Nothing cannot carry annotations",
+                          subj_tok)
+            lit_tok = self.next()
+            if lit_tok.kind != "string":
+                self.fail("annotation value must be a quoted string", lit_tok)
+            self.annotation_subjects.append(subj_iri)
+            # provisional kind; fixed up once declarations are all known
+            axiom = AnnotationAssertion(EntityRef(subj_iri, CLASS),
+                                        prop_iri, lit_tok.value)
+        self.expect(")")
+        return axiom
+
+    def parse_declaration_body(self) -> Declaration:
+        tok = self.next()
+        if tok.kind != "ident" or tok.value not in _DECL_KEYWORDS:
+            if tok.kind == "ident":
+                self.fail(tok.value, tok, UnsupportedConstructError)
+            self.fail("expected Class/ObjectProperty/NamedIndividual", tok)
+        kind = _DECL_KEYWORDS[tok.value]
+        self.expect("(")
+        iri_tok = self.next()
+        iri = self.resolve_iri(iri_tok)
+        if iri in (THING_IRI, NOTHING_IRI):
+            self.fail("owl:Thing and owl:Nothing cannot be declared", iri_tok)
+        prior = self.declared.get(iri) or self.used.get(iri)
+        if prior is not None and prior != kind:
+            self.fail(f"{iri} declared as {kind} but already known as {prior}",
+                      iri_tok)
+        self.declared[iri] = kind
+        self.expect(")")
+        return Declaration(EntityRef(iri, kind))
+
+    def parse_entity(self, kind: str) -> EntityRef:
+        tok = self.next()
+        iri = self.resolve_iri(tok)
+        if iri in (THING_IRI, NOTHING_IRI):
+            self.fail(f"owl:{iri_fragment(iri)} is not allowed here", tok)
+        return self.record_use(iri, kind, tok)
+
+    def parse_class_expr(self, depth: int = 0) -> ClassExpr:
+        """`depth` counts the constructors enclosing this expression."""
+        tok = self.next()
+        if tok.kind in ("iri", "pname"):
+            iri = self.resolve_iri(tok)
+            if iri == THING_IRI:
+                return Thing()
+            if iri == NOTHING_IRI:
+                return Nothing()
+            return NamedClass(self.record_use(iri, CLASS, tok))
+        if tok.kind == "ident":
+            kw = tok.value
+            if kw not in _EXPR_KEYWORDS:
+                self.fail(kw, tok, UnsupportedConstructError)
+            if depth == MAX_EXPR_DEPTH:
+                self.fail(f"class expression nested deeper than "
+                          f"{MAX_EXPR_DEPTH}", tok)
+            self.expect("(")
+            if kw == "ObjectSomeValuesFrom":
+                prop = self.parse_entity(OBJECT_PROPERTY)
+                filler = self.parse_class_expr(depth + 1)
+                self.expect(")")
+                return SomeValuesFrom(prop, filler)
+            parts = []
+            while self.peek().kind != ")":
+                parts.append(self.parse_class_expr(depth + 1))
+            self.expect(")")
+            if len(parts) < 2:
+                self.fail(f"{kw} requires ≥ 2 members", tok)
+            return IntersectionOf(tuple(parts)) if kw == "ObjectIntersectionOf" \
+                else UnionOf(tuple(parts))
+        self.fail(f"expected a class expression but found {tok.value!r}", tok)
+
+
+def _fix_annotation_kinds(axioms: list[Axiom],
+                          kinds: dict[str, str]) -> list[Axiom]:
+    out = []
+    for a in axioms:
+        if isinstance(a, AnnotationAssertion):
+            kind = kinds[a.subject.iri]
+            if kind != a.subject.kind:
+                a = AnnotationAssertion(EntityRef(a.subject.iri, kind),
+                                        a.property, a.literal)
+        out.append(a)
+    return out
+
+
+def reference_parse_ontology(text: str,
+                   label_properties: frozenset[str] = DEFAULT_LABEL_PROPERTIES,
+                   ) -> Ontology:
+    """Parse `.ofn` text into an Ontology.
+
+    Axiom order is preserved.  Entities referenced by logical axioms or
+    annotations without a Declaration are auto-declared (appended after the
+    explicit axioms, sorted by IRI) and reported via a warning log.
+    """
+    parser = _RefParser(text)
+    axioms, onto_iri = parser.parse_document()
+
+    kinds = dict(parser.declared)
+    for iri, kind in parser.used.items():
+        kinds.setdefault(iri, kind)
+    for iri in parser.annotation_subjects:
+        kinds.setdefault(iri, CLASS)
+
+    missing = sorted(set(kinds) - set(parser.declared))
+    if missing:
+        logger.warning("auto-declared %d undeclared entit%s: %s",
+                       len(missing), "y" if len(missing) == 1 else "ies",
+                       ", ".join(missing[:5]) + ("..." if len(missing) > 5 else ""))
+        axioms.extend(Declaration(EntityRef(iri, kinds[iri]))
+                      for iri in missing)
+
+    axioms = _fix_annotation_kinds(axioms, kinds)
+    return Ontology(tuple(axioms), frozenset(label_properties), onto_iri)
 
 
 # --- reference entry vectors and training pairs -----------------------------

@@ -4,9 +4,12 @@ import pytest
 
 from conftest import TOY1_NS, TOY2_NS, load_toy_text
 
+from ontodivide import metrics
 from ontodivide.cli import main
-from ontodivide.division import DivisionConfig, write_alignment_tsv
+from ontodivide.division import (DivisionConfig, read_alignment_tsv,
+                                 read_division, write_alignment_tsv)
 from ontodivide.lexindex import Mapping
+from ontodivide.metrics import coverage_ratio, uncovered_mappings
 from ontodivide.ontology import EntityRef
 
 
@@ -52,6 +55,14 @@ class TestDivide:
                      "-o", str(tmp_path / "out")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_flag_reported_before_missing_input(self, tmp_path, capsys):
+        code = main(["divide", str(tmp_path / "nope.ofn"),
+                     str(tmp_path / "nope2.ofn"), "-n", "1",
+                     "-o", str(tmp_path / "out"), "--lr", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: learning_rate must be finite and > 0\n"
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--margin", "nan"),
@@ -179,6 +190,46 @@ class TestCoverage:
         assert f"uncovered\t{TOY1_NS}Vibrissa\t{TOY2_NS}Thumb" \
             in captured.out
         assert json.loads(report_path.read_text())["coverage_ratio"] == 0.9
+
+    def test_one_scan_gives_the_two_scan_output(self, toy_files, tmp_path,
+                                                capsys, monkeypatch):
+        out = tmp_path / "division"
+        assert run_divide(toy_files, out, n=3, seed=1) == 0
+        capsys.readouterr()
+        pairs = [("Heart", "Heart"), ("Lung", "Lung"), ("Kidney", "Kidney"),
+                 ("Femur", "Femur"), ("Aorta", "Aorta"), ("Brain", "Brain"),
+                 ("Trachea", "Trachea"), ("Vibrissa", "Thumb"),
+                 ("Vibrissa", "Heart")]
+        ref_path = tmp_path / "reference.tsv"
+        write_alignment_tsv([Mapping(EntityRef(TOY1_NS + a),
+                                     EntityRef(TOY2_NS + b))
+                             for a, b in pairs], ref_path)
+        # what the command printed and wrote when it scanned twice
+        div = read_division(out)
+        alignment = read_alignment_tsv(ref_path)
+        ratio = coverage_ratio(div, alignment)
+        missing = uncovered_mappings(div, alignment)
+        expected = (f"coverage_ratio = {ratio:.6f}\n"
+                    f"covered {len(alignment) - len(missing)} of "
+                    f"{len(alignment)} mappings\n"
+                    + "".join(f"uncovered\t{m.e1.iri}\t{m.e2.iri}\t"
+                              f"{m.relation}\n" for m in missing))
+        assert ratio == 7 / 9
+
+        scanned = []
+        real = metrics.coverage
+
+        def counting(task, m):
+            scanned.append(task.task_id)
+            return real(task, m)
+
+        monkeypatch.setattr(metrics, "coverage", counting)
+        assert main(["coverage", str(out), str(ref_path)]) == 0
+        assert capsys.readouterr().out == expected
+        assert (out / "coverage_report.json").read_text() == \
+            json.dumps({"coverage_ratio": ratio}, indent=2,
+                       sort_keys=True) + "\n"
+        assert sorted(scanned) == [0, 1, 2]
 
 
 class TestEval:

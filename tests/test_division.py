@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -135,6 +136,21 @@ class TestDivide:
     def test_zero_kmeans_iterations(self, toy_pair):
         cfg = DivisionConfig(epochs=0, kmeans_max_iters=0)
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            divide(*toy_pair, 2, cfg)
+
+    @pytest.mark.parametrize("cfg, message", [
+        (DivisionConfig(kmeans_max_iters=0), "max_iters must be >= 1"),
+        (DivisionConfig(learning_rate=math.nan), "learning_rate must be"),
+        (DivisionConfig(margin=math.inf), "margin must be"),
+        (DivisionConfig(dim=0), "dim must be"),
+    ])
+    def test_bad_config_fails_before_indexing(self, toy_pair, monkeypatch,
+                                              cfg, message):
+        def no_index(*args, **kwargs):
+            raise AssertionError("indexed before the config was checked")
+
+        monkeypatch.setattr(ontodivide.division, "build_lexi", no_index)
+        with pytest.raises(ValueError, match=message):
             divide(*toy_pair, 2, cfg)
 
     def test_provenance_snapshot(self, toy_division4):

@@ -1,10 +1,12 @@
 """Differential test: the `.ofn` token pattern against the reference scanner.
 
 Both must give the same (kind, value, line, column) tokens, or the same
-error message and position, on every input.
+error message and position, on every input.  A token of `_tokenize` is its
+text: kind and value come from that text, the offset from `_token_offset`.
 """
 
 import random
+import time
 from importlib import resources
 
 import numpy as np
@@ -15,7 +17,8 @@ from oracles import _tokenize as reference_tokenize
 from oracles import random_ontology
 
 from ontodivide.errors import OfnSyntaxError
-from ontodivide.ontology import _line_col, _tokenize, serialize
+from ontodivide.ontology import (_kind, _line_col, _token_offset, _tokenize,
+                                 _value, parse_ontology, serialize)
 
 PIECES = ["(", ")", "=", "<", ">", '"', "\\", ":", "#", "é", "\t", "\r", "\n",
           " ", "a", "Z", "_", "7", ".", "-", "%", "rdfs:label", ":A",
@@ -35,8 +38,9 @@ def reference(text):
 
 
 def scanned(text):
-    return outcome(text, lambda t: [(tok.kind, tok.value, *_line_col(t, tok.pos))
-                                    for tok in _tokenize(t)])
+    return outcome(text, lambda t: [
+        (_kind(tok), _value(tok), *_line_col(t, _token_offset(t, i)))
+        for i, tok in enumerate(_tokenize(t))])
 
 
 def mismatches(texts):
@@ -75,3 +79,19 @@ def test_mutated_serializations():
             texts.append("".join(chars))
     assert mismatches(texts) == []
 
+
+def test_trailing_blanks_and_comment_give_one_end_token():
+    text = "Declaration(Class(:A))" + " " * 1_000_000 + "#" * 1_000_000
+    start = time.perf_counter()
+    tokens = _tokenize(text)
+    elapsed = time.perf_counter() - start
+    assert tokens.count("") == 1 and tokens[-1] == ""
+    assert _token_offset(text, len(tokens) - 1) == len(text)
+    assert elapsed < 0.5  # linear: a rescan per character would take hours
+
+
+def test_scan_error_wins_over_an_earlier_parse_error():
+    # `Foo` is an unsupported construct, but the scan fails first
+    with pytest.raises(OfnSyntaxError, match="unexpected character '@'") as err:
+        parse_ontology("Foo( @")
+    assert (err.value.line, err.value.column) == (1, 6)
