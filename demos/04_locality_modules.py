@@ -9,19 +9,21 @@ pair of modules for its left and right entities.
 
 from importlib import resources
 
-from ontodivide import (EntityRef, Mapping, NamedClass, SubClassOf,
-                        context_of, extract_module, is_bot_equivalent,
-                        is_local, parse_ontology, serialize)
+from ontodivide import (EntityRef, Mapping, context_of, extract_module,
+                        parse_ontology, serialize)
 
 NS = "http://example.org/ontology#"
 A, B, C = (EntityRef(NS + n) for n in "ABC")
 
 print("== locality of single axioms ==")
-axiom = SubClassOf(NamedClass(A), NamedClass(B))
-print("SubClassOf(A B) with signature {A}: local =", is_local(axiom, {A}))
-print("SubClassOf(A B) with signature {B}: local =", is_local(axiom, {B}))
-print("NamedClass(A) outside the signature is bottom:",
-      is_bot_equivalent(NamedClass(A), frozenset()))
+# an axiom is local for a signature iff the module of that signature in the
+# ontology of that axiom alone leaves it out
+decls = "Declaration(Class(:A)) Declaration(Class(:B))\n"
+for axiom in ("SubClassOf(:A :B)", "SubClassOf(:A owl:Thing)"):
+    single = parse_ontology(decls + axiom)
+    for seed, name in (({A}, "{A}"), ({B}, "{B}")):
+        local = not extract_module(single, seed).logical_axioms
+        print(f"{axiom} with signature {name}: local = {local}")
 
 chain = parse_ontology(
     "Declaration(Class(:A)) Declaration(Class(:B)) Declaration(Class(:C))\n"

@@ -19,8 +19,7 @@ from .errors import InvariantError, OfnSyntaxError, UnsupportedConstructError
 from .lexindex import (LexConfig, LexIndex, Mapping, all_candidate_mappings,
                        build_lexi, load_default_stopwords, mappings_of,
                        normalize_label, word_subsets)
-from .locality import (context_of, extract_module, is_bot_equivalent,
-                       is_local, is_top_equivalent)
+from .locality import context_of, extract_module
 from .metrics import (Alignment, coverage, coverage_ratio, precision_recall_f,
                       size_ratio_division, size_ratio_task,
                       uncovered_mappings, union_alignments)

@@ -52,7 +52,7 @@ def cmd_divide(args) -> int:
                          max_subsets=args.max_subsets, dim=args.dim,
                          epochs=args.epochs, negatives=args.negatives,
                          margin=args.margin, learning_rate=args.lr)
-    cfg.training()  # a bad flag fails before any input is read
+    cfg.index(), cfg.training()  # a bad flag fails before any input is read
     o1 = read_ontology(args.source)
     o2 = read_ontology(args.target)
     div = divide(o1, o2, args.n, cfg)
@@ -103,14 +103,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    cfg = LexConfig(alpha=args.alpha, max_subsets=args.max_subsets)
     o1 = read_ontology(args.source)
     o2 = read_ontology(args.target)
     s1 = len(o1.signature)
     s2 = len(o2.signature)
     if s1 == 0 or s2 == 0:
         return _fail("empty signature")
-    lexi = build_lexi(o1, o2, LexConfig(alpha=args.alpha,
-                                        max_subsets=args.max_subsets))
+    lexi = build_lexi(o1, o2, cfg)
     candidates = all_candidate_mappings(lexi)
     print(f"|Sig(O1)| = {s1}")
     print(f"|Sig(O2)| = {s2}")

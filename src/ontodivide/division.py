@@ -58,6 +58,9 @@ class DivisionConfig:
     learning_rate: float = 0.05
     kmeans_max_iters: int = 300
 
+    def index(self) -> LexConfig:
+        return LexConfig(alpha=self.alpha, max_subsets=self.max_subsets)
+
     def training(self, seed: int = 0) -> TrainingConfig:
         """The embedding settings with `seed`.
 
@@ -98,10 +101,9 @@ def divide(o1: Ontology, o2: Ontology, n: int,
     emb_seq, km_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     emb_seed = int(emb_seq.generate_state(1, np.uint64)[0])
     km_seed = int(km_seq.generate_state(1, np.uint64)[0])
-    training = cfg.training(emb_seed)  # every setting checked before any work
+    index, training = cfg.index(), cfg.training(emb_seed)  # checked first
 
-    lexi = build_lexi(o1, o2, LexConfig(alpha=cfg.alpha,
-                                        max_subsets=cfg.max_subsets))
+    lexi = build_lexi(o1, o2, index)
     if n > len(lexi):
         raise ValueError(
             f"n={n} exceeds the number of index entries ({len(lexi)}); "

@@ -88,6 +88,12 @@ class LexConfig:
     max_subsets: int = 50
     stopwords: frozenset[str] = field(default_factory=load_default_stopwords)
 
+    def __post_init__(self):
+        if self.alpha < 2:  # an entry holds an entity of each ontology
+            raise ValueError("alpha must be >= 2")
+        if self.max_subsets < 1:
+            raise ValueError("max_subsets must be >= 1")
+
 
 def _ids(values) -> np.ndarray:
     out = np.array(values, dtype=np.intp)

@@ -10,73 +10,109 @@ to the seed plus the module's own signature.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from typing import Iterable
 
 from .errors import InvariantError
 from .lexindex import Mapping
-from .ontology import (LOGICAL_AXIOM_TYPES, AnnotationAssertion, Axiom,
-                       ClassExpr, Declaration, EntityRef, EquivalentClasses,
-                       IntersectionOf, NamedClass, Nothing, Ontology,
-                       SomeValuesFrom, SubClassOf, SubObjectPropertyOf, Thing,
-                       UnionOf, axiom_signature)
+from .ontology import (AnnotationAssertion, Axiom, ClassExpr, Declaration,
+                       EntityRef, EquivalentClasses, IntersectionOf,
+                       NamedClass, Nothing, Ontology, SomeValuesFrom,
+                       SubClassOf, SubObjectPropertyOf, Thing, UnionOf,
+                       axiom_signature)
 
 logger = logging.getLogger(__name__)
 
 
-def is_bot_equivalent(expr: ClassExpr, sig: Iterable[EntityRef]) -> bool:
-    """True iff `expr` denotes the empty class once out-of-signature names
-    are replaced by bottom, by the syntactic rules."""
-    sig = sig if isinstance(sig, (set, frozenset)) else frozenset(sig)
+def _is_top(expr: ClassExpr) -> bool:
+    """True iff `expr` is top by the syntactic rules, for any signature."""
     match expr:
-        case NamedClass(ref):
-            return ref not in sig
-        case Nothing():
-            return True
         case Thing():
-            return False
+            return True
         case IntersectionOf(parts):
-            return any(is_bot_equivalent(p, sig) for p in parts)
+            return all(map(_is_top, parts))
         case UnionOf(parts):
-            return all(is_bot_equivalent(p, sig) for p in parts)
-        case SomeValuesFrom(prop, filler):
-            return prop not in sig or is_bot_equivalent(filler, sig)
-    raise TypeError(f"not a class expression: {expr!r}")
+            return any(map(_is_top, parts))
+    return False
 
 
-def is_top_equivalent(expr: ClassExpr, sig: Iterable[EntityRef]) -> bool:
-    """True iff `expr` denotes the whole domain under the same substitution.
+class _LocalityGraph:
+    """The axioms of an ontology as a monotone and/or graph.
 
-    Named classes are never top: the substitution maps them to bottom (when
-    outside the signature) or leaves them unconstrained (when inside).
+    Node i < m is axiom i, m is ⊤ and m + 1 is ⊥; entities, intersections,
+    unions and existentials follow.  A node fires once `need[i]` of its
+    inputs have: an expression's iff it is not bottom for the fired
+    entities, an axiom's iff it is non-local for them or declares or
+    annotates one.  A fired axiom fires its entities.
     """
-    sig = sig if isinstance(sig, (set, frozenset)) else frozenset(sig)
-    match expr:
-        case Thing():
-            return True
-        case IntersectionOf(parts):
-            return all(is_top_equivalent(p, sig) for p in parts)
-        case UnionOf(parts):
-            return any(is_top_equivalent(p, sig) for p in parts)
-        case NamedClass(_) | Nothing() | SomeValuesFrom(_, _):
-            return False
-    raise TypeError(f"not a class expression: {expr!r}")
 
+    def __init__(self, axioms: tuple[Axiom, ...]):
+        self.top, self.bot = len(axioms), len(axioms) + 1
+        self.need = [1] * self.top + [0, 1]
+        self.feeds: list[list[int]] = [[] for _ in range(self.bot + 1)]
+        self.entity_node: dict[EntityRef, int] = {}
+        for i, a in enumerate(axioms):
+            self.feeds[i] = [self._entity(e) for e in axiom_signature(a)]
+            match a:
+                case SubClassOf(sub, sup):
+                    inputs = [self.bot if _is_top(sup) else self._node(sub)]
+                case EquivalentClasses(parts):
+                    inputs = [self.bot] if all(map(_is_top, parts)) \
+                        else [self._node(p) for p in parts]
+                case SubObjectPropertyOf(e, _) | Declaration(e) \
+                        | AnnotationAssertion(e, _, _):
+                    inputs = [self._entity(e)]
+            for j in inputs:
+                self.feeds[j].append(i)
+        # ⊤ and any intersection of no parts
+        self.sources = [i for i, k in enumerate(self.need) if not k]
 
-def is_local(axiom: Axiom, sig: Iterable[EntityRef]) -> bool:
-    """Syntactic bottom-locality of one axiom w.r.t. a signature."""
-    sig = sig if isinstance(sig, (set, frozenset)) else frozenset(sig)
-    match axiom:
-        case SubClassOf(sub, sup):
-            return is_bot_equivalent(sub, sig) or is_top_equivalent(sup, sig)
-        case EquivalentClasses(parts):
-            return (all(is_bot_equivalent(p, sig) for p in parts)
-                    or all(is_top_equivalent(p, sig) for p in parts))
-        case SubObjectPropertyOf(sub, _):
-            return sub not in sig
-        case Declaration(_) | AnnotationAssertion(_, _, _):
-            return True
-    raise TypeError(f"not an axiom: {axiom!r}")
+    def _gate(self, inputs: list[int], need: int) -> int:
+        node = len(self.need)
+        self.need.append(need)
+        self.feeds.append([])
+        for j in inputs:
+            self.feeds[j].append(node)
+        return node
+
+    def _entity(self, e: EntityRef) -> int:
+        if e not in self.entity_node:
+            self.entity_node[e] = self._gate([], 1)
+        return self.entity_node[e]
+
+    def _node(self, expr: ClassExpr) -> int:
+        """The node that fires iff `expr` is not bottom."""
+        match expr:
+            case NamedClass(ref):
+                return self._entity(ref)
+            case Thing():
+                return self.top
+            case Nothing():
+                return self.bot
+            case IntersectionOf(parts):
+                return self._gate([self._node(p) for p in parts], len(parts))
+            case UnionOf(parts):
+                return self._gate([self._node(p) for p in parts], 1)
+            case SomeValuesFrom(prop, filler):
+                return self._gate([self._entity(prop), self._node(filler)], 2)
+        raise TypeError(f"not a class expression: {expr!r}")
+
+    def closure(self, seed: Iterable[EntityRef]) -> list[int]:
+        """Sorted indices of the axioms fired by ⊤ and the `seed` entities."""
+        need, feeds, top = self.need.copy(), self.feeds, self.top
+        stack = [self.entity_node[e] for e in seed]
+        for i in stack:
+            need[i] = 0
+        stack += self.sources
+        fired = []
+        while stack:
+            i = stack.pop()
+            if i < top:  # an axiom
+                fired.append(i)
+            for j in feeds[i]:
+                need[j] -= 1
+                if not need[j]:
+                    stack.append(j)
+        return sorted(fired)
 
 
 def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Ontology:
@@ -84,9 +120,7 @@ def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Ontology:
 
     Seed entities not in the ontology's signature are ignored with a warning.
     Declarations and annotations for every module entity are attached, so the
-    result is a valid ontology usable on its own.  Only axioms that mention a
-    module entity are visited, through the per-ontology `occurrences` and
-    `unconditional_axioms`, so the cost grows with the module.
+    result is a valid ontology usable on its own.
     """
     resolved: set[EntityRef] = set()
     unknown: list[str] = []
@@ -101,34 +135,8 @@ def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Ontology:
                        len(unknown), "y" if len(unknown) == 1 else "ies",
                        ", ".join(sorted(unknown)[:5]))
 
-    axioms = onto.axioms
-    occurrences = onto.occurrences
-    sig: set[EntityRef] = set(resolved)
-    member: set[int] = set()
-    queue: deque[EntityRef] = deque(resolved)
-
-    def include(idx: int) -> None:
-        member.add(idx)
-        for e in axiom_signature(axioms[idx]):
-            if e not in sig:
-                sig.add(e)
-                queue.append(e)
-
-    # An axiom is local for a signature iff it is local for the part of the
-    # signature it mentions, so a non-local axiom either is unconditional or
-    # mentions an entity of the module; every entity is visited once.
-    for i in onto.unconditional_axioms:
-        include(i)
-    while queue:
-        for i in occurrences.get(queue.popleft(), ()):
-            if i in member:
-                continue
-            a = axioms[i]
-            # declarations and annotations of a module entity join with it
-            if not isinstance(a, LOGICAL_AXIOM_TYPES) or not is_local(a, sig):
-                include(i)
-
-    mod_onto = Ontology(tuple(axioms[i] for i in sorted(member)),
+    kept = onto.locality_graph.closure(resolved)
+    mod_onto = Ontology(tuple(onto.axioms[i] for i in kept),
                         onto.label_properties, onto.iri)
     if not resolved <= mod_onto.signature:
         raise InvariantError("module lost part of its seed signature")

@@ -3,8 +3,8 @@
 The model is deliberately small: named classes, object properties and
 individuals; subclass/equivalence/subproperty axioms; intersection, union
 and existential restrictions as class expressions; plus label annotations.
-Everything is immutable after parsing; derived structures (signature,
-entity occurrences, IRI lookup) are computed once per ontology on first use.
+Everything is immutable after parsing; derived structures (signature, IRI
+lookup, locality graph) are computed once per ontology on first use.
 """
 
 from __future__ import annotations
@@ -191,25 +191,9 @@ class Ontology:
                      if isinstance(a, LOGICAL_AXIOM_TYPES))
 
     @cached_property
-    def occurrences(self) -> dict[EntityRef, list[int]]:
-        """Entity -> indices of every axiom whose signature contains it."""
-        out: dict[EntityRef, list[int]] = {}
-        for i, a in enumerate(self.axioms):
-            for e in axiom_signature(a):
-                out.setdefault(e, []).append(i)
-        return out
-
-    @cached_property
-    def unconditional_axioms(self) -> tuple[int, ...]:
-        """Indices of logical axioms non-local for the empty signature.
-
-        Such an axiom (e.g. ``owl:Thing ⊑ C``) is non-local for every
-        signature, so it belongs to every bottom-locality module.
-        """
-        from .locality import is_local  # the locality rule lives there only
-        return tuple(i for i, a in enumerate(self.axioms)
-                     if isinstance(a, LOGICAL_AXIOM_TYPES)
-                     and not is_local(a, frozenset()))
+    def locality_graph(self):
+        from .locality import _LocalityGraph  # the locality rules live there
+        return _LocalityGraph(self.axioms)
 
     @cached_property
     def _label_map(self) -> dict[EntityRef, tuple[str, ...]]:

@@ -4,7 +4,8 @@ The semantic locality oracle enumerates every interpretation of the
 in-signature names over domains of size 1..3 (classes as bitmasks over the
 domain, properties as bitmasks over domain pairs); names outside the
 signature are fixed to the empty class/property.  It never consults the
-package's syntactic rules, so it can catch them being unsound.
+syntactic locality rules (`is_local` below, or the package's locality
+graph), so it can catch them being unsound.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError)
-from ontodivide.locality import is_local
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS,
                                  DEFAULT_LABEL_PROPERTIES, INDIVIDUAL,
                                  MAX_EXPR_DEPTH, NOTHING_IRI,
@@ -205,6 +205,66 @@ def random_ontology(rng: np.random.Generator, base: str = "http://example.org/ra
 
 def random_signature(rng: np.random.Generator, onto: Ontology):
     return frozenset(e for e in sorted(onto.signature) if rng.random() < 0.5)
+
+
+# --- syntactic locality -----------------------------------------------------
+# The per-axiom bottom-locality rules that module extraction compiles into
+# its and/or graph, kept as the reference for `reference_extract_module`
+# and checked against the semantic oracle above.
+
+def is_bot_equivalent(expr: ClassExpr, sig: Iterable[EntityRef]) -> bool:
+    """True iff `expr` denotes the empty class once out-of-signature names
+    are replaced by bottom, by the syntactic rules."""
+    sig = sig if isinstance(sig, (set, frozenset)) else frozenset(sig)
+    match expr:
+        case NamedClass(ref):
+            return ref not in sig
+        case Nothing():
+            return True
+        case Thing():
+            return False
+        case IntersectionOf(parts):
+            return any(is_bot_equivalent(p, sig) for p in parts)
+        case UnionOf(parts):
+            return all(is_bot_equivalent(p, sig) for p in parts)
+        case SomeValuesFrom(prop, filler):
+            return prop not in sig or is_bot_equivalent(filler, sig)
+    raise TypeError(f"not a class expression: {expr!r}")
+
+
+def is_top_equivalent(expr: ClassExpr, sig: Iterable[EntityRef]) -> bool:
+    """True iff `expr` denotes the whole domain under the same substitution.
+
+    Named classes are never top: the substitution maps them to bottom (when
+    outside the signature) or leaves them unconstrained (when inside).
+    """
+    sig = sig if isinstance(sig, (set, frozenset)) else frozenset(sig)
+    match expr:
+        case Thing():
+            return True
+        case IntersectionOf(parts):
+            return all(is_top_equivalent(p, sig) for p in parts)
+        case UnionOf(parts):
+            return any(is_top_equivalent(p, sig) for p in parts)
+        case NamedClass(_) | Nothing() | SomeValuesFrom(_, _):
+            return False
+    raise TypeError(f"not a class expression: {expr!r}")
+
+
+def is_local(axiom: Axiom, sig: Iterable[EntityRef]) -> bool:
+    """Syntactic bottom-locality of one axiom w.r.t. a signature."""
+    sig = sig if isinstance(sig, (set, frozenset)) else frozenset(sig)
+    match axiom:
+        case SubClassOf(sub, sup):
+            return is_bot_equivalent(sub, sig) or is_top_equivalent(sup, sig)
+        case EquivalentClasses(parts):
+            return (all(is_bot_equivalent(p, sig) for p in parts)
+                    or all(is_top_equivalent(p, sig) for p in parts))
+        case SubObjectPropertyOf(sub, _):
+            return sub not in sig
+        case Declaration(_) | AnnotationAssertion(_, _, _):
+            return True
+    raise TypeError(f"not an axiom: {axiom!r}")
 
 
 # --- reference module extraction ---------------------------------------------

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import load_toy_text
-from oracles import random_ontology, random_signature, semantically_local
+from oracles import (is_local, random_ontology, random_signature,
+                     semantically_local)
 
 from ontodivide.cli import main
 from ontodivide.clustering import kmeans
 from ontodivide.division import Division, DivisionConfig, MatchingTask, divide
 from ontodivide.embedding import hinge_gradients, hinge_loss
 from ontodivide.lexindex import Mapping, all_candidate_mappings, build_lexi
-from ontodivide.locality import context_of, is_local
+from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 precision_recall_f, size_ratio_division,
                                 size_ratio_task)
@@ -27,8 +28,8 @@ from ontodivide.ontology import (Declaration, EntityRef, Ontology,
                                  parse_ontology, read_ontology)
 
 CRITERIA = {
-    1: "syntactic locality is sound vs the semantic oracle "
-       "(500+ random ontologies, zero violations, < 60 s)",
+    1: "syntactic locality and extracted modules are sound vs the semantic "
+       "oracle (500+ random ontologies, zero violations, < 60 s)",
     2: "context of an alignment covers it completely (100 random alignments)",
     3: "toy divisions cover all of their own candidates for n in {1,2,4,8}",
     4: "every toy subtask has size ratio < 1.0; max ratio shrinks from "
@@ -75,6 +76,13 @@ def test_criterion_1_locality_oracle_suite():
                 checked += 1
                 if not semantically_local(axiom, sig, max_domain=3):
                     violations.append((axiom, sig))
+        # the extracted module leaves out only axioms local for its signature
+        module = extract_module(onto, sig)
+        kept = set(module.axioms)
+        for axiom in onto.logical_axioms:
+            if axiom not in kept and not semantically_local(
+                    axiom, module.signature, max_domain=3):
+                violations.append((axiom, module.signature))
     elapsed = time.monotonic() - start
     assert not violations, violations[:3]
     assert checked > 500

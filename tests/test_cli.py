@@ -64,6 +64,19 @@ class TestDivide:
         assert capsys.readouterr().err == \
             "error: learning_rate must be finite and > 0\n"
 
+    @pytest.mark.parametrize("command", ["divide", "stats"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-subsets", "0", "max_subsets must be >= 1"),
+        ("--alpha", "1", "alpha must be >= 2")])
+    def test_bad_index_flag_reported_before_missing_input(
+            self, tmp_path, capsys, command, flag, value, message):
+        argv = [command, str(tmp_path / "nope.ofn"),
+                str(tmp_path / "nope2.ofn"), flag, value]
+        if command == "divide":
+            argv += ["-n", "2", "-o", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--margin", "nan"),
         ("--margin", "inf")])

@@ -143,6 +143,8 @@ class TestDivide:
         (DivisionConfig(learning_rate=math.nan), "learning_rate must be"),
         (DivisionConfig(margin=math.inf), "margin must be"),
         (DivisionConfig(dim=0), "dim must be"),
+        (DivisionConfig(max_subsets=0), "max_subsets must be >= 1"),
+        (DivisionConfig(alpha=1), "alpha must be >= 2"),
     ])
     def test_bad_config_fails_before_indexing(self, toy_pair, monkeypatch,
                                               cfg, message):

@@ -101,7 +101,7 @@ class TestBuildLexi:
         assert lexi.stats.dropped_single_side > 0
 
     def test_alpha_filter(self, table1_pair):
-        lexi = build_lexi(*table1_pair, LexConfig(alpha=1))
+        lexi = build_lexi(*table1_pair, LexConfig(alpha=2))
         assert ("disord",) not in lexi.entries
         assert lexi.stats.dropped_over_alpha > 0
 

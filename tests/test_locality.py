@@ -1,14 +1,15 @@
+import time
+
 import numpy as np
 
 from conftest import TOY1_NS, TOY2_NS
-from oracles import (random_ontology, random_signature,
+from oracles import (is_bot_equivalent, is_local, is_top_equivalent,
+                     random_ontology, random_signature,
                      reference_extract_module, semantically_bot,
                      semantically_local, semantically_top)
 
 from ontodivide.lexindex import Mapping
-from ontodivide.locality import (context_of, extract_module,
-                                 is_bot_equivalent, is_local,
-                                 is_top_equivalent)
+from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import Alignment, coverage
 from ontodivide.ontology import (CLASS, OBJECT_PROPERTY, AnnotationAssertion,
                                  Declaration, EntityRef, EquivalentClasses,
@@ -231,12 +232,33 @@ class TestExtractModuleDifferential:
             base = f"http://example.org/d{trial}#"
             onto = _shuffled_variant(rng, random_ontology(rng, base))
             seed = _seed(rng, onto, base)
-            unconditional += bool(onto.unconditional_axioms)
+            unconditional += any(not is_local(a, frozenset())
+                                 for a in onto.axioms)
             unknown += any(e.iri not in onto.entity_by_iri for e in seed)
             assert serialize(extract_module(onto, seed)) == \
                 serialize(reference_extract_module(onto, seed)), trial
         # the cases the per-ontology structures must get right did occur
         assert unconditional > 100 and unknown > 100
+
+    def test_graph_linear_in_expression_size(self):
+        # as a DNF the first subclass would need 2**40 conjuncts
+        names = [EntityRef(f"{NS}X{k}") for k in range(81)]
+        wide = IntersectionOf(tuple(
+            UnionOf((NamedClass(names[2 * k]), NamedClass(names[2 * k + 1])))
+            for k in range(40)))
+        deep = NamedClass(names[0])
+        for k in range(100):
+            deep = SomeValuesFrom(R, deep) if k % 2 else \
+                IntersectionOf((deep, NamedClass(names[k % 81])))
+        decls = tuple(Declaration(e) for e in (*names, R))
+        for sub in (wide, deep):
+            onto = Ontology(decls + (SubClassOf(sub, NamedClass(names[80])),))
+            for seed in (names[:40], names[::2], [*names, R]):
+                start = time.monotonic()
+                module = extract_module(onto, seed)
+                assert time.monotonic() - start < 1.0
+                assert serialize(module) == \
+                    serialize(reference_extract_module(onto, seed))
 
     def test_toy_pair_random_seeds(self, toy_pair):
         rng = np.random.default_rng(8)
