@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping as MappingT
 
@@ -67,6 +67,8 @@ class DivisionConfig:
         Raises ValueError if any setting is bad, the k-means one included,
         so a caller can check a config before it does any work.
         """
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kmeans_max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         return TrainingConfig(dim=self.dim, epochs=self.epochs,
@@ -98,10 +100,11 @@ def divide(o1: Ontology, o2: Ontology, n: int,
         cfg = DivisionConfig()
     if n < 1:
         raise ValueError("n must be ≥ 1")
+    index, training = cfg.index(), cfg.training()  # checked first
     emb_seq, km_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    emb_seed = int(emb_seq.generate_state(1, np.uint64)[0])
+    training = replace(training,
+                       seed=int(emb_seq.generate_state(1, np.uint64)[0]))
     km_seed = int(km_seq.generate_state(1, np.uint64)[0])
-    index, training = cfg.index(), cfg.training(emb_seed)  # checked first
 
     lexi = build_lexi(o1, o2, index)
     if n > len(lexi):

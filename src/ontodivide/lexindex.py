@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import combinations
-from typing import Iterable, Mapping as MappingT
+from typing import Callable, Iterable, Mapping as MappingT
 
 import numpy as np
 
@@ -37,11 +37,20 @@ def load_default_stopwords() -> frozenset[str]:
                      if line.strip() and not line.startswith("#"))
 
 
-def normalize_label(label: str,
-                    stopwords: frozenset[str]) -> frozenset[str]:
+def normalize_label(label: str, stopwords: frozenset[str],
+                    stem: Callable[[str], str] = porter_stem
+                    ) -> frozenset[str]:
     """Split on non-alphanumerics, lower-case, drop stop-words, stem."""
     tokens = {t.lower() for t in _TOKEN_SPLIT.split(label) if t}
-    return frozenset(porter_stem(t) for t in tokens if t not in stopwords)
+    return frozenset(stem(t) for t in tokens if t not in stopwords)
+
+
+class _Stems(dict):
+    """Token -> Porter stem, each token stemmed on its first lookup."""
+
+    def __missing__(self, token: str) -> str:
+        self[token] = stem = porter_stem(token)
+        return stem
 
 
 def word_subsets(words: Iterable[str], max_subsets: int) -> list[LexKey]:
@@ -168,10 +177,13 @@ def build_lexi(o1: Ontology, o2: Ontology,
     if cfg is None:
         cfg = LexConfig()
     accum: dict[LexKey, tuple[set[EntityRef], set[EntityRef]]] = {}
+    # labels repeat their words, so each distinct token is stemmed once per
+    # build; not across builds, so every build costs what a fresh one does
+    stem = _Stems().__getitem__
     for side, onto in ((0, o1), (1, o2)):
         for ent in sorted(onto.signature):
             for label in entity_labels(onto, ent):
-                words = normalize_label(label, cfg.stopwords)
+                words = normalize_label(label, cfg.stopwords, stem)
                 if not words:
                     continue
                 for key in word_subsets(words, cfg.max_subsets):

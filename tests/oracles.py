@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -795,3 +796,95 @@ def reference_entry_vector(entry, space) -> np.ndarray:
     ent_mean = np.mean([space.entity_vector(e) for e in all_entities(value)],
                        axis=0)
     return np.concatenate([word_mean, ent_mean])
+
+
+# --- reference trainer -------------------------------------------------------
+# The 0.2.0 mini-batch trainer, verbatim with its helpers, which builds and
+# scatters the dense (b, 1 + j, d) entity-gradient block, zero cells
+# included.  `train_embeddings` must match it bit for bit.
+
+_REF_BATCH = 256
+
+
+def _ref_batch_gaps(v_w, v_cand, margin):
+    scores = (v_cand @ v_w[:, :, None])[..., 0]
+    return margin - scores[:, :1] + scores[:, 1:]
+
+
+def _ref_batch_loss(gaps):
+    return np.maximum(gaps, 0.0).sum(axis=1)
+
+
+def _ref_batch_gradients(v_w, v_cand, gaps):
+    viol = gaps > 0
+    c = np.empty(v_cand.shape[:2])
+    c[:, 0] = -viol.sum(axis=1)
+    c[:, 1:] = viol
+    return (c[:, None, :] @ v_cand)[:, 0], c[:, :, None] * v_w[:, None, :]
+
+
+def _ref_flat_rows(rows, d):
+    return (rows[:, None] * d + np.arange(d)).reshape(-1)
+
+
+def _ref_project(matrix, rows, max_norm):
+    touched = np.zeros(len(matrix), dtype=bool)
+    touched[rows] = True
+    rows = np.flatnonzero(touched)
+    norms = np.linalg.norm(matrix[rows], axis=1)
+    over = norms > max_norm
+    matrix[rows[over]] *= (max_norm / norms[over])[:, None]
+
+
+def reference_train_embeddings(lexi, cfg):
+    """(W, E, epoch_losses) as the 0.2.0 trainer computes them."""
+    enc = lexi.encoding
+    pair_w, pair_e = enc.pairs
+    multiset = enc.value_entities
+    if not len(pair_w):
+        raise ValueError("cannot train on an empty index")
+
+    rng = np.random.default_rng(cfg.seed)
+    d = cfg.dim
+    bound = 1.0 / d
+    W = rng.uniform(-bound, bound, size=(len(enc.words), d))
+    E = rng.uniform(-bound, bound, size=(len(enc.entities), d))
+    flat_w = W.reshape(-1)
+    flat_e = E.reshape(-1)
+
+    total_steps = cfg.epochs * len(pair_w)
+    step = 0
+    losses = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(pair_w))
+        epoch_loss = 0.0
+        for start in range(0, len(pair_w), _REF_BATCH):
+            batch = order[start:start + _REF_BATCH]
+            b = len(batch)
+            lr = cfg.learning_rate * (
+                1.0 - (step + np.arange(b)) / total_steps)[:, None]
+            step += b
+            wi = pair_w[batch]
+            rows = np.empty((b, 1 + cfg.negatives), dtype=np.intp)
+            rows[:, 0] = pair_e[batch]
+            rows[:, 1:] = multiset[rng.integers(0, len(multiset),
+                                                size=(b, cfg.negatives))]
+            rows = rows.reshape(-1)
+            v_w = W[wi]
+            v_cand = E[rows].reshape(b, 1 + cfg.negatives, d)
+            gaps = _ref_batch_gaps(v_w, v_cand, cfg.margin)
+            epoch_loss += float(_ref_batch_loss(gaps).sum())
+            g_w, g_cand = _ref_batch_gradients(v_w, v_cand, gaps)
+            g_w *= -lr
+            g_cand *= -lr[:, :, None]
+            np.add.at(flat_w, _ref_flat_rows(wi, d), g_w.reshape(-1))
+            np.add.at(flat_e, _ref_flat_rows(rows, d), g_cand.reshape(-1))
+            _ref_project(W, wi, cfg.max_norm)
+            _ref_project(E, rows, cfg.max_norm)
+        losses.append(epoch_loss)
+        if not (math.isfinite(epoch_loss) and np.isfinite(W).all()
+                and np.isfinite(E).all()):
+            raise RuntimeError(
+                f"non-finite embedding values after epoch {epoch}; "
+                "lower the learning rate")
+    return W, E, tuple(losses)

@@ -57,12 +57,14 @@ class TestDivide:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_flag_reported_before_missing_input(self, tmp_path, capsys):
-        code = main(["divide", str(tmp_path / "nope.ofn"),
-                     str(tmp_path / "nope2.ofn"), "-n", "1",
-                     "-o", str(tmp_path / "out"), "--lr", "nan"])
-        assert code == 1
-        assert capsys.readouterr().err == \
-            "error: learning_rate must be finite and > 0\n"
+        for flag, value, message in (
+                ("--lr", "nan", "learning_rate must be finite and > 0"),
+                ("--seed", "-1", "seed must be >= 0")):
+            code = main(["divide", str(tmp_path / "nope.ofn"),
+                         str(tmp_path / "nope2.ofn"), "-n", "1",
+                         "-o", str(tmp_path / "out"), flag, value])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["divide", "stats"])
     @pytest.mark.parametrize("flag, value, message", [

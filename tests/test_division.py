@@ -145,6 +145,7 @@ class TestDivide:
         (DivisionConfig(dim=0), "dim must be"),
         (DivisionConfig(max_subsets=0), "max_subsets must be >= 1"),
         (DivisionConfig(alpha=1), "alpha must be >= 2"),
+        (DivisionConfig(seed=-1), "seed must be >= 0"),
     ])
     def test_bad_config_fails_before_indexing(self, toy_pair, monkeypatch,
                                               cfg, message):

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import O1_NS, O2_NS
 from oracles import (all_entities, reference_entry_vector,
-                     reference_positive_pairs, reference_value_entity_multiset)
+                     reference_positive_pairs, reference_train_embeddings,
+                     reference_value_entity_multiset)
 
 from ontodivide.embedding import (EmbeddingSpace, TrainingConfig,
                                   batch_gaps, batch_gradients, batch_loss,
@@ -129,7 +130,8 @@ class TestBatchHinge:
             single = [hinge_loss(v_w[i], v_e[i], negs[i], margin)
                       for i in range(b)]
             assert np.allclose(batch_loss(gaps), single, rtol=1e-12, atol=0)
-            g_w, g_cand = batch_gradients(v_w, v_cand, gaps)
+            g_w, c = batch_gradients(v_w, v_cand, gaps)
+            g_cand = c[:, :, None] * v_w[:, None, :]
             stacked = [hinge_gradients(v_w[i], v_e[i], negs[i], margin)
                        for i in range(b)]
             for got, which in ((g_w, 0), (g_cand[:, 0], 1),
@@ -357,3 +359,46 @@ class TestEncoding:
                                  TrainingConfig(dim=4, epochs=0, seed=0))
         assert space.words is table1_lexi.encoding.words
         assert space.entities is table1_lexi.encoding.entities
+
+
+class TestTrainerDifferential:
+    """`train_embeddings`, which scatters only the entity rows of violated
+    margins, against the 0.2.0 trainer that scatters the dense block."""
+
+    @pytest.mark.parametrize("max_norm", [0.05, 10.0])
+    @pytest.mark.parametrize("margin", [0.0, 0.05, 5.0])
+    @pytest.mark.parametrize("dim", [1, 8])
+    @pytest.mark.parametrize("negatives", [1, 10])
+    def test_random_index(self, negatives, dim, margin, max_norm):
+        rng = np.random.default_rng(
+            [negatives, dim, int(margin * 100), int(max_norm * 100)])
+        short_batches = 0
+        for epochs in range(4):
+            lexi = random_lexi(rng)
+            pairs = len(lexi.encoding.pairs[0])
+            short_batches += pairs % 256 != 0
+            cfg = TrainingConfig(dim=dim, epochs=epochs, negatives=negatives,
+                                 margin=margin, max_norm=max_norm,
+                                 learning_rate=float(rng.uniform(0.01, 0.5)),
+                                 seed=int(rng.integers(2 ** 32)))
+            space = train_embeddings(lexi, cfg)
+            W, E, losses = reference_train_embeddings(lexi, cfg)
+            assert np.array_equal(space.word_matrix, W)
+            assert np.array_equal(space.entity_matrix, E)
+            assert space.epoch_losses == losses
+            if epochs and max_norm < 1 / dim:
+                # every entity row is a positive once per epoch, so each
+                # was projected onto the ball (uniform init exceeds it)
+                norms = np.linalg.norm(E, axis=1)
+                assert norms.max() <= max_norm * (1 + 1e-12)
+        assert short_batches
+
+    def test_toy_pair_default_shape(self, toy_pair):
+        # dim 64, 10 negatives: the benchmark's step shape
+        lexi = build_lexi(*toy_pair)
+        cfg = TrainingConfig(epochs=3, seed=11)
+        space = train_embeddings(lexi, cfg)
+        W, E, losses = reference_train_embeddings(lexi, cfg)
+        assert np.array_equal(space.word_matrix, W)
+        assert np.array_equal(space.entity_matrix, E)
+        assert space.epoch_losses == losses

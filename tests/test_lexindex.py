@@ -1,14 +1,18 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import O1_NS, O2_NS
 
-from ontodivide.lexindex import (LexConfig, Mapping, all_candidate_mappings,
-                                 build_lexi, load_default_stopwords,
-                                 mappings_of, normalize_label, word_subsets)
-from ontodivide.ontology import EntityRef
+import ontodivide.lexindex
+from ontodivide.lexindex import (LexConfig, LexValue, Mapping,
+                                 all_candidate_mappings, build_lexi,
+                                 load_default_stopwords, mappings_of,
+                                 normalize_label, word_subsets)
+from ontodivide.ontology import EntityRef, entity_labels, parse_ontology
+from ontodivide.stemming import porter_stem
 
 STOPWORDS = load_default_stopwords()
 
@@ -120,7 +124,6 @@ class TestBuildLexi:
         # with a huge alpha nothing is size-filtered, so any cross-ontology
         # pair sharing a stem must meet in some entry (toy labels are short
         # enough that singleton keys always exist)
-        from ontodivide.ontology import entity_labels
         o1, o2 = toy_pair
         lexi = build_lexi(o1, o2, LexConfig(alpha=10_000))
 
@@ -137,6 +140,82 @@ class TestBuildLexi:
                 if s1 & s2:
                     assert any(ent1 in v.entities1 and ent2 in v.entities2
                                for v in lexi.entries.values()), (ent1, ent2)
+
+
+def entries_from_normalize_label(o1, o2, cfg):
+    """The kept entries, each label normalised by `normalize_label` alone."""
+    accum = {}
+    for side, onto in ((0, o1), (1, o2)):
+        for ent in onto.signature:
+            for label in entity_labels(onto, ent):
+                words = normalize_label(label, cfg.stopwords)
+                keys = word_subsets(words, cfg.max_subsets) if words else []
+                for key in keys:
+                    accum.setdefault(key, (set(), set()))[side].add(ent)
+    return {key: LexValue(frozenset(s1), frozenset(s2))
+            for key, (s1, s2) in accum.items()
+            if s1 and s2 and len(s1) + len(s2) <= cfg.alpha}
+
+
+def random_labelled_ontology(rng, ns, size):
+    """Classes labelled from a small vocabulary of inflected words."""
+    stems = ["bone", "connect", "nerv", "muscl", "cell", "lobe", "gland"]
+    endings = ["", "s", "ed", "ing", "ion", "ional", "ness", "ly", "al"]
+    glue = [" ", "  ", "-", "_", ", ", "/"]
+    lines = [f"Prefix(:=<{ns}>)", f"Ontology(<{ns.rstrip('#')}>"]
+    for i in range(size):
+        lines.append(f"  Declaration(Class(:C{i}))")
+        for _ in range(int(rng.integers(0, 3))):
+            words = []
+            for _ in range(int(rng.integers(1, 6))):
+                pick = rng.random()
+                if pick < 0.15:
+                    words.append(str(rng.choice(["of", "the", "And"])))
+                elif pick < 0.25:
+                    words.append(f"T{int(rng.integers(0, 9))}")
+                else:
+                    word = str(rng.choice(stems)) + str(rng.choice(endings))
+                    words.append(word.upper() if pick > 0.9 else word)
+            label = "".join(w + str(rng.choice(glue)) for w in words)
+            lines.append(f'  AnnotationAssertion(rdfs:label :C{i} "{label}")')
+    lines.append(")")
+    return parse_ontology("\n".join(lines))
+
+
+class TestStemOncePerBuild:
+    """`build_lexi` stems each distinct token once, as `normalize_label`."""
+
+    def test_toy_pair(self, toy_pair):
+        cfg = LexConfig()
+        assert build_lexi(*toy_pair, cfg).entries == \
+            entries_from_normalize_label(*toy_pair, cfg)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        o1 = random_labelled_ontology(rng, O1_NS, 40)
+        o2 = random_labelled_ontology(rng, O2_NS, 40)
+        cfg = LexConfig(alpha=int(rng.integers(2, 40)),
+                        max_subsets=int(rng.integers(1, 10)))
+        expected = entries_from_normalize_label(o1, o2, cfg)
+        assert expected
+        assert build_lexi(o1, o2, cfg).entries == expected
+
+    def test_one_stem_per_distinct_token_and_build(self, toy_pair,
+                                                   monkeypatch):
+        calls = []
+
+        def counting_stem(token):
+            calls.append(token)
+            return porter_stem(token)
+
+        monkeypatch.setattr(ontodivide.lexindex, "porter_stem",
+                            counting_stem)
+        build_lexi(*toy_pair)
+        assert calls and len(calls) == len(set(calls))
+        first = len(calls)
+        build_lexi(*toy_pair)  # nothing carries over between builds
+        assert len(calls) == 2 * first
 
 
 class TestMappings:
