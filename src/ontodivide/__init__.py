@@ -30,4 +30,4 @@ from .ontology import (DEFAULT_LABEL_PROPERTIES, AnnotationAssertion, Axiom,
                        Thing, UnionOf, axiom_signature, entity_labels,
                        fragment_label, parse_ontology, read_ontology,
                        serialize)
-from .stemming import PorterStemmer, porter_stem
+from .stemming import porter_stem

@@ -32,9 +32,10 @@ class ClusterAssignment:
     inertia_history: tuple[float, ...]
 
 
-def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    d2 = (np.sum(X * X, axis=1)[:, None] + np.sum(C * C, axis=1)[None, :]
-          - 2.0 * (X @ C.T))
+def _pairwise_sq_dists(X: np.ndarray, x2: np.ndarray,
+                       C: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of X (squared norms x2) to C's rows."""
+    d2 = x2[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
     return np.maximum(d2, 0.0)
 
 
@@ -47,8 +48,9 @@ def _plus_plus_init(X: np.ndarray, n: int,
     closest = np.sum((X - centroids[0]) ** 2, axis=1)
     for c in range(1, n):
         total = closest.sum()
-        if total <= 0:
-            raise InvariantError("k-means++ ran out of distinct points")
+        if total <= 0:  # every point equals one of the c centroids
+            raise ValueError(
+                f"n={n} exceeds the {c} distinct points available")
         idx = int(rng.choice(m, p=closest / total))
         centroids[c] = X[idx]
         closest = np.minimum(closest, np.sum((X - centroids[c]) ** 2, axis=1))
@@ -66,16 +68,13 @@ def kmeans(points: np.ndarray, n: int, seed: int,
     if X.ndim != 2 or not len(X):
         raise ValueError("points must be a non-empty (m, dim) matrix")
     m = X.shape[0]
-    if n > (distinct := np.unique(X, axis=0).shape[0]):
-        raise ValueError(
-            f"n={n} exceeds the {distinct} distinct points available")
-
     centroids = _plus_plus_init(X, n, np.random.default_rng(seed))
 
     history: list[float] = []
     assign = np.full(m, -1, dtype=np.intp)
+    x2 = np.sum(X * X, axis=1)
     for _ in range(max_iters):
-        d2 = _pairwise_sq_dists(X, centroids)
+        d2 = _pairwise_sq_dists(X, x2, centroids)
         new_assign = d2.argmin(axis=1)
 
         for repairs in range(n + 1):

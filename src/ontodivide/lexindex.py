@@ -181,7 +181,7 @@ def build_lexi(o1: Ontology, o2: Ontology,
     # build; not across builds, so every build costs what a fresh one does
     stem = _Stems().__getitem__
     for side, onto in ((0, o1), (1, o2)):
-        for ent in sorted(onto.signature):
+        for ent in onto.signature:  # entities go into sets; order unseen
             for label in entity_labels(onto, ent):
                 words = normalize_label(label, cfg.stopwords, stem)
                 if not words:

@@ -63,6 +63,17 @@ def table1_pair():
     return parse_ontology(TABLE1_O1), parse_ontology(TABLE1_O2)
 
 
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every microsecond, so state they share shows up."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = next((m for name, m in sys.modules.items()
                 if name.rpartition(".")[2] == "test_acceptance"

@@ -888,3 +888,177 @@ def reference_train_embeddings(lexi, cfg):
                 f"non-finite embedding values after epoch {epoch}; "
                 "lower the learning rate")
     return W, E, tuple(losses)
+
+
+# --- reference Porter stemmer ----------------------------------------------
+# The stateful buffer port of the maintained C stemmer that
+# `ontodivide.stemming` replaced, kept verbatim; one instance per thread.
+
+
+class ReferencePorterStemmer:
+    """Stateful buffer implementation; one instance may be reused freely."""
+
+    def __init__(self):
+        self._b = ""  # current word buffer
+        self._k = 0   # index of last live character in the buffer
+        self._j = 0   # end of the stem a matched suffix was removed from
+
+    # -- classification helpers over the buffer ---------------------------
+
+    def _is_consonant(self, i: int) -> bool:
+        ch = self._b[i]
+        if ch in "aeiou":
+            return False
+        if ch == "y":
+            return i == 0 or not self._is_consonant(i - 1)
+        return True
+
+    def _measure(self) -> int:
+        """Number of vowel-consonant sequences in b[0..j]."""
+        i = 0
+        n = 0
+        while i <= self._j and self._is_consonant(i):
+            i += 1
+        while True:
+            while True:
+                if i > self._j:
+                    return n
+                if self._is_consonant(i):
+                    break
+                i += 1
+            n += 1
+            while i <= self._j and self._is_consonant(i):
+                i += 1
+
+    def _has_vowel(self) -> bool:
+        return any(not self._is_consonant(i) for i in range(self._j + 1))
+
+    def _double_consonant(self, i: int) -> bool:
+        return i > 0 and self._b[i] == self._b[i - 1] and self._is_consonant(i)
+
+    def _cvc(self, i: int) -> bool:
+        """consonant-vowel-consonant ending at i, last consonant not w/x/y."""
+        if i < 2 or not self._is_consonant(i) or self._is_consonant(i - 1) \
+                or not self._is_consonant(i - 2):
+            return False
+        return self._b[i] not in "wxy"
+
+    # -- suffix matching/rewriting -----------------------------------------
+
+    def _ends(self, suffix: str) -> bool:
+        if suffix[-1] != self._b[self._k]:
+            return False
+        length = len(suffix)
+        if length > self._k + 1:
+            return False
+        if self._b[self._k - length + 1:self._k + 1] != suffix:
+            return False
+        self._j = self._k - length
+        return True
+
+    def _set_suffix(self, s: str) -> None:
+        self._b = self._b[:self._j + 1] + s
+        self._k = len(self._b) - 1
+
+    def _replace_if_measure(self, s: str) -> None:
+        if self._measure() > 0:
+            self._set_suffix(s)
+
+    # -- the five steps ------------------------------------------------------
+
+    def _step1ab(self) -> None:
+        # plurals, -ed, -ing
+        if self._b[self._k] == "s":
+            if self._ends("sses"):
+                self._k -= 2
+            elif self._ends("ies"):
+                self._set_suffix("i")
+            elif self._b[self._k - 1] != "s":
+                self._k -= 1
+        if self._ends("eed"):
+            if self._measure() > 0:
+                self._k -= 1
+        elif (self._ends("ed") or self._ends("ing")) and self._has_vowel():
+            self._k = self._j
+            if self._ends("at"):
+                self._set_suffix("ate")
+            elif self._ends("bl"):
+                self._set_suffix("ble")
+            elif self._ends("iz"):
+                self._set_suffix("ize")
+            elif self._double_consonant(self._k):
+                if self._b[self._k - 1] not in "lsz":
+                    self._k -= 1
+            elif self._measure() == 1 and self._cvc(self._k):
+                self._set_suffix("e")
+
+    def _step1c(self) -> None:
+        # terminal y -> i when the stem has another vowel
+        if self._ends("y") and self._has_vowel():
+            self._b = self._b[:self._k] + "i"
+
+    # Ordered (suffix, replacement) tables; at most one group can apply per
+    # word, so sequential scanning preserves the reference precedence.
+    _STEP2 = (
+        ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
+        ("anci", "ance"), ("izer", "ize"), ("bli", "ble"), ("alli", "al"),
+        ("entli", "ent"), ("eli", "e"), ("ousli", "ous"), ("ization", "ize"),
+        ("ation", "ate"), ("ator", "ate"), ("alism", "al"),
+        ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous"),
+        ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"), ("logi", "log"),
+    )
+    _STEP3 = (
+        ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+        ("ical", "ic"), ("ful", ""), ("ness", ""),
+    )
+
+    def _step2(self) -> None:
+        for suffix, repl in self._STEP2:
+            if self._ends(suffix):
+                self._replace_if_measure(repl)
+                return
+
+    def _step3(self) -> None:
+        for suffix, repl in self._STEP3:
+            if self._ends(suffix):
+                self._replace_if_measure(repl)
+                return
+
+    _STEP4 = (
+        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+        "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+    )
+
+    def _step4(self) -> None:
+        for suffix in self._STEP4:
+            if self._ends(suffix):
+                # -ion only counts after s or t
+                if suffix == "ion" and self._b[self._j] not in "st":
+                    continue
+                if self._measure() > 1:
+                    self._k = self._j
+                return
+
+    def _step5(self) -> None:
+        self._j = self._k
+        if self._b[self._k] == "e":
+            m = self._measure()
+            if m > 1 or (m == 1 and not self._cvc(self._k - 1)):
+                self._k -= 1
+        if self._b[self._k] == "l" and self._double_consonant(self._k) \
+                and self._measure() > 1:
+            self._k -= 1
+
+    def stem(self, word: str) -> str:
+        word = word.lower()
+        if len(word) <= 2:
+            return word
+        self._b = word
+        self._k = len(word) - 1
+        self._step1ab()
+        self._step1c()
+        self._step2()
+        self._step3()
+        self._step4()
+        self._step5()
+        return self._b[:self._k + 1]

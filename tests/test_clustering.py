@@ -34,6 +34,10 @@ class TestKmeansBasics:
         X = np.zeros((4, 2))
         with pytest.raises(ValueError, match="distinct"):
             kmeans(X, 2, seed=0)
+        X = np.repeat(np.arange(6, dtype=float).reshape(3, 2), 2, axis=0)
+        with pytest.raises(ValueError, match="the 3 distinct points"):
+            kmeans(X, 4, seed=0)
+        assert kmeans(X, 3, seed=0).inertia == 0.0
 
     def test_bad_n(self):
         with pytest.raises(ValueError):

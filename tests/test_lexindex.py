@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -119,6 +120,14 @@ class TestBuildLexi:
         a = build_lexi(*toy_pair)
         b = build_lexi(*toy_pair)
         assert a.sorted_entries == b.sorted_entries
+
+    def test_threads_get_serial_entries(self, toy_pair,
+                                        fast_thread_switching):
+        serial = build_lexi(*toy_pair).entries
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(build_lexi, *toy_pair) for _ in range(4)]
+            assert all(f.result(timeout=60).entries == serial
+                       for f in futures)
 
     def test_shared_stem_entities_co_occur_before_alpha(self, toy_pair):
         # with a huge alpha nothing is size-filtered, so any cross-ontology

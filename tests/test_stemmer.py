@@ -1,8 +1,14 @@
+import itertools
+import random
 import string
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, strategies as st
 
-from ontodivide.stemming import PorterStemmer, porter_stem
+from ontodivide.lexindex import normalize_label
+from ontodivide.ontology import entity_labels
+from ontodivide.stemming import porter_stem
+from oracles import ReferencePorterStemmer
 
 # (word, stem) pairs frozen from a reference run of the classic
 # suffix-stripping implementation (maintained variant, revisions included).
@@ -76,7 +82,7 @@ REFERENCE_VOCABULARY = [
     ("covid19", "covid19"), ("b12", "b12"), ("x", "x"), ("abc", "abc"),
     ("ability", "abil"), ("absorbed", "absorb"),
     ("according", "accord"), ("accuracy", "accuraci"),
-    ("achieved", "achiev"),
+    ("achieved", "achiev"), ("complicated", "complic"),
 ]
 
 
@@ -98,12 +104,6 @@ def test_uppercase_is_folded():
     assert porter_stem("Caresses") == "caress"
 
 
-def test_instance_is_reusable():
-    stemmer = PorterStemmer()
-    assert [stemmer.stem(w) for w, _ in REFERENCE_VOCABULARY[:5]] == \
-        [s for _, s in REFERENCE_VOCABULARY[:5]]
-
-
 @given(st.text(alphabet=string.ascii_lowercase + string.digits,
                min_size=1, max_size=20))
 def test_total_and_never_longer(word):
@@ -111,3 +111,57 @@ def test_total_and_never_longer(word):
     assert isinstance(out, str)
     assert 0 < len(out) <= len(word)
     assert out == out.lower()
+    assert out == ReferencePorterStemmer().stem(word)
+
+
+def label_tokens(*ontologies):
+    return sorted({token for onto in ontologies for ent in onto.signature
+                   for label in entity_labels(onto, ent)
+                   for token in normalize_label(label, frozenset(),
+                                                lambda t: t)})
+
+
+def generated_words(seed: int, count: int) -> list[str]:
+    """Random stems followed by 0-3 suffixes the rules look for."""
+    ref = ReferencePorterStemmer
+    suffixes = ([s for s, _ in ref._STEP2] + [s for s, _ in ref._STEP3]
+                + list(ref._STEP4) + ["s", "ed", "ing", "e", "ll", "y"])
+    letters = string.ascii_lowercase + "aeiouy"
+    rng = random.Random(seed)
+    return ["".join(rng.choices(letters, k=rng.randint(1, 7))
+                    + rng.choices(suffixes, k=rng.randint(0, 3)))
+            for _ in range(count)]
+
+
+class TestAgainstReference:
+    """`porter_stem` against the stateful port it replaced."""
+
+    @staticmethod
+    def assert_same_stems(words):
+        ref = ReferencePorterStemmer()
+        wrong = [(w, porter_stem(w), ref.stem(w)) for w in words
+                 if porter_stem(w) != ref.stem(w)]
+        assert not wrong, f"{len(wrong)} wrong stems, e.g. {wrong[:5]}"
+
+    def test_reference_vocabulary(self):
+        self.assert_same_stems([w for w, _ in REFERENCE_VOCABULARY])
+
+    def test_fixture_label_tokens(self, toy_pair, table1_pair):
+        self.assert_same_stems(label_tokens(*toy_pair, *table1_pair))
+
+    def test_generated_words(self):
+        self.assert_same_stems(generated_words(seed=0, count=100_000))
+
+    def test_short_strings(self):
+        self.assert_same_stems(
+            "".join(chars) for size in range(1, 5)
+            for chars in itertools.product("aeysbcl", repeat=size))
+
+
+def test_threads_get_serial_stems(fast_thread_switching):
+    words = [w for w, _ in REFERENCE_VOCABULARY] * 10
+    serial = [porter_stem(w) for w in words]
+    with ThreadPoolExecutor(4) as pool:
+        futures = [pool.submit(lambda: [porter_stem(w) for w in words])
+                   for _ in range(4)]
+        assert [f.result(timeout=60) for f in futures] == [serial] * 4
