@@ -4,7 +4,9 @@ Stages: build the inverted index, train embeddings for its words and
 entities, compose per-entry vectors, cluster them with k-means, then turn
 each cluster's candidate mappings into a pair of locality modules, in
 cluster id order.  Every stage is serial and seeded, so one configuration
-always gives the same division.
+always gives the same division.  The index and the entry vectors do not
+depend on n: the source ontology remembers those of its last division, so
+dividing one pair again at another n starts at k-means.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import weakref
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping as MappingT
@@ -106,14 +109,21 @@ def divide(o1: Ontology, o2: Ontology, n: int,
                        seed=int(emb_seq.generate_state(1, np.uint64)[0]))
     km_seed = int(km_seq.generate_state(1, np.uint64)[0])
 
-    lexi = build_lexi(o1, o2, index)
+    memo = o1._division_memo[0]  # (cfg, target ref, index, points) or None
+    if memo is not None and memo[0] == cfg and memo[1]() is o2:
+        lexi, points = memo[2:]
+    else:
+        lexi, points = build_lexi(o1, o2, index), None
     if n > len(lexi):
         raise ValueError(
             f"n={n} exceeds the number of index entries ({len(lexi)}); "
             "choose a smaller n")
 
-    space = train_embeddings(lexi, training)
-    points = entry_vectors(lexi, space)
+    if points is None:
+        points = entry_vectors(lexi, train_embeddings(lexi, training))
+        points.flags.writeable = False
+        # one assignment, so another thread sees the old entry or this one
+        o1._division_memo[0] = (cfg, weakref.ref(o2), lexi, points)
     assignment = kmeans(points, n, km_seed, cfg.kmeans_max_iters)
     clusters = clusters_to_entries(assignment, lexi)
     if any(not c for c in clusters):
@@ -170,7 +180,17 @@ def read_alignment_tsv(path) -> Alignment:
 
 def write_division(div: Division, orig: tuple[Ontology, Ontology],
                    out_dir) -> Path:
-    """Write `task_<i>/{source.ofn,target.ofn,candidates.tsv}` + division.json."""
+    """Write `task_<i>/{source.ofn,target.ofn,candidates.tsv}` + division.json.
+
+    Raises ValueError, before writing anything, unless `div` has n subtasks
+    with distinct task ids.
+    """
+    ids = [task.task_id for task in div.subtasks]
+    if len(ids) != div.n:
+        raise ValueError(f"division has n={div.n} but {len(ids)} subtasks")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate task ids in {ids}: each task needs "
+                         "a directory of its own")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     task_rows = []
@@ -203,7 +223,8 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
 
 
 def _check_division_meta(meta, path) -> None:
-    """Raise ValueError unless `meta` has the fields `read_division` uses."""
+    """Raise ValueError unless `meta` has the fields `read_division` uses,
+    with one row per task, each a distinct task id."""
     if not isinstance(meta, dict) or type(meta.get("n")) is not int:
         raise ValueError(f"{path}: 'n' must be an integer")
     tasks = meta.get("tasks")
@@ -212,6 +233,12 @@ def _check_division_meta(meta, path) -> None:
             for row in tasks):
         raise ValueError(f"{path}: 'tasks' must be a list of rows with an "
                          "integer 'task'")
+    ids = [row["task"] for row in tasks]
+    if len(ids) != meta["n"]:
+        raise ValueError(f"{path}: 'n' is {meta['n']} but there are "
+                         f"{len(ids)} task rows")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{path}: duplicate task ids in {ids}")
 
 
 def read_division(path) -> Division:

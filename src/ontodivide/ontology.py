@@ -4,7 +4,8 @@ The model is deliberately small: named classes, object properties and
 individuals; subclass/equivalence/subproperty axioms; intersection, union
 and existential restrictions as class expressions; plus label annotations.
 Everything is immutable after parsing; derived structures (signature, IRI
-lookup, locality graph) are computed once per ontology on first use.
+lookup, locality graph) are computed once per ontology on first use.  One
+parse hands out one `EntityRef` per (IRI, kind).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ DEFAULT_LABEL_PROPERTIES = frozenset({
 })
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class EntityRef:
     """A named entity; `kind` is fixed by its declaration."""
 
@@ -196,6 +197,12 @@ class Ontology:
         return _LocalityGraph(self.axioms)
 
     @cached_property
+    def _division_memo(self) -> list:
+        """One slot for `division.divide`: (config, weak reference to the
+        target, index, entry vectors) of this ontology's last division."""
+        return [None]
+
+    @cached_property
     def _label_map(self) -> dict[EntityRef, tuple[str, ...]]:
         out: dict[EntityRef, list[str]] = {}
         for a in self.axioms:
@@ -334,6 +341,7 @@ class _Parser:
         self.used: dict[str, str] = {}            # iri -> kind from position of use
         self.annotation_subjects: list[str] = []  # iris used only as subjects
         self.ontology_iri: str | None = None
+        self.refs: dict[tuple[str, str], EntityRef] = {}  # one per (iri, kind)
 
     def expect(self, punct: str) -> None:
         at = self.pos
@@ -380,7 +388,14 @@ class _Parser:
         if prior is not None and prior != kind:
             self.fail(f"{iri} used as {kind} but already known as {prior}", at)
         self.used.setdefault(iri, kind)
-        return EntityRef(iri, kind)
+        return self.entity(iri, kind)
+
+    def entity(self, iri: str, kind: str) -> EntityRef:
+        """The `EntityRef` of (iri, kind) that this parse hands out."""
+        ref = self.refs.get((iri, kind))
+        if ref is None:
+            ref = self.refs[iri, kind] = EntityRef(iri, kind)
+        return ref
 
     # grammar
 
@@ -452,7 +467,7 @@ class _Parser:
             self.pos += 1
             self.annotation_subjects.append(subj_iri)
             # provisional kind; fixed up once declarations are all known
-            axiom = AnnotationAssertion(EntityRef(subj_iri, CLASS),
+            axiom = AnnotationAssertion(self.entity(subj_iri, CLASS),
                                         prop_iri, _value(literal))
         self.expect(")")
         return axiom
@@ -471,7 +486,7 @@ class _Parser:
                       iri_at)
         self.declared[iri] = kind
         self.expect(")")
-        return Declaration(EntityRef(iri, kind))
+        return Declaration(self.entity(iri, kind))
 
     def parse_entity(self, kind: str) -> EntityRef:
         at = self.pos
@@ -512,14 +527,14 @@ class _Parser:
             else UnionOf(tuple(parts))
 
 
-def _fix_annotation_kinds(axioms: list[Axiom],
-                          kinds: dict[str, str]) -> list[Axiom]:
+def _fix_annotation_kinds(axioms: list[Axiom], kinds: dict[str, str],
+                          parser: _Parser) -> list[Axiom]:
     out = []
     for a in axioms:
         if isinstance(a, AnnotationAssertion):
             kind = kinds[a.subject.iri]
             if kind != a.subject.kind:
-                a = AnnotationAssertion(EntityRef(a.subject.iri, kind),
+                a = AnnotationAssertion(parser.entity(a.subject.iri, kind),
                                         a.property, a.literal)
         out.append(a)
     return out
@@ -548,10 +563,10 @@ def parse_ontology(text: str,
         logger.warning("auto-declared %d undeclared entit%s: %s",
                        len(missing), "y" if len(missing) == 1 else "ies",
                        ", ".join(missing[:5]) + ("..." if len(missing) > 5 else ""))
-        axioms.extend(Declaration(EntityRef(iri, kinds[iri]))
+        axioms.extend(Declaration(parser.entity(iri, kinds[iri]))
                       for iri in missing)
 
-    axioms = _fix_annotation_kinds(axioms, kinds)
+    axioms = _fix_annotation_kinds(axioms, kinds, parser)
     return Ontology(tuple(axioms), frozenset(label_properties), onto_iri)
 
 

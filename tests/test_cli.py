@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,26 @@ class TestCoverage:
         assert err.startswith("error:") and "'tasks'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n, ids, message", [
+        (3, [0, 1], "'n' is 3 but there are 2 task rows"),
+        (2, [0, 0], "duplicate task ids in [0, 0]"),
+    ])
+    def test_inconsistent_division_json_is_one_error_line(
+            self, toy_files, tmp_path, capsys, n, ids, message):
+        out = tmp_path / "division"
+        assert run_divide(toy_files, out, n=2) == 0
+        meta_path = out / "division.json"
+        meta = json.loads(meta_path.read_text())
+        meta["n"] = n
+        meta["tasks"] = [dict(meta["tasks"][0], task=i) for i in ids]
+        meta_path.write_text(json.dumps(meta))
+        reference = tmp_path / "ref.tsv"
+        reference.write_text(f"{TOY1_NS}Heart\t{TOY2_NS}Heart\t=\n")
+        capsys.readouterr()
+        assert main(["coverage", str(out), str(reference)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {meta_path}: {message}\n"
+
     def test_empty_alignment_is_user_error(self, toy_files, tmp_path,
                                            capsys):
         out = tmp_path / "division"
@@ -307,6 +331,16 @@ class TestEval:
 
 
 class TestStats:
+    def test_python_dash_m(self, toy_files):
+        src_dir = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src_dir))
+        done = subprocess.run(
+            [sys.executable, "-m", "ontodivide", "stats", *map(str, toy_files)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "|Sig(O1)| = 32" in done.stdout
+        assert "|Sig(O2)| = 34" in done.stdout
+
     def test_toy_pair(self, toy_files, capsys):
         src, tgt = toy_files
         assert main(["stats", str(src), str(tgt)]) == 0

@@ -1,23 +1,27 @@
+import gc
 import json
 import math
-from dataclasses import fields
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import O1_NS, O2_NS, TOY1_NS, TOY2_NS
+from conftest import O1_NS, O2_NS, TOY1_NS, TOY2_NS, load_toy_text
 
 import ontodivide
-from ontodivide.division import (DivisionConfig, divide, read_alignment_tsv,
-                                 read_division, subtask_from_cluster,
-                                 write_alignment_tsv, write_division)
+from ontodivide.division import (Division, DivisionConfig, divide,
+                                 read_alignment_tsv, read_division,
+                                 subtask_from_cluster, write_alignment_tsv,
+                                 write_division)
 from ontodivide.lexindex import (RELATIONS, Mapping, all_candidate_mappings,
                                  build_lexi)
 from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 size_ratio_division, size_ratio_task)
-from ontodivide.ontology import EntityRef
+from ontodivide.ontology import EntityRef, parse_ontology, serialize
 
 FAST = DivisionConfig(seed=42, epochs=15, dim=16)
 
@@ -179,6 +183,89 @@ class TestDivide:
         assert version == ontodivide.__version__ == declared
 
 
+def parse_toy_pair():
+    """A freshly parsed toy pair, whose source remembers no division yet."""
+    return (parse_ontology(load_toy_text("anatomy_toy_1.ofn")),
+            parse_ontology(load_toy_text("anatomy_toy_2.ofn")))
+
+
+def division_files(div, orig, out_dir) -> dict[str, bytes]:
+    """Every file `write_division` writes for `div`, by relative path."""
+    out = write_division(div, orig, out_dir)
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def division_text(div):
+    return [(t.task_id, serialize(t.source), serialize(t.target),
+             sorted(m.key for m in t.candidates)) for t in div.subtasks]
+
+
+class TestDivideMemo:
+    """`divide` builds the index and trains once per pair and config."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_lexi": 0, "train_embeddings": 0}
+        for name in counts:
+            def counted(*args, _name=name, _f=getattr(ontodivide.division,
+                                                     name)):
+                counts[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(ontodivide.division, name, counted)
+        return counts
+
+    def test_many_n_train_once(self, calls):
+        o1, o2 = parse_toy_pair()
+        for n in (1, 2, 4, 8):
+            divide(o1, o2, n, FAST)
+        assert calls == {"build_lexi": 1, "train_embeddings": 1}
+        divide(o1, o2, 4, replace(FAST, seed=7))  # a changed config
+        assert calls == {"build_lexi": 2, "train_embeddings": 2}
+        divide(o1, o2, 4, replace(FAST, seed=7))
+        assert calls["train_embeddings"] == 2
+        o2_again = parse_toy_pair()[1]  # equal, but another object
+        assert o2_again == o2
+        divide(o1, o2_again, 4, replace(FAST, seed=7))
+        assert calls == {"build_lexi": 3, "train_embeddings": 3}
+
+    def test_memo_divisions_serialize_as_fresh_ones(self, tmp_path):
+        o1, o2 = parse_toy_pair()
+        for n in (1, 2, 4, 8):
+            reused = division_files(divide(o1, o2, n, FAST), (o1, o2),
+                                    tmp_path / f"reused{n}")
+            fresh_pair = parse_toy_pair()
+            fresh = division_files(divide(*fresh_pair, n, FAST), fresh_pair,
+                                   tmp_path / f"fresh{n}")
+            assert len(reused) == 3 * n + 1
+            assert reused == fresh, n
+
+    def test_hit_still_rejects_n_too_large(self, calls, toy_lexi):
+        o1, o2 = parse_toy_pair()
+        divide(o1, o2, 2, FAST)
+        with pytest.raises(ValueError, match="smaller n"):
+            divide(o1, o2, len(toy_lexi) + 1, FAST)
+        assert calls == {"build_lexi": 1, "train_embeddings": 1}
+
+    def test_memo_does_not_keep_target_alive(self):
+        o1, o2 = parse_toy_pair()
+        divide(o1, o2, 2, FAST)
+        target = weakref.ref(o2)
+        del o2
+        gc.collect()
+        assert target() is None
+
+    def test_threads_get_serial_divisions(self, fast_thread_switching):
+        ns = (1, 2, 4, 8)
+        serial = {n: division_text(divide(*parse_toy_pair(), n, FAST))
+                  for n in ns}
+        o1, o2 = parse_toy_pair()
+        with ThreadPoolExecutor(4) as pool:
+            futures = {n: pool.submit(divide, o1, o2, n, FAST) for n in ns}
+            assert {n: division_text(f.result(timeout=60))
+                    for n, f in futures.items()} == serial
+
+
 class TestAlignmentTsv:
     def test_round_trip(self, tmp_path):
         mappings = {Mapping(EntityRef(O1_NS + "a"), EntityRef(O2_NS + "x"),
@@ -293,8 +380,23 @@ class TestDivisionDirectory:
         {"n": 1, "tasks": [{"task": "0"}]},
         {"n": 1, "tasks": [0]},
         [],
+        {"n": 3, "tasks": [{"task": 0}, {"task": 1}]},
+        {"n": 2, "tasks": [{"task": 0}, {"task": 0}]},
     ])
     def test_malformed_division_json_rejected(self, tmp_path, meta):
         (tmp_path / "division.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="division.json"):
             read_division(tmp_path)
+
+    @pytest.mark.parametrize("n, ids, message", [
+        (3, (0, 1), "n=3 but 2 subtasks"),
+        (2, (0, 0), "duplicate task ids"),
+    ])
+    def test_inconsistent_division_not_written(self, toy_pair, toy_division4,
+                                               tmp_path, n, ids, message):
+        tasks = tuple(replace(toy_division4.subtasks[i], task_id=task_id)
+                      for i, task_id in enumerate(ids))
+        div = Division(n, tasks, toy_division4.provenance)
+        with pytest.raises(ValueError, match=message):
+            write_division(div, toy_pair, tmp_path / "div")
+        assert not (tmp_path / "div").exists()

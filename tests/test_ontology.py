@@ -7,10 +7,11 @@ from oracles import random_ontology
 from ontodivide.errors import OfnSyntaxError, UnsupportedConstructError
 from ontodivide.ontology import (CLASS, MAX_EXPR_DEPTH, OBJECT_PROPERTY,
                                  AnnotationAssertion, Declaration, EntityRef,
-                                 NamedClass, Ontology, SomeValuesFrom,
-                                 SubClassOf, axiom_signature, entity_labels,
-                                 fragment_label, parse_ontology,
-                                 read_ontology, serialize)
+                                 EquivalentClasses, NamedClass, Ontology,
+                                 SomeValuesFrom, SubClassOf,
+                                 SubObjectPropertyOf, axiom_signature,
+                                 entity_labels, expr_entities, fragment_label,
+                                 parse_ontology, read_ontology, serialize)
 
 NS = "http://example.org/ontology#"  # default prefix expansion
 
@@ -86,6 +87,39 @@ class TestParsing:
     def test_parsing_is_deterministic(self):
         text = load_toy_text("anatomy_toy_1.ofn")
         assert parse_ontology(text) == parse_ontology(text)
+
+    def test_one_entity_ref_per_iri_and_kind(self):
+        onto = parse_ontology("""
+            AnnotationAssertion(rdfs:label :r "part of")
+            AnnotationAssertion(rdfs:label :A "a")
+            AnnotationAssertion(rdfs:label :Z "only annotated")
+            Declaration(Class(:A))
+            SubClassOf(:A ObjectSomeValuesFrom(:r :B))
+            SubClassOf(:B :A)
+            Declaration(ObjectProperty(:r))
+            SubObjectPropertyOf(:r :s)
+            EquivalentClasses(:A :B ObjectIntersectionOf(:A :C))
+        """)
+        refs = []
+        for a in onto.axioms:
+            if isinstance(a, Declaration):
+                refs.append(a.entity)
+            elif isinstance(a, AnnotationAssertion):
+                refs.append(a.subject)
+            elif isinstance(a, SubObjectPropertyOf):
+                refs += [a.sub, a.sup]
+            else:
+                parts = a.parts if isinstance(a, EquivalentClasses) \
+                    else (a.sub, a.sup)
+                refs += [e for p in parts for e in expr_entities(p)]
+        one = {}
+        for ref in refs:
+            assert one.setdefault((ref.iri, ref.kind), ref) is ref
+        assert len(refs) == 20
+        assert sorted(one) == sorted(
+            (NS + name, CLASS) for name in "ABCZ") + [
+            (NS + "r", OBJECT_PROPERTY), (NS + "s", OBJECT_PROPERTY)]
+        assert not hasattr(refs[0], "__dict__")  # slots
 
     def test_toy_fixture_counts(self):
         # independent check: scan the raw text for declaration lines
