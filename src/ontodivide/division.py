@@ -17,7 +17,7 @@ import math
 import weakref
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping as MappingT
+from typing import Iterable, Mapping as MappingT, NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from ._version import __version__
 from .clustering import clusters_to_entries, kmeans
 from .embedding import TrainingConfig, entry_vectors, train_embeddings
 from .errors import InvariantError
-from .lexindex import (LexConfig, LexKey, LexValue, Mapping, RELATIONS,
-                       build_lexi, mappings_of)
+from .lexindex import (LexConfig, LexIndex, LexKey, LexValue, Mapping,
+                       RELATIONS, build_lexi, mappings_of)
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
 from .ontology import EntityRef, Ontology, read_ontology, serialize
@@ -84,6 +84,25 @@ class DivisionConfig:
         return {**asdict(self), "version": __version__}
 
 
+class _Memo(NamedTuple):
+    """The n-independent stages of a source ontology's last division.
+
+    `divide` keeps it in the source's instance dict, as `cached_property`
+    keeps `signature` there, and replaces it with one assignment, so a
+    reader in another thread sees the old memo or the new one.
+    """
+
+    config: DivisionConfig
+    target: weakref.ref  # never keeps the target alive
+    lexi: LexIndex
+    points: np.ndarray   # read-only entry vectors
+
+    def __reduce__(self):
+        # a weak reference cannot be pickled: a pickled or deep-copied
+        # ontology forgets its last division
+        return type(None), ()
+
+
 def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
                          o1: Ontology, o2: Ontology,
                          task_id: int = 0) -> MatchingTask:
@@ -109,9 +128,9 @@ def divide(o1: Ontology, o2: Ontology, n: int,
                        seed=int(emb_seq.generate_state(1, np.uint64)[0]))
     km_seed = int(km_seq.generate_state(1, np.uint64)[0])
 
-    memo = o1._division_memo[0]  # (cfg, target ref, index, points) or None
-    if memo is not None and memo[0] == cfg and memo[1]() is o2:
-        lexi, points = memo[2:]
+    memo = vars(o1).get("_division_memo")
+    if memo is not None and memo.config == cfg and memo.target() is o2:
+        lexi, points = memo.lexi, memo.points
     else:
         lexi, points = build_lexi(o1, o2, index), None
     if n > len(lexi):
@@ -122,8 +141,7 @@ def divide(o1: Ontology, o2: Ontology, n: int,
     if points is None:
         points = entry_vectors(lexi, train_embeddings(lexi, training))
         points.flags.writeable = False
-        # one assignment, so another thread sees the old entry or this one
-        o1._division_memo[0] = (cfg, weakref.ref(o2), lexi, points)
+        vars(o1)["_division_memo"] = _Memo(cfg, weakref.ref(o2), lexi, points)
     assignment = kmeans(points, n, km_seed, cfg.kmeans_max_iters)
     clusters = clusters_to_entries(assignment, lexi)
     if any(not c for c in clusters):

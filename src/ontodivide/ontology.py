@@ -4,8 +4,10 @@ The model is deliberately small: named classes, object properties and
 individuals; subclass/equivalence/subproperty axioms; intersection, union
 and existential restrictions as class expressions; plus label annotations.
 Everything is immutable after parsing; derived structures (signature, IRI
-lookup, locality graph) are computed once per ontology on first use.  One
-parse hands out one `EntityRef` per (IRI, kind).
+lookup, locality graph) are computed once per ontology on first use and
+cached on the instance, where `division.divide` also keeps the index of
+the ontology's last division.  One parse hands out one `EntityRef` per
+(IRI, kind).
 """
 
 from __future__ import annotations
@@ -195,12 +197,6 @@ class Ontology:
     def locality_graph(self):
         from .locality import _LocalityGraph  # the locality rules live there
         return _LocalityGraph(self.axioms)
-
-    @cached_property
-    def _division_memo(self) -> list:
-        """One slot for `division.divide`: (config, weak reference to the
-        target, index, entry vectors) of this ontology's last division."""
-        return [None]
 
     @cached_property
     def _label_map(self) -> dict[EntityRef, tuple[str, ...]]:

@@ -276,7 +276,9 @@ def test_criterion_9_oaei_anatomy_reproduction():
     reference = read_alignment_tsv(root / "reference.tsv")
     assert reference.mappings, "reference alignment is empty"
     runtime_100 = None
-    for n in (5, 10, 20, 50, 100):
+    # n=100 first: o1 remembers no division yet, so its time includes the
+    # index and the training, as that of a lone `divide -n 100` run does
+    for n in (100, 5, 10, 20, 50):
         start = time.monotonic()
         division = divide(o1, o2, n, DivisionConfig(seed=1))
         elapsed = time.monotonic() - start

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import pickle
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -89,9 +90,10 @@ class TestDivide:
         assert set(task.source.axioms) == set(left.axioms)
         assert set(task.target.axioms) == set(right.axioms)
 
-    def test_deterministic(self, toy_pair):
-        a = divide(*toy_pair, 3, FAST)
-        b = divide(*toy_pair, 3, FAST)
+    def test_deterministic(self):
+        # fresh pairs, so the index and the training are redone, not reused
+        a = divide(*parse_toy_pair(), 3, FAST)
+        b = divide(*parse_toy_pair(), 3, FAST)
         assert a == b
 
     def test_candidates_partition_to_m_lexi(self, toy_division4, toy_lexi):
@@ -254,6 +256,14 @@ class TestDivideMemo:
         del o2
         gc.collect()
         assert target() is None
+
+    def test_divided_ontology_still_pickles(self, calls):
+        o1, o2 = parse_toy_pair()
+        divide(o1, o2, 2, FAST)
+        copy = pickle.loads(pickle.dumps(o1))
+        assert copy == o1
+        divide(copy, o2, 2, FAST)  # the copy remembers no division
+        assert calls == {"build_lexi": 2, "train_embeddings": 2}
 
     def test_threads_get_serial_divisions(self, fast_thread_switching):
         ns = (1, 2, 4, 8)
