@@ -40,6 +40,6 @@ print("axioms after parsing 'Declaration(Class(:A)) SubClassOf(:A :B)':")
 print(serialize(small))
 
 # Serialization round-trips: re-parsing gives the same axiom set.
-again = parse_ontology(serialize(onto), onto.label_properties)
+again = parse_ontology(serialize(onto))
 print("round trip preserves the axiom set:",
       set(again.axioms) == set(onto.axioms))

@@ -52,7 +52,6 @@ def cmd_divide(args) -> int:
                          max_subsets=args.max_subsets, dim=args.dim,
                          epochs=args.epochs, negatives=args.negatives,
                          margin=args.margin, learning_rate=args.lr)
-    cfg.index(), cfg.training()  # a bad flag fails before any input is read
     o1 = read_ontology(args.source)
     o2 = read_ontology(args.target)
     div = divide(o1, o2, args.n, cfg)

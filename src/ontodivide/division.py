@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import shutil
 import weakref
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping as MappingT, NamedTuple
 
@@ -51,29 +52,31 @@ class Division:
 
 @dataclass(frozen=True)
 class DivisionConfig:
+    """Every setting a division depends on; a bad one raises ValueError
+    when the config is made, before any input is read."""
+
     seed: int = 0
-    alpha: int = 60
-    max_subsets: int = 50
-    dim: int = 64
-    epochs: int = 100
-    negatives: int = 10
-    margin: float = 0.05
-    learning_rate: float = 0.05
+    alpha: int = LexConfig.alpha
+    max_subsets: int = LexConfig.max_subsets
+    dim: int = TrainingConfig.dim
+    epochs: int = TrainingConfig.epochs
+    negatives: int = TrainingConfig.negatives
+    margin: float = TrainingConfig.margin
+    learning_rate: float = TrainingConfig.learning_rate
     kmeans_max_iters: int = 300
 
-    def index(self) -> LexConfig:
-        return LexConfig(alpha=self.alpha, max_subsets=self.max_subsets)
-
-    def training(self, seed: int = 0) -> TrainingConfig:
-        """The embedding settings with `seed`.
-
-        Raises ValueError if any setting is bad, the k-means one included,
-        so a caller can check a config before it does any work.
-        """
+    def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.kmeans_max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        self.index(), self.training(0)  # the stage configs check the rest
+
+    def index(self) -> LexConfig:
+        return LexConfig(alpha=self.alpha, max_subsets=self.max_subsets)
+
+    def training(self, seed: int) -> TrainingConfig:
+        """The embedding settings, with `seed` for the embedding stage."""
         return TrainingConfig(dim=self.dim, epochs=self.epochs,
                               negatives=self.negatives, margin=self.margin,
                               learning_rate=self.learning_rate, seed=seed)
@@ -122,17 +125,15 @@ def divide(o1: Ontology, o2: Ontology, n: int,
         cfg = DivisionConfig()
     if n < 1:
         raise ValueError("n must be ≥ 1")
-    index, training = cfg.index(), cfg.training()  # checked first
     emb_seq, km_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    training = replace(training,
-                       seed=int(emb_seq.generate_state(1, np.uint64)[0]))
+    training = cfg.training(int(emb_seq.generate_state(1, np.uint64)[0]))
     km_seed = int(km_seq.generate_state(1, np.uint64)[0])
 
     memo = vars(o1).get("_division_memo")
     if memo is not None and memo.config == cfg and memo.target() is o2:
         lexi, points = memo.lexi, memo.points
     else:
-        lexi, points = build_lexi(o1, o2, index), None
+        lexi, points = build_lexi(o1, o2, cfg.index()), None
     if n > len(lexi):
         raise ValueError(
             f"n={n} exceeds the number of index entries ({len(lexi)}); "
@@ -201,7 +202,8 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
     """Write `task_<i>/{source.ofn,target.ofn,candidates.tsv}` + division.json.
 
     Raises ValueError, before writing anything, unless `div` has n subtasks
-    with distinct task ids.
+    with distinct task ids.  The task directories that a division written
+    earlier into `out_dir` lists, and `div` does not, are removed.
     """
     ids = [task.task_id for task in div.subtasks]
     if len(ids) != div.n:
@@ -210,6 +212,8 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
         raise ValueError(f"duplicate task ids in {ids}: each task needs "
                          "a directory of its own")
     out = Path(out_dir)
+    for stale in _stale_task_dirs(out, set(ids)):
+        shutil.rmtree(stale)
     out.mkdir(parents=True, exist_ok=True)
     task_rows = []
     for task in div.subtasks:
@@ -238,6 +242,20 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     return out
+
+
+def _stale_task_dirs(out: Path, ids: set[int]) -> list[Path]:
+    """Task directories of the division in `out` whose ids are not `ids`;
+    none if `out` holds no readable `division.json`."""
+    meta_path = out / "division.json"
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        _check_division_meta(meta, meta_path)
+    except (OSError, ValueError):
+        return []
+    listed = (out / f"task_{row['task']}" for row in meta["tasks"]
+              if row["task"] not in ids)
+    return [path for path in listed if path.is_dir()]
 
 
 def _check_division_meta(meta, path) -> None:

@@ -9,7 +9,7 @@ are dropped.  Retained entries are the source of candidate mappings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import combinations
@@ -35,6 +35,9 @@ def load_default_stopwords() -> frozenset[str]:
         .read_text(encoding="utf-8")
     return frozenset(line.strip() for line in text.splitlines()
                      if line.strip() and not line.startswith("#"))
+
+
+_STOPWORDS = load_default_stopwords()
 
 
 def normalize_label(label: str, stopwords: frozenset[str],
@@ -95,7 +98,6 @@ class IndexStats:
 class LexConfig:
     alpha: int = 60
     max_subsets: int = 50
-    stopwords: frozenset[str] = field(default_factory=load_default_stopwords)
 
     def __post_init__(self):
         if self.alpha < 2:  # an entry holds an entity of each ontology
@@ -183,7 +185,7 @@ def build_lexi(o1: Ontology, o2: Ontology,
     for side, onto in ((0, o1), (1, o2)):
         for ent in onto.signature:  # entities go into sets; order unseen
             for label in entity_labels(onto, ent):
-                words = normalize_label(label, cfg.stopwords, stem)
+                words = normalize_label(label, _STOPWORDS, stem)
                 if not words:
                     continue
                 for key in word_subsets(words, cfg.max_subsets):

@@ -136,8 +136,7 @@ def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Ontology:
                        ", ".join(sorted(unknown)[:5]))
 
     kept = onto.locality_graph.closure(resolved)
-    mod_onto = Ontology(tuple(onto.axioms[i] for i in kept),
-                        onto.label_properties, onto.iri)
+    mod_onto = Ontology(tuple(onto.axioms[i] for i in kept), onto.iri)
     if not resolved <= mod_onto.signature:
         raise InvariantError("module lost part of its seed signature")
     return mod_onto

@@ -173,10 +173,9 @@ def axiom_signature(axiom: Axiom) -> frozenset[EntityRef]:
 
 @dataclass(frozen=True)
 class Ontology:
-    """Immutable ordered axiom list plus the label-source property set."""
+    """Immutable ordered axiom list plus the ontology IRI."""
 
     axioms: tuple[Axiom, ...]
-    label_properties: frozenset[str] = DEFAULT_LABEL_PROPERTIES
     iri: str | None = None
 
     @cached_property
@@ -203,7 +202,7 @@ class Ontology:
         out: dict[EntityRef, list[str]] = {}
         for a in self.axioms:
             if isinstance(a, AnnotationAssertion) \
-                    and a.property in self.label_properties:
+                    and a.property in DEFAULT_LABEL_PROPERTIES:
                 out.setdefault(a.subject, []).append(a.literal)
         return {e: tuple(ls) for e, ls in out.items()}
 
@@ -536,9 +535,7 @@ def _fix_annotation_kinds(axioms: list[Axiom], kinds: dict[str, str],
     return out
 
 
-def parse_ontology(text: str,
-                   label_properties: frozenset[str] = DEFAULT_LABEL_PROPERTIES,
-                   ) -> Ontology:
+def parse_ontology(text: str) -> Ontology:
     """Parse `.ofn` text into an Ontology.
 
     Axiom order is preserved.  Entities referenced by logical axioms or
@@ -563,15 +560,13 @@ def parse_ontology(text: str,
                       for iri in missing)
 
     axioms = _fix_annotation_kinds(axioms, kinds, parser)
-    return Ontology(tuple(axioms), frozenset(label_properties), onto_iri)
+    return Ontology(tuple(axioms), onto_iri)
 
 
-def read_ontology(path,
-                  label_properties: frozenset[str] = DEFAULT_LABEL_PROPERTIES,
-                  ) -> Ontology:
+def read_ontology(path) -> Ontology:
     # utf-8-sig drops a leading byte-order mark, which is not OFN syntax
     with open(path, encoding="utf-8-sig") as fh:
-        return parse_ontology(fh.read(), label_properties)
+        return parse_ontology(fh.read())
 
 
 # --- serializer ---------------------------------------------------------------

@@ -22,8 +22,7 @@ import numpy as np
 
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError)
-from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS,
-                                 DEFAULT_LABEL_PROPERTIES, INDIVIDUAL,
+from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
                                  MAX_EXPR_DEPTH, NOTHING_IRI,
                                  OBJECT_PROPERTY, THING_IRI,
                                  AnnotationAssertion, Axiom, ClassExpr,
@@ -332,7 +331,7 @@ def reference_extract_module(onto: Ontology,
                 axioms.append(a)
         elif i in member:
             axioms.append(a)
-    mod_onto = Ontology(tuple(axioms), onto.label_properties, onto.iri)
+    mod_onto = Ontology(tuple(axioms), onto.iri)
     if not resolved <= mod_onto.signature:
         raise InvariantError("module lost part of its seed signature")
     return mod_onto
@@ -732,9 +731,7 @@ def _fix_annotation_kinds(axioms: list[Axiom],
     return out
 
 
-def reference_parse_ontology(text: str,
-                   label_properties: frozenset[str] = DEFAULT_LABEL_PROPERTIES,
-                   ) -> Ontology:
+def reference_parse_ontology(text: str) -> Ontology:
     """Parse `.ofn` text into an Ontology.
 
     Axiom order is preserved.  Entities referenced by logical axioms or
@@ -759,7 +756,7 @@ def reference_parse_ontology(text: str,
                       for iri in missing)
 
     axioms = _fix_annotation_kinds(axioms, kinds)
-    return Ontology(tuple(axioms), frozenset(label_properties), onto_iri)
+    return Ontology(tuple(axioms), onto_iri)
 
 
 # --- reference entry vectors and training pairs -----------------------------

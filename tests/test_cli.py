@@ -330,6 +330,26 @@ class TestEval:
         assert payload["f_measure"] == 1.0
 
 
+def test_import_loads_only_stdlib_and_numpy():
+    """A fresh interpreter that imports ontodivide holds no module outside
+    the standard library, numpy and the package itself.  `-S` skips the
+    site hooks, which may load other modules at start-up."""
+    import numpy
+
+    paths = [Path(__file__).resolve().parents[1] / "src",
+             Path(numpy.__file__).resolve().parents[1]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    script = "import sys, ontodivide; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split()) - {"__main__"}
+    assert {"numpy", "ontodivide"} <= loaded
+    allowed = sys.stdlib_module_names | {"numpy", "ontodivide"}
+    assert sorted(m for m in loaded if m.partition(".")[0] not in allowed) \
+        == []
+
+
 class TestStats:
     def test_python_dash_m(self, toy_files):
         src_dir = Path(__file__).resolve().parents[1] / "src"

@@ -140,18 +140,17 @@ class TestDivide:
             divide(*toy_pair, 0, FAST)
 
     def test_zero_kmeans_iterations(self, toy_pair):
-        cfg = DivisionConfig(epochs=0, kmeans_max_iters=0)
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
-            divide(*toy_pair, 2, cfg)
+            divide(*toy_pair, 2, DivisionConfig(epochs=0, kmeans_max_iters=0))
 
     @pytest.mark.parametrize("cfg, message", [
-        (DivisionConfig(kmeans_max_iters=0), "max_iters must be >= 1"),
-        (DivisionConfig(learning_rate=math.nan), "learning_rate must be"),
-        (DivisionConfig(margin=math.inf), "margin must be"),
-        (DivisionConfig(dim=0), "dim must be"),
-        (DivisionConfig(max_subsets=0), "max_subsets must be >= 1"),
-        (DivisionConfig(alpha=1), "alpha must be >= 2"),
-        (DivisionConfig(seed=-1), "seed must be >= 0"),
+        ({"kmeans_max_iters": 0}, "max_iters must be >= 1"),
+        ({"learning_rate": math.nan}, "learning_rate must be"),
+        ({"margin": math.inf}, "margin must be"),
+        ({"dim": 0}, "dim must be"),
+        ({"max_subsets": 0}, "max_subsets must be >= 1"),
+        ({"alpha": 1}, "alpha must be >= 2"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_bad_config_fails_before_indexing(self, toy_pair, monkeypatch,
                                               cfg, message):
@@ -160,7 +159,7 @@ class TestDivide:
 
         monkeypatch.setattr(ontodivide.division, "build_lexi", no_index)
         with pytest.raises(ValueError, match=message):
-            divide(*toy_pair, 2, cfg)
+            divide(*toy_pair, 2, DivisionConfig(**cfg))
 
     def test_provenance_snapshot(self, toy_division4):
         prov = toy_division4.provenance
@@ -375,6 +374,40 @@ class TestDivisionDirectory:
                 orig_task.source.signature
             assert loaded_task.target.signature == \
                 orig_task.target.signature
+
+    def test_provenance_reruns_division(self, tmp_path):
+        cfg = DivisionConfig(seed=3, alpha=40, max_subsets=20, dim=12,
+                             epochs=7, negatives=4, margin=0.1,
+                             learning_rate=0.08, kmeans_max_iters=50)
+        pair = parse_toy_pair()
+        first = division_files(divide(*pair, 3, cfg), pair, tmp_path / "a")
+        provenance = dict(read_division(tmp_path / "a").provenance)
+        del provenance["version"]
+        rebuilt = DivisionConfig(**provenance)
+        assert rebuilt == cfg
+        pair = parse_toy_pair()  # a fresh pair redoes index and training
+        again = division_files(divide(*pair, 3, rebuilt), pair,
+                               tmp_path / "b")
+        assert again == first
+
+    def test_smaller_division_removes_stale_tasks(self, toy_pair, tmp_path):
+        out = tmp_path / "div"
+        write_division(divide(*toy_pair, 4, FAST), toy_pair, out)
+        (out / "notes.txt").write_text("not part of the division")
+        (out / "task_9").mkdir()  # not listed in division.json
+        write_division(divide(*toy_pair, 2, FAST), toy_pair, out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "division.json", "notes.txt", "task_0", "task_1", "task_9"]
+        assert read_division(out).n == 2
+
+    def test_unreadable_division_json_removes_nothing(self, toy_pair,
+                                                      tmp_path):
+        out = tmp_path / "div"
+        write_division(divide(*toy_pair, 4, FAST), toy_pair, out)
+        (out / "division.json").write_text("{not json")
+        write_division(divide(*toy_pair, 2, FAST), toy_pair, out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "division.json", "task_0", "task_1", "task_2", "task_3"]
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

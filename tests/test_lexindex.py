@@ -157,7 +157,7 @@ def entries_from_normalize_label(o1, o2, cfg):
     for side, onto in ((0, o1), (1, o2)):
         for ent in onto.signature:
             for label in entity_labels(onto, ent):
-                words = normalize_label(label, cfg.stopwords)
+                words = normalize_label(label, STOPWORDS)
                 keys = word_subsets(words, cfg.max_subsets) if words else []
                 for key in keys:
                     accum.setdefault(key, (set(), set()))[side].add(ent)

@@ -231,7 +231,7 @@ class TestLabels:
 class TestRoundTrip:
     def test_toy_pair(self, toy_pair):
         for onto in toy_pair:
-            again = parse_ontology(serialize(onto), onto.label_properties)
+            again = parse_ontology(serialize(onto))
             assert set(again.axioms) == set(onto.axioms)
             assert again.signature == onto.signature
 
@@ -251,7 +251,7 @@ class TestRoundTrip:
 
     def test_toy_labels_survive(self, toy_pair):
         o1, _ = toy_pair
-        again = parse_ontology(serialize(o1), o1.label_properties)
+        again = parse_ontology(serialize(o1))
         mitral = EntityRef(TOY1_NS + "Mitral_valve")
         assert entity_labels(again, mitral) == \
             ["Mitral valve", "Left atrioventricular valve"]
