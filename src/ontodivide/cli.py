@@ -24,6 +24,8 @@ from .ontology import read_ontology
 logger = logging.getLogger(__name__)
 
 DEFAULTS = DivisionConfig()
+# `coverage` writes it into the division directory by default
+COVERAGE_REPORT = "coverage_report.json"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -56,6 +58,8 @@ def cmd_divide(args) -> int:
     o2 = read_ontology(args.target)
     div = divide(o1, o2, args.n, cfg)
     out = write_division(div, (o1, o2), args.output)
+    # a report that `coverage` wrote there is of the old division
+    (out / COVERAGE_REPORT).unlink(missing_ok=True)
     total = 0.0
     for task in div.subtasks:
         s = len(task.source.signature)
@@ -82,7 +86,7 @@ def cmd_coverage(args) -> int:
     for m in missing:
         print(f"uncovered\t{m.e1.iri}\t{m.e2.iri}\t{m.relation}")
     _write_report(Path(args.report or Path(args.division_dir)
-                       / "coverage_report.json"), {"coverage_ratio": ratio})
+                       / COVERAGE_REPORT), {"coverage_ratio": ratio})
     return 0
 
 

@@ -20,6 +20,8 @@ from .lexindex import LexIndex, LexKey, LexValue
 # relative slack for the monotonicity assertion; Lloyd is non-increasing in
 # exact arithmetic, float summation may wobble at the last bit
 _INERTIA_TOL = 1e-9
+# Lloyd iterations at most, unless the caller sets another cap
+MAX_ITERS = 300
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ def _plus_plus_init(X: np.ndarray, n: int,
 
 
 def kmeans(points: np.ndarray, n: int, seed: int,
-           max_iters: int = 300) -> ClusterAssignment:
+           max_iters: int = MAX_ITERS) -> ClusterAssignment:
     """Cluster the rows of an (m, dim) matrix into n non-empty clusters."""
     if n <= 0:
         raise ValueError("n must be >= 1")

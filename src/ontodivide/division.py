@@ -23,9 +23,9 @@ from typing import Iterable, Mapping as MappingT, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .clustering import clusters_to_entries, kmeans
+from .clustering import MAX_ITERS, clusters_to_entries, kmeans
 from .embedding import TrainingConfig, entry_vectors, train_embeddings
-from .errors import InvariantError
+from .errors import InvariantError, check_int
 from .lexindex import (LexConfig, LexIndex, LexKey, LexValue, Mapping,
                        RELATIONS, build_lexi, mappings_of)
 from .locality import context_of
@@ -63,11 +63,13 @@ class DivisionConfig:
     negatives: int = TrainingConfig.negatives
     margin: float = TrainingConfig.margin
     learning_rate: float = TrainingConfig.learning_rate
-    kmeans_max_iters: int = 300
+    kmeans_max_iters: int = MAX_ITERS
 
     def __post_init__(self):
+        check_int("seed", self.seed)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        check_int("kmeans_max_iters", self.kmeans_max_iters)
         if self.kmeans_max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         self.index(), self.training(0)  # the stage configs check the rest
@@ -168,32 +170,39 @@ def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
 
 
 def read_alignment_tsv(path) -> Alignment:
-    """Read mappings from TSV; missing confidence defaults to 1.0."""
+    """Read mappings from TSV; missing confidence defaults to 1.0.
+
+    Rows that name one IRI share one `EntityRef`.
+    """
     mappings: set[Mapping] = set()
+    refs: dict[str, EntityRef] = {}
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise ValueError(
+                f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
+        e1, e2, rel = parts[0], parts[1], parts[2]
+        if not e1 or not e2:
+            raise ValueError(f"{path}:{lineno}: empty IRI")
+        if rel not in RELATIONS:
+            raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
+        conf = 1.0
+        if len(parts) == 4:
+            try:
+                conf = float(parts[3])
+            except ValueError:
+                conf = math.nan
+            if not 0.0 < conf <= 1.0:
                 raise ValueError(
-                    f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
-            e1, e2, rel = parts[0], parts[1], parts[2]
-            if not e1 or not e2:
-                raise ValueError(f"{path}:{lineno}: empty IRI")
-            if rel not in RELATIONS:
-                raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
-            conf = 1.0
-            if len(parts) == 4:
-                try:
-                    conf = float(parts[3])
-                except ValueError:
-                    conf = math.nan
-                if not 0.0 < conf <= 1.0:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad confidence {parts[3]!r}")
-            mappings.add(Mapping(EntityRef(e1), EntityRef(e2), rel, conf))
+                    f"{path}:{lineno}: bad confidence {parts[3]!r}")
+        mappings.add(Mapping(
+            refs.get(e1) or refs.setdefault(e1, EntityRef(e1)),
+            refs.get(e2) or refs.setdefault(e2, EntityRef(e2)),
+            rel, conf))
     return Alignment(frozenset(mappings))
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and setting type checks shared across the package."""
 
 
 class OfnSyntaxError(ValueError):
@@ -20,3 +20,16 @@ class UnsupportedConstructError(OfnSyntaxError):
 
 class InvariantError(RuntimeError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless setting `name` is an int (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ValueError unless setting `name` is an int or a float (a bool
+    is neither)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, not {value!r}")

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping as MappingT
 
 import numpy as np
 
+from .errors import check_int
 from .ontology import EntityRef, Ontology, entity_labels
 from .stemming import porter_stem
 
@@ -100,8 +101,10 @@ class LexConfig:
     max_subsets: int = 50
 
     def __post_init__(self):
+        check_int("alpha", self.alpha)
         if self.alpha < 2:  # an entry holds an entity of each ontology
             raise ValueError("alpha must be >= 2")
+        check_int("max_subsets", self.max_subsets)
         if self.max_subsets < 1:
             raise ValueError("max_subsets must be >= 1")
 

@@ -243,21 +243,24 @@ def entity_labels(onto: Ontology, entity: EntityRef) -> list[str]:
 # prefixed name or an identifier; "" ends the text.  An IRI holds no tab/CR/LF
 # (they would split its row in the TSV files written for a division).  In a
 # string a backslash always pairs with the next character, but only \" and \\
-# are escapes.  A prefixed name's prefix may be empty (the default prefix).
+# are escapes.  A name is scanned once: an identifier, made a prefixed name by
+# a following `:local`; or `:local` alone, in the default prefix.
 _NAME_CHARS = r"[A-Za-z0-9_.\-]*"
 _WORD = rf"""
     [()=]
   | <[^>\t\r\n]*>
   | "[^"\\]*(?:\\[\s\S][^"\\]*)*"
-  | (?:[A-Za-z_]{_NAME_CHARS})?:{_NAME_CHARS}
-  | [A-Za-z_]{_NAME_CHARS}
+  | [A-Za-z_]{_NAME_CHARS}(?::{_NAME_CHARS})?
+  | :{_NAME_CHARS}
 """
 _ONE_TOKEN = re.compile(_WORD, re.VERBOSE)
-# Blanks and comments prefix each match.  The group then always matches: a
+# Blanks and comments prefix each match: blanks, then comments, each running
+# up to a newline and followed by blanks.  The group then always matches: a
 # token, else a catch-all taking the rest of the text (a scan error), else
-# `\Z`; so no prefix is given back and trailing blanks are not rescanned.
-_TOKEN = re.compile(rf"(?:[ \t\r\n]+|\#[^\n]*)* ({_WORD}|[\s\S]+|\Z)",
-                    re.VERBOSE)
+# `\Z`; so the prefix is never given back (its quantifiers say so) and
+# trailing blanks are not rescanned.
+_TOKEN = re.compile(rf"""[ \t\r\n]*+ (?:\#[^\n]*+ [ \t\r\n]*+)*+
+                         ({_WORD}|[\s\S]+|\Z)""", re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
 _IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
 _KINDS = {"(": "(", ")": ")", "=": "=", "<": "iri", '"': "string", "": "eof"}
@@ -271,7 +274,8 @@ def _kind(tok: str) -> str:
 def _value(tok: str) -> str:
     """The token without IRI brackets, string quotes or escapes."""
     if tok[:1] == '"':
-        return _ESCAPE.sub(r"\1", tok[1:-1])
+        tok = tok[1:-1]
+        return _ESCAPE.sub(r"\1", tok) if "\\" in tok else tok
     return tok[1:-1] if tok[:1] == "<" else tok
 
 
@@ -327,23 +331,29 @@ MAX_EXPR_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent over the token strings of one text.
+
+    A production reads its tokens by index, checks each before it reads the
+    next (so it never reads past the final ""), and leaves `pos` after
+    itself.  It calls out to resolve a prefixed name, to check the kind
+    of an entity (`use`), or to fail.  A class IRI met before as a class
+    expression skips the check.  Each (IRI, kind) gets one `EntityRef`, and
+    each class IRI one `NamedClass`.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0                              # index of the next token
         self.prefixes = dict(BUILTIN_PREFIXES)
-        self.declared: dict[str, str] = {}        # iri -> declared kind
-        self.used: dict[str, str] = {}            # iri -> kind from position of use
-        self.annotation_subjects: list[str] = []  # iris used only as subjects
+        # iri -> its EntityRef, of the kind its first declaration or use gave
+        self.known: dict[str, EntityRef] = {}
+        self.declared: set[str] = set()
+        # iri -> the class EntityRef of an annotation subject that was not
+        # known when annotated; its kind is fixed after the parse
+        self.subjects: dict[str, EntityRef] = {}
+        self.named: dict[str, NamedClass] = {}  # one per class IRI
         self.ontology_iri: str | None = None
-        self.refs: dict[tuple[str, str], EntityRef] = {}  # one per (iri, kind)
-
-    def expect(self, punct: str) -> None:
-        at = self.pos
-        self.pos = at + 1
-        if self.tokens[at] != punct:
-            self.fail(f"expected {punct!r} but found "
-                      f"{_value(self.tokens[at])!r}", at)
 
     def fail(self, message: str, at: int,
              error: type[OfnSyntaxError] = OfnSyntaxError):
@@ -351,45 +361,42 @@ class _Parser:
         offset = _token_offset(self.text, at)
         raise error(message, *_line_col(self.text, offset))
 
-    # IRI resolution
+    def fail_expected(self, punct: str, at: int):
+        self.fail(f"expected {punct!r} but found "
+                  f"{_value(self.tokens[at])!r}", at)
 
-    def take_iri(self) -> str:
-        """Consume an <IRI> or prefixed name and return the full IRI."""
-        at = self.pos
-        self.pos = at + 1
+    def fail_keyword(self, at: int, expected: str):
+        """Token `at` is no keyword allowed there; `expected` formats it."""
         tok = self.tokens[at]
-        if tok[:1] == "<":
-            return tok[1:-1]
-        if _kind(tok) == "pname":
-            prefix, local = tok.split(":", 1)
-            if prefix not in self.prefixes:
-                self.fail(f"undeclared prefix {prefix + ':'!r}", at)
-            return self.prefixes[prefix] + local
-        self.fail(f"expected an IRI but found {_value(tok)!r}", at)
+        if _kind(tok) == "ident":
+            self.fail(tok, at, UnsupportedConstructError)
+        self.fail(expected.format(_value(tok)), at)
 
-    def take_keyword(self, keywords, expected: str) -> str:
-        """Consume one of `keywords`; `expected` formats any other token."""
-        at = self.pos
-        self.pos = at + 1
+    def name_iri(self, at: int) -> str:
+        """The full IRI of prefixed name `at`.  An <IRI> is read in place,
+        so any other token is an error."""
         tok = self.tokens[at]
-        if tok not in keywords:
-            if _kind(tok) == "ident":
-                self.fail(tok, at, UnsupportedConstructError)
-            self.fail(expected.format(_value(tok)), at)
-        return tok
+        if _kind(tok) != "pname":
+            self.fail(f"expected an IRI but found {_value(tok)!r}", at)
+        prefix, local = tok.split(":", 1)
+        if prefix not in self.prefixes:
+            self.fail(f"undeclared prefix {prefix + ':'!r}", at)
+        return self.prefixes[prefix] + local
 
-    def record_use(self, iri: str, kind: str, at: int) -> EntityRef:
-        prior = self.used.get(iri) or self.declared.get(iri)
-        if prior is not None and prior != kind:
-            self.fail(f"{iri} used as {kind} but already known as {prior}", at)
-        self.used.setdefault(iri, kind)
-        return self.entity(iri, kind)
-
-    def entity(self, iri: str, kind: str) -> EntityRef:
-        """The `EntityRef` of (iri, kind) that this parse hands out."""
-        ref = self.refs.get((iri, kind))
+    def use(self, iri: str, kind: str, at: int, verb: str = "used"
+            ) -> EntityRef:
+        """`known[iri]`, made of `kind` if `iri` is new (an annotation
+        subject's class ref when `kind` is class); fails if `iri` is known
+        as another kind.  `verb` says how token `at` met `iri`."""
+        ref = self.known.get(iri)
         if ref is None:
-            ref = self.refs[iri, kind] = EntityRef(iri, kind)
+            ref = self.subjects.get(iri)
+            if ref is None or ref.kind != kind:
+                ref = EntityRef(iri, kind)
+            self.known[iri] = ref
+        elif ref.kind != kind:
+            self.fail(f"{iri} {verb} as {kind} but already known as "
+                      f"{ref.kind}", at)
         return ref
 
     # grammar
@@ -399,12 +406,15 @@ class _Parser:
         axioms: list[Axiom] = []
         while tokens[self.pos] == "Prefix":
             self.parse_prefix()
-        wrapped = tokens[self.pos] == "Ontology"
+        at = self.pos
+        wrapped = tokens[at] == "Ontology"
         if wrapped:
-            self.pos += 1
-            self.expect("(")
-            if tokens[self.pos][:1] == "<":
-                self.ontology_iri = self.take_iri()
+            if tokens[at + 1] != "(":
+                self.fail_expected("(", at + 1)
+            self.pos = at + 2
+            if tokens[at + 2][:1] == "<":
+                self.ontology_iri = tokens[at + 2][1:-1]
+                self.pos = at + 3
         while tokens[self.pos] not in ("", ")"):
             axioms.append(self.parse_axiom())
         at = self.pos  # the end of the text or a ')'
@@ -417,122 +427,158 @@ class _Parser:
         return axioms, self.ontology_iri
 
     def parse_prefix(self) -> None:
-        self.pos += 1  # Prefix
-        self.expect("(")
-        name = self.tokens[self.pos]
+        tokens = self.tokens
+        at = self.pos  # Prefix
+        if tokens[at + 1] != "(":
+            self.fail_expected("(", at + 1)
+        name = tokens[at + 2]
         if _kind(name) != "pname" or not name.endswith(":"):
-            self.fail("expected prefix declaration like p:=<iri>", self.pos)
-        self.pos += 1
-        self.expect("=")
-        if self.tokens[self.pos][:1] != "<":
-            self.fail("prefix must expand to a full <IRI>", self.pos)
-        self.prefixes[name[:-1]] = self.take_iri()
-        self.expect(")")
+            self.fail("expected prefix declaration like p:=<iri>", at + 2)
+        if tokens[at + 3] != "=":
+            self.fail_expected("=", at + 3)
+        iri = tokens[at + 4]
+        if iri[:1] != "<":
+            self.fail("prefix must expand to a full <IRI>", at + 4)
+        self.prefixes[name[:-1]] = iri[1:-1]
+        if tokens[at + 5] != ")":
+            self.fail_expected(")", at + 5)
+        self.pos = at + 6
 
     def parse_axiom(self) -> Axiom:
+        tokens = self.tokens
         at = self.pos
-        kw = self.take_keyword(_AXIOM_KEYWORDS,
-                               "expected an axiom but found {!r}")
-        self.expect("(")
-        if kw == "Declaration":
-            axiom = self.parse_declaration_body()
-        elif kw == "SubClassOf":
-            axiom = SubClassOf(self.parse_class_expr(), self.parse_class_expr())
-        elif kw == "EquivalentClasses":
-            parts = []
-            while self.tokens[self.pos] != ")":
-                parts.append(self.parse_class_expr())
-            if len(parts) < 2:
-                self.fail("EquivalentClasses requires ≥ 2 members", at)
-            axiom = EquivalentClasses(tuple(parts))
-        elif kw == "SubObjectPropertyOf":
-            sub = self.parse_entity(OBJECT_PROPERTY)
-            sup = self.parse_entity(OBJECT_PROPERTY)
-            axiom = SubObjectPropertyOf(sub, sup)
-        else:  # AnnotationAssertion(property subject "literal")
-            prop_iri = self.take_iri()
-            subj_at = self.pos
-            subj_iri = self.take_iri()
-            if subj_iri in (THING_IRI, NOTHING_IRI):
+        kw = tokens[at]
+        if kw not in _AXIOM_KEYWORDS:
+            self.fail_keyword(at, "expected an axiom but found {!r}")
+        if tokens[at + 1] != "(":
+            self.fail_expected("(", at + 1)
+        pos = at + 2
+        if kw == "Declaration":  # Declaration(Kind(iri))
+            kind = _DECL_KEYWORDS.get(tokens[pos])
+            if kind is None:
+                self.fail_keyword(
+                    pos, "expected Class/ObjectProperty/NamedIndividual")
+            if tokens[pos + 1] != "(":
+                self.fail_expected("(", pos + 1)
+            tok = tokens[pos + 2]
+            iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(pos + 2)
+            if iri in (THING_IRI, NOTHING_IRI):
+                self.fail("owl:Thing and owl:Nothing cannot be declared",
+                          pos + 2)
+            ref = self.use(iri, kind, pos + 2, "declared")
+            self.declared.add(iri)
+            if tokens[pos + 3] != ")":
+                self.fail_expected(")", pos + 3)
+            axiom = Declaration(ref)
+            pos += 4
+        elif kw == "AnnotationAssertion":  # (property subject "literal")
+            tok = tokens[pos]
+            prop_iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(pos)
+            tok = tokens[pos + 1]
+            subj_iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(pos + 1)
+            subject = self.known.get(subj_iri)
+            if subject is None and subj_iri in (THING_IRI, NOTHING_IRI):
                 self.fail("owl:Thing/owl:Nothing cannot carry annotations",
-                          subj_at)
-            literal = self.tokens[self.pos]
+                          pos + 1)
+            literal = tokens[pos + 2]
             if literal[:1] != '"':
-                self.fail("annotation value must be a quoted string", self.pos)
-            self.pos += 1
-            self.annotation_subjects.append(subj_iri)
-            # provisional kind; fixed up once declarations are all known
-            axiom = AnnotationAssertion(self.entity(subj_iri, CLASS),
-                                        prop_iri, _value(literal))
-        self.expect(")")
+                self.fail("annotation value must be a quoted string", pos + 2)
+            if subject is None:
+                subject = self.subjects.get(subj_iri)
+                if subject is None:
+                    subject = self.subjects[subj_iri] = \
+                        EntityRef(subj_iri, CLASS)
+            axiom = AnnotationAssertion(subject, prop_iri, _value(literal))
+            pos += 3
+        else:
+            self.pos = pos
+            if kw == "SubClassOf":
+                axiom = SubClassOf(self.parse_class_expr(),
+                                   self.parse_class_expr())
+            elif kw == "EquivalentClasses":
+                parts = []
+                while tokens[self.pos] != ")":
+                    parts.append(self.parse_class_expr())
+                if len(parts) < 2:
+                    self.fail("EquivalentClasses requires ≥ 2 members", at)
+                axiom = EquivalentClasses(tuple(parts))
+            else:
+                axiom = SubObjectPropertyOf(self.parse_property(),
+                                            self.parse_property())
+            pos = self.pos
+        if tokens[pos] != ")":
+            self.fail_expected(")", pos)
+        self.pos = pos + 1
         return axiom
 
-    def parse_declaration_body(self) -> Declaration:
-        kind = _DECL_KEYWORDS[self.take_keyword(
-            _DECL_KEYWORDS, "expected Class/ObjectProperty/NamedIndividual")]
-        self.expect("(")
-        iri_at = self.pos
-        iri = self.take_iri()
-        if iri in (THING_IRI, NOTHING_IRI):
-            self.fail("owl:Thing and owl:Nothing cannot be declared", iri_at)
-        prior = self.declared.get(iri) or self.used.get(iri)
-        if prior is not None and prior != kind:
-            self.fail(f"{iri} declared as {kind} but already known as {prior}",
-                      iri_at)
-        self.declared[iri] = kind
-        self.expect(")")
-        return Declaration(self.entity(iri, kind))
-
-    def parse_entity(self, kind: str) -> EntityRef:
+    def parse_property(self) -> EntityRef:
         at = self.pos
-        iri = self.take_iri()
+        self.pos = at + 1
+        tok = self.tokens[at]
+        iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(at)
         if iri in (THING_IRI, NOTHING_IRI):
             self.fail(f"owl:{iri_fragment(iri)} is not allowed here", at)
-        return self.record_use(iri, kind, at)
+        return self.use(iri, OBJECT_PROPERTY, at)
 
     def parse_class_expr(self, depth: int = 0) -> ClassExpr:
         """`depth` counts the constructors enclosing this expression."""
         at = self.pos
         tok = self.tokens[at]
-        if tok[:1] == "<" or _kind(tok) == "pname":
-            iri = self.take_iri()
+        if tok[:1] == "<":
+            iri = tok[1:-1]
+        elif tok in _EXPR_KEYWORDS:
+            return self.parse_constructor(tok, depth)
+        elif _kind(tok) == "pname":
+            iri = self.name_iri(at)
+        else:
+            self.fail_keyword(at, "expected a class expression but found {!r}")
+        self.pos = at + 1
+        expr = self.named.get(iri)
+        if expr is None:
             if iri == THING_IRI:
                 return Thing()
             if iri == NOTHING_IRI:
                 return Nothing()
-            return NamedClass(self.record_use(iri, CLASS, at))
-        self.take_keyword(_EXPR_KEYWORDS,
-                          "expected a class expression but found {!r}")
+            expr = self.named[iri] = NamedClass(self.use(iri, CLASS, at))
+        return expr
+
+    def parse_constructor(self, kw: str, depth: int) -> ClassExpr:
+        """The expression built by keyword `kw`, the token at `pos`."""
+        tokens = self.tokens
+        at = self.pos
         if depth == MAX_EXPR_DEPTH:
             self.fail(f"class expression nested deeper than {MAX_EXPR_DEPTH}",
                       at)
-        self.expect("(")
-        if tok == "ObjectSomeValuesFrom":
-            prop = self.parse_entity(OBJECT_PROPERTY)
-            filler = self.parse_class_expr(depth + 1)
-            self.expect(")")
-            return SomeValuesFrom(prop, filler)
-        parts = []
-        while self.tokens[self.pos] != ")":
-            parts.append(self.parse_class_expr(depth + 1))
-        self.expect(")")
-        if len(parts) < 2:
-            self.fail(f"{tok} requires ≥ 2 members", at)
-        return IntersectionOf(tuple(parts)) if tok == "ObjectIntersectionOf" \
-            else UnionOf(tuple(parts))
+        if tokens[at + 1] != "(":
+            self.fail_expected("(", at + 1)
+        self.pos = at + 2
+        if kw == "ObjectSomeValuesFrom":
+            expr = SomeValuesFrom(self.parse_property(),
+                                  self.parse_class_expr(depth + 1))
+            if tokens[self.pos] != ")":
+                self.fail_expected(")", self.pos)
+        else:
+            parts = []
+            while tokens[self.pos] != ")":
+                parts.append(self.parse_class_expr(depth + 1))
+            if len(parts) < 2:
+                self.fail(f"{kw} requires ≥ 2 members", at)
+            expr = IntersectionOf(tuple(parts)) \
+                if kw == "ObjectIntersectionOf" else UnionOf(tuple(parts))
+        self.pos += 1
+        return expr
 
 
-def _fix_annotation_kinds(axioms: list[Axiom], kinds: dict[str, str],
-                          parser: _Parser) -> list[Axiom]:
-    out = []
-    for a in axioms:
-        if isinstance(a, AnnotationAssertion):
-            kind = kinds[a.subject.iri]
-            if kind != a.subject.kind:
-                a = AnnotationAssertion(parser.entity(a.subject.iri, kind),
-                                        a.property, a.literal)
-        out.append(a)
-    return out
+def _fix_annotation_kinds(axioms: list[Axiom], known: dict[str, EntityRef],
+                          subjects: dict[str, EntityRef]) -> list[Axiom]:
+    """Annotations whose subject was only later declared or used as a
+    property or individual get the subject's `EntityRef` of that kind."""
+    moved = {iri for iri, ref in subjects.items() if known[iri] is not ref}
+    if not moved:
+        return axioms
+    return [AnnotationAssertion(known[a.subject.iri], a.property, a.literal)
+            if isinstance(a, AnnotationAssertion) and a.subject.iri in moved
+            else a for a in axioms]
 
 
 def parse_ontology(text: str) -> Ontology:
@@ -545,21 +591,18 @@ def parse_ontology(text: str) -> Ontology:
     parser = _Parser(text)
     axioms, onto_iri = parser.parse_document()
 
-    kinds = dict(parser.declared)
-    for iri, kind in parser.used.items():
-        kinds.setdefault(iri, kind)
-    for iri in parser.annotation_subjects:
-        kinds.setdefault(iri, CLASS)
+    known = parser.known
+    for iri, ref in parser.subjects.items():  # only ever annotated: a class
+        known.setdefault(iri, ref)
 
-    missing = sorted(set(kinds) - set(parser.declared))
+    missing = sorted(known.keys() - parser.declared)
     if missing:
         logger.warning("auto-declared %d undeclared entit%s: %s",
                        len(missing), "y" if len(missing) == 1 else "ies",
                        ", ".join(missing[:5]) + ("..." if len(missing) > 5 else ""))
-        axioms.extend(Declaration(parser.entity(iri, kinds[iri]))
-                      for iri in missing)
+        axioms.extend(Declaration(known[iri]) for iri in missing)
 
-    axioms = _fix_annotation_kinds(axioms, kinds, parser)
+    axioms = _fix_annotation_kinds(axioms, known, parser.subjects)
     return Ontology(tuple(axioms), onto_iri)
 
 

@@ -22,6 +22,8 @@ import numpy as np
 
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError)
+from ontodivide.lexindex import RELATIONS, Mapping
+from ontodivide.metrics import Alignment
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
                                  MAX_EXPR_DEPTH, NOTHING_IRI,
                                  OBJECT_PROPERTY, THING_IRI,
@@ -757,6 +759,40 @@ def reference_parse_ontology(text: str) -> Ontology:
 
     axioms = _fix_annotation_kinds(axioms, kinds)
     return Ontology(tuple(axioms), onto_iri)
+
+
+# --- reference alignment reader ---------------------------------------------
+# The row-at-a-time TSV reader that builds two `EntityRef`s per row, kept
+# verbatim as the differential reference for `division.read_alignment_tsv`.
+
+def reference_read_alignment_tsv(path) -> Alignment:
+    """Read mappings from TSV; missing confidence defaults to 1.0."""
+    mappings: set[Mapping] = set()
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (3, 4):
+                raise ValueError(
+                    f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
+            e1, e2, rel = parts[0], parts[1], parts[2]
+            if not e1 or not e2:
+                raise ValueError(f"{path}:{lineno}: empty IRI")
+            if rel not in RELATIONS:
+                raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
+            conf = 1.0
+            if len(parts) == 4:
+                try:
+                    conf = float(parts[3])
+                except ValueError:
+                    conf = math.nan
+                if not 0.0 < conf <= 1.0:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad confidence {parts[3]!r}")
+            mappings.add(Mapping(EntityRef(e1), EntityRef(e2), rel, conf))
+    return Alignment(frozenset(mappings))
 
 
 # --- reference entry vectors and training pairs -----------------------------

@@ -168,6 +168,17 @@ class TestCoverage:
         assert set(report) == {"coverage_ratio"}
         assert report["coverage_ratio"] == 1.0
 
+    def test_divide_again_removes_the_report(self, toy_files, tmp_path):
+        out = tmp_path / "division"
+        assert run_divide(toy_files, out, n=4) == 0
+        candidates = out / "task_0" / "candidates.tsv"
+        assert main(["coverage", str(out), str(candidates)]) == 0
+        assert (out / "coverage_report.json").is_file()
+        assert run_divide(toy_files, out, n=2) == 0
+        assert not (out / "coverage_report.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["division.json", "task_0", "task_1"]
+
     def test_malformed_division_json_is_user_error(self, tmp_path, capsys):
         (tmp_path / "division.json").write_text('{"n": 1}')
         reference = tmp_path / "ref.tsv"

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from ontodivide.clustering import (ClusterAssignment, clusters_to_entries,
-                                   kmeans)
+from ontodivide.clustering import (MAX_ITERS, ClusterAssignment,
+                                   clusters_to_entries, kmeans)
+from ontodivide.division import DivisionConfig
 from ontodivide.embedding import TrainingConfig, entry_vectors, \
     train_embeddings
 from ontodivide.lexindex import build_lexi
@@ -51,6 +54,10 @@ class TestKmeansBasics:
         X = np.arange(12, dtype=float).reshape(6, 2)
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             kmeans(X, 2, seed=0, max_iters=0)
+
+    def test_one_iteration_cap_default(self):
+        default = inspect.signature(kmeans).parameters["max_iters"].default
+        assert default == DivisionConfig().kmeans_max_iters == MAX_ITERS
 
 
 class TestBlobRecovery:

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import pickle
+import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import O1_NS, O2_NS, TOY1_NS, TOY2_NS, load_toy_text
+from oracles import reference_read_alignment_tsv
 
 import ontodivide
 from ontodivide.division import (Division, DivisionConfig, divide,
@@ -151,6 +153,8 @@ class TestDivide:
         ({"max_subsets": 0}, "max_subsets must be >= 1"),
         ({"alpha": 1}, "alpha must be >= 2"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"epochs": 2.5, "dim": 8}, "epochs must be an integer, not 2.5"),
+        ({"seed": True}, "seed must be an integer, not True"),
     ])
     def test_bad_config_fails_before_indexing(self, toy_pair, monkeypatch,
                                               cfg, message):
@@ -349,6 +353,53 @@ class TestAlignmentTsv:
         assert len(loaded.mappings) == 1
         (mp,) = loaded.mappings
         assert mp.confidence == 1.0
+
+    def test_rows_naming_one_iri_share_one_entity(self, tmp_path):
+        path = tmp_path / "alignment.tsv"
+        path.write_text(f"{O1_NS}a\t{O2_NS}x\t=\n{O1_NS}a\t{O2_NS}y\t<\n"
+                        f"{O2_NS}x\t{O1_NS}a\t>\t0.5\n")
+        by_key = {mp.key: mp for mp in read_alignment_tsv(path).mappings}
+        ax = by_key[O1_NS + "a", O2_NS + "x", "="]
+        ay = by_key[O1_NS + "a", O2_NS + "y", "<"]
+        xa = by_key[O2_NS + "x", O1_NS + "a", ">"]
+        assert ax.e1 is ay.e1 is xa.e2
+        assert ax.e2 is xa.e1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_texts_match_reference_reader(self, tmp_path, seed):
+        # the same mappings and confidences, or the same error message
+        rng = random.Random(seed)
+        iris = [O1_NS + "a", O1_NS + "b", O2_NS + "x", "c", "é", " ", ""]
+        relations = [*RELATIONS, "?", "", "=="]
+        confidences = ["1.0", "0.25", "1", "1e-3", "nan", "inf", "0", "2",
+                       "abc", "", " 0.5", "-0.5"]
+
+        def line():
+            pick = rng.random()
+            if pick < 0.1:
+                return rng.choice(["# comment", "#", "", "  ", "\t"])
+            cols = [rng.choice(iris), rng.choice(iris), rng.choice(relations),
+                    rng.choice(confidences), rng.choice(confidences)]
+            width = rng.choice([2, 3, 3, 4, 4, 4, 4, 5])
+            if pick < 0.6:  # mostly good rows, so errors come late
+                cols[:4] = [rng.choice(iris[:4]), rng.choice(iris[:4]),
+                            rng.choice(RELATIONS), rng.choice(confidences[:4])]
+                width = rng.choice([3, 4])
+            return "\t".join(cols[:width])
+
+        def outcome(read, path):
+            try:
+                return {mp.key: mp.confidence for mp in read(path).mappings}
+            except ValueError as exc:
+                return str(exc)
+
+        path = tmp_path / "random.tsv"
+        for _ in range(1500):
+            lines = [line() for _ in range(rng.randrange(1, 9))]
+            bom = "\ufeff" if rng.random() < 0.2 else ""
+            path.write_text(bom + "\n".join(lines) + "\n", encoding="utf-8")
+            assert outcome(read_alignment_tsv, path) == \
+                outcome(reference_read_alignment_tsv, path), lines
 
 
 class TestDivisionDirectory:

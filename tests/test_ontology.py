@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TOY1_NS, load_toy_text
-from oracles import random_ontology
+from oracles import random_ontology, reference_parse_ontology
 
 from ontodivide.errors import OfnSyntaxError, UnsupportedConstructError
 from ontodivide.ontology import (CLASS, MAX_EXPR_DEPTH, OBJECT_PROPERTY,
@@ -72,6 +72,27 @@ class TestParsing:
     def test_kind_conflict_rejected(self):
         with pytest.raises(OfnSyntaxError, match="already known"):
             parse_ontology("Declaration(ObjectProperty(:r)) SubClassOf(:r :B)")
+
+    @pytest.mark.parametrize("text", [
+        "Declaration(Class(:A)) Declaration(ObjectProperty(:A))",
+        "SubClassOf(:A :B)\nDeclaration(NamedIndividual(:B))",
+        "Declaration(ObjectProperty(:r)) SubClassOf(:r :B)",
+        "SubClassOf(:A ObjectSomeValuesFrom(:r :B)) SubClassOf(:r :A)",
+        "SubClassOf(:A :B) SubObjectPropertyOf(:r :A)",
+        'AnnotationAssertion(rdfs:label :r "r")'
+        " Declaration(ObjectProperty(:r)) SubClassOf(:r :A)",
+        "Declaration(Class(:A)) Declaration(Class(:A)) SubClassOf(:A :A)",
+        "SubClassOf(:A :B) Declaration(Class(:B)) SubClassOf(:B :A)",
+    ])
+    def test_kinds_as_the_reference_parser(self, text):
+        # a kind is fixed by the first declaration or use, in either order
+        def outcome(parse):
+            try:
+                return serialize(parse(text))
+            except OfnSyntaxError as exc:
+                return type(exc), str(exc), exc.line, exc.column
+
+        assert outcome(parse_ontology) == outcome(reference_parse_ontology)
 
     def test_undeclared_prefix(self):
         with pytest.raises(OfnSyntaxError, match="undeclared prefix"):

@@ -80,6 +80,13 @@ def test_mutated_serializations():
     assert mismatches(texts) == []
 
 
+@pytest.mark.parametrize("text", ["a:", ":", "a:b:c", "_x.y-z:w", "Class:",
+                                  "Class:A", ":.", "a:<x>", "a::b"])
+def test_name_edges(text):
+    # a name is scanned once, its `:local` part optional
+    assert scanned(text) == reference(text)
+
+
 def test_trailing_blanks_and_comment_give_one_end_token():
     text = "Declaration(Class(:A))" + " " * 1_000_000 + "#" * 1_000_000
     start = time.perf_counter()
