@@ -177,32 +177,32 @@ def read_alignment_tsv(path) -> Alignment:
     mappings: set[Mapping] = set()
     refs: dict[str, EntityRef] = {}
     with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise ValueError(
-                f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
-        e1, e2, rel = parts[0], parts[1], parts[2]
-        if not e1 or not e2:
-            raise ValueError(f"{path}:{lineno}: empty IRI")
-        if rel not in RELATIONS:
-            raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
-        conf = 1.0
-        if len(parts) == 4:
-            try:
-                conf = float(parts[3])
-            except ValueError:
-                conf = math.nan
-            if not 0.0 < conf <= 1.0:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (3, 4):
                 raise ValueError(
-                    f"{path}:{lineno}: bad confidence {parts[3]!r}")
-        mappings.add(Mapping(
-            refs.get(e1) or refs.setdefault(e1, EntityRef(e1)),
-            refs.get(e2) or refs.setdefault(e2, EntityRef(e2)),
-            rel, conf))
+                    f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
+            e1, e2, rel = parts[0], parts[1], parts[2]
+            if not e1 or not e2:
+                raise ValueError(f"{path}:{lineno}: empty IRI")
+            if rel not in RELATIONS:
+                raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
+            conf = 1.0
+            if len(parts) == 4:
+                try:
+                    conf = float(parts[3])
+                except ValueError:
+                    conf = math.nan
+                if not 0.0 < conf <= 1.0:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad confidence {parts[3]!r}")
+            mappings.add(Mapping(
+                refs.get(e1) or refs.setdefault(e1, EntityRef(e1)),
+                refs.get(e2) or refs.setdefault(e2, EntityRef(e2)),
+                rel, conf))
     return Alignment(frozenset(mappings))
 
 

@@ -257,9 +257,8 @@ _ONE_TOKEN = re.compile(_WORD, re.VERBOSE)
 # Blanks and comments prefix each match: blanks, then comments, each running
 # up to a newline and followed by blanks.  The group then always matches: a
 # token, else a catch-all taking the rest of the text (a scan error), else
-# `\Z`; so the prefix is never given back (its quantifiers say so) and
-# trailing blanks are not rescanned.
-_TOKEN = re.compile(rf"""[ \t\r\n]*+ (?:\#[^\n]*+ [ \t\r\n]*+)*+
+# `\Z`; so no prefix is given back and trailing blanks are not rescanned.
+_TOKEN = re.compile(rf"""[ \t\r\n]* (?:\#[^\n]* [ \t\r\n]*)*
                          ({_WORD}|[\s\S]+|\Z)""", re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
 _IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
@@ -336,9 +335,7 @@ class _Parser:
     A production reads its tokens by index, checks each before it reads the
     next (so it never reads past the final ""), and leaves `pos` after
     itself.  It calls out to resolve a prefixed name, to check the kind
-    of an entity (`use`), or to fail.  A class IRI met before as a class
-    expression skips the check.  Each (IRI, kind) gets one `EntityRef`, and
-    each class IRI one `NamedClass`.
+    of an entity (`use`), or to fail.  Each (IRI, kind) gets one `EntityRef`.
     """
 
     def __init__(self, text: str):
@@ -352,7 +349,6 @@ class _Parser:
         # iri -> the class EntityRef of an annotation subject that was not
         # known when annotated; its kind is fixed after the parse
         self.subjects: dict[str, EntityRef] = {}
-        self.named: dict[str, NamedClass] = {}  # one per class IRI
         self.ontology_iri: str | None = None
 
     def fail(self, message: str, at: int,
@@ -533,14 +529,11 @@ class _Parser:
         else:
             self.fail_keyword(at, "expected a class expression but found {!r}")
         self.pos = at + 1
-        expr = self.named.get(iri)
-        if expr is None:
-            if iri == THING_IRI:
-                return Thing()
-            if iri == NOTHING_IRI:
-                return Nothing()
-            expr = self.named[iri] = NamedClass(self.use(iri, CLASS, at))
-        return expr
+        if iri == THING_IRI:
+            return Thing()
+        if iri == NOTHING_IRI:
+            return Nothing()
+        return NamedClass(self.use(iri, CLASS, at))
 
     def parse_constructor(self, kw: str, depth: int) -> ClassExpr:
         """The expression built by keyword `kw`, the token at `pos`."""

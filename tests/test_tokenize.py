@@ -6,6 +6,8 @@ text: kind and value come from that text, the offset from `_token_offset`.
 """
 
 import random
+import re
+import sys
 import time
 from importlib import resources
 
@@ -102,3 +104,35 @@ def test_scan_error_wins_over_an_earlier_parse_error():
     with pytest.raises(OfnSyntaxError, match="unexpected character '@'") as err:
         parse_ontology("Foo( @")
     assert (err.value.line, err.value.column) == (1, 6)
+
+
+def opcodes(tree):
+    """The opcodes of a parsed regular expression, nested ones included."""
+    from re import _parser
+    for op, arg in tree:
+        yield op
+        stack = [arg]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _parser.SubPattern):
+                yield from opcodes(item)
+            elif isinstance(item, (tuple, list)):
+                stack.extend(item)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="importing the package compiled every pattern")
+def test_patterns_compile_on_python_3_10():
+    # the package supports Python 3.10, whose `re` rejects possessive
+    # quantifiers and atomic groups
+    from re import _constants, _parser
+    newer = {_constants.POSSESSIVE_REPEAT, _constants.ATOMIC_GROUP}
+    assert newer <= set(opcodes(_parser.parse("a*+(?>b)")))
+    patterns = [(name, value) for module_name, module in sys.modules.items()
+                if module_name.split(".")[0] == "ontodivide"
+                for name, value in vars(module).items()
+                if isinstance(value, re.Pattern)]
+    assert len(patterns) >= 5
+    for name, pattern in patterns:
+        used = set(opcodes(_parser.parse(pattern.pattern, pattern.flags)))
+        assert not used & newer, name
