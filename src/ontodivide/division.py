@@ -228,10 +228,12 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
     for task in div.subtasks:
         task_dir = out / f"task_{task.task_id}"
         task_dir.mkdir(exist_ok=True)
+        # no newline translation: a line break in a literal is read back
+        # as written
         (task_dir / "source.ofn").write_text(serialize(task.source),
-                                             encoding="utf-8")
+                                             encoding="utf-8", newline="")
         (task_dir / "target.ofn").write_text(serialize(task.target),
-                                             encoding="utf-8")
+                                             encoding="utf-8", newline="")
         write_alignment_tsv(task.candidates, task_dir / "candidates.tsv")
         ratio = size_ratio_task(task, orig)
         task_rows.append({

@@ -172,6 +172,12 @@ def _flat_rows(rows: np.ndarray, d: int) -> np.ndarray:
     return (rows[:, None] * d + np.arange(d)).reshape(-1)
 
 
+def _diverged(what: str) -> ValueError:
+    """The error of a run whose settings are too large for its input."""
+    return ValueError(f"non-finite {what}; lower the learning rate or the "
+                      "margin")
+
+
 def _project(matrix: FloatArray, rows: np.ndarray, max_norm: float) -> None:
     """Rescale the given rows whose norm exceeds max_norm onto the ball."""
     # a mask dedupes the rows faster than np.unique's hash table
@@ -179,6 +185,8 @@ def _project(matrix: FloatArray, rows: np.ndarray, max_norm: float) -> None:
     touched[rows] = True
     rows = np.flatnonzero(touched)
     norms = np.linalg.norm(matrix[rows], axis=1)
+    if np.isinf(norms).any():  # scaling by max_norm / inf would zero the row
+        raise _diverged("embedding norm")
     over = norms > max_norm
     matrix[rows[over]] *= (max_norm / norms[over])[:, None]
 
@@ -254,9 +262,7 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
         # overflowing dot products give NaN gaps while W and E stay finite
         if not (math.isfinite(epoch_loss) and np.isfinite(W).all()
                 and np.isfinite(E).all()):
-            raise RuntimeError(
-                f"non-finite embedding values after epoch {epoch}; "
-                "lower the learning rate")
+            raise _diverged(f"embedding values after epoch {epoch}")
     W.flags.writeable = E.flags.writeable = False
     return EmbeddingSpace(enc.words, enc.entities, W, E, tuple(losses))
 

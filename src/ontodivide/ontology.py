@@ -255,10 +255,10 @@ _WORD = rf"""
 """
 _ONE_TOKEN = re.compile(_WORD, re.VERBOSE)
 # Blanks and comments prefix each match: blanks, then comments, each running
-# up to a newline and followed by blanks.  The group then always matches: a
+# up to a CR or LF and followed by blanks.  The group then always matches: a
 # token, else a catch-all taking the rest of the text (a scan error), else
 # `\Z`; so no prefix is given back and trailing blanks are not rescanned.
-_TOKEN = re.compile(rf"""[ \t\r\n]* (?:\#[^\n]* [ \t\r\n]*)*
+_TOKEN = re.compile(rf"""[ \t\r\n]* (?:\#[^\r\n]* [ \t\r\n]*)*
                          ({_WORD}|[\s\S]+|\Z)""", re.VERBOSE)
 _ESCAPE = re.compile(r'\\(["\\])')
 _IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
@@ -335,7 +335,8 @@ class _Parser:
     A production reads its tokens by index, checks each before it reads the
     next (so it never reads past the final ""), and leaves `pos` after
     itself.  It calls out to resolve a prefixed name, to check the kind
-    of an entity (`use`), or to fail.  Each (IRI, kind) gets one `EntityRef`.
+    of an entity (`use`), or to fail.  Each (IRI, kind) gets one `EntityRef`
+    once `parse_ontology` resolves the annotations in `unresolved`.
     """
 
     def __init__(self, text: str):
@@ -346,9 +347,10 @@ class _Parser:
         # iri -> its EntityRef, of the kind its first declaration or use gave
         self.known: dict[str, EntityRef] = {}
         self.declared: set[str] = set()
-        # iri -> the class EntityRef of an annotation subject that was not
-        # known when annotated; its kind is fixed after the parse
-        self.subjects: dict[str, EntityRef] = {}
+        self.axioms: list[Axiom] = []
+        # indices of the annotations whose subject was not known when read;
+        # each holds a placeholder class ref until the parse ends
+        self.unresolved: list[int] = []
         self.ontology_iri: str | None = None
 
     def fail(self, message: str, at: int,
@@ -381,15 +383,11 @@ class _Parser:
 
     def use(self, iri: str, kind: str, at: int, verb: str = "used"
             ) -> EntityRef:
-        """`known[iri]`, made of `kind` if `iri` is new (an annotation
-        subject's class ref when `kind` is class); fails if `iri` is known
-        as another kind.  `verb` says how token `at` met `iri`."""
+        """`known[iri]`, made of `kind` if `iri` is new; fails if `iri` is
+        known as another kind.  `verb` says how token `at` met `iri`."""
         ref = self.known.get(iri)
         if ref is None:
-            ref = self.subjects.get(iri)
-            if ref is None or ref.kind != kind:
-                ref = EntityRef(iri, kind)
-            self.known[iri] = ref
+            ref = self.known[iri] = EntityRef(iri, kind)
         elif ref.kind != kind:
             self.fail(f"{iri} {verb} as {kind} but already known as "
                       f"{ref.kind}", at)
@@ -399,7 +397,7 @@ class _Parser:
 
     def parse_document(self) -> tuple[list[Axiom], str | None]:
         tokens = self.tokens
-        axioms: list[Axiom] = []
+        axioms = self.axioms
         while tokens[self.pos] == "Prefix":
             self.parse_prefix()
         at = self.pos
@@ -480,10 +478,8 @@ class _Parser:
             if literal[:1] != '"':
                 self.fail("annotation value must be a quoted string", pos + 2)
             if subject is None:
-                subject = self.subjects.get(subj_iri)
-                if subject is None:
-                    subject = self.subjects[subj_iri] = \
-                        EntityRef(subj_iri, CLASS)
+                subject = EntityRef(subj_iri, CLASS)
+                self.unresolved.append(len(self.axioms))
             axiom = AnnotationAssertion(subject, prop_iri, _value(literal))
             pos += 3
         else:
@@ -562,18 +558,6 @@ class _Parser:
         return expr
 
 
-def _fix_annotation_kinds(axioms: list[Axiom], known: dict[str, EntityRef],
-                          subjects: dict[str, EntityRef]) -> list[Axiom]:
-    """Annotations whose subject was only later declared or used as a
-    property or individual get the subject's `EntityRef` of that kind."""
-    moved = {iri for iri, ref in subjects.items() if known[iri] is not ref}
-    if not moved:
-        return axioms
-    return [AnnotationAssertion(known[a.subject.iri], a.property, a.literal)
-            if isinstance(a, AnnotationAssertion) and a.subject.iri in moved
-            else a for a in axioms]
-
-
 def parse_ontology(text: str) -> Ontology:
     """Parse `.ofn` text into an Ontology.
 
@@ -585,8 +569,11 @@ def parse_ontology(text: str) -> Ontology:
     axioms, onto_iri = parser.parse_document()
 
     known = parser.known
-    for iri, ref in parser.subjects.items():  # only ever annotated: a class
-        known.setdefault(iri, ref)
+    for i in parser.unresolved:  # a subject only ever annotated is a class
+        a = axioms[i]
+        ref = known.setdefault(a.subject.iri, a.subject)
+        if ref is not a.subject:
+            axioms[i] = AnnotationAssertion(ref, a.property, a.literal)
 
     missing = sorted(known.keys() - parser.declared)
     if missing:
@@ -594,14 +581,12 @@ def parse_ontology(text: str) -> Ontology:
                        len(missing), "y" if len(missing) == 1 else "ies",
                        ", ".join(missing[:5]) + ("..." if len(missing) > 5 else ""))
         axioms.extend(Declaration(known[iri]) for iri in missing)
-
-    axioms = _fix_annotation_kinds(axioms, known, parser.subjects)
     return Ontology(tuple(axioms), onto_iri)
 
 
 def read_ontology(path) -> Ontology:
     # utf-8-sig drops a leading byte-order mark, which is not OFN syntax
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return parse_ontology(fh.read())
 
 

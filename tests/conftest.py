@@ -40,6 +40,26 @@ Ontology(<http://example.org/o2>
 )
 """
 
+# Annotations that name an entity before its declaration or first use: a
+# property, an individual and a class, each annotated twice or more, and an
+# entity that nothing but annotations names.
+ANNOTATED_BEFORE_USE = """
+    AnnotationAssertion(rdfs:label :r "part of")
+    AnnotationAssertion(rdfs:label :A "a")
+    AnnotationAssertion(rdfs:label :Z "only annotated")
+    AnnotationAssertion(rdfs:label :Z "annotated again")
+    AnnotationAssertion(rdfs:label :r "part")
+    AnnotationAssertion(rdfs:label :i "i")
+    Declaration(NamedIndividual(:i))
+    Declaration(Class(:A))
+    AnnotationAssertion(rdfs:label :A "a again")
+    SubClassOf(:A ObjectSomeValuesFrom(:r :B))
+    SubClassOf(:B :A)
+    Declaration(ObjectProperty(:r))
+    SubObjectPropertyOf(:r :s)
+    EquivalentClasses(:A :B ObjectIntersectionOf(:A :C))
+"""
+
 O1_NS = "http://example.org/o1#"
 O2_NS = "http://example.org/o2#"
 TOY1_NS = "http://example.org/mouse-anatomy#"

@@ -341,7 +341,8 @@ def reference_extract_module(onto: Ontology,
 
 # --- reference tokenizer ----------------------------------------------------
 # The character-at-a-time `.ofn` scanner the token pattern replaced, kept
-# verbatim as the differential reference for `ontology._tokenize`.
+# verbatim as the differential reference for `ontology._tokenize`, except
+# that a comment ends at CR as well as at LF.
 
 @dataclass(frozen=True)
 class _Token:
@@ -380,7 +381,7 @@ def _tokenize(text: str) -> list[_Token]:
             advance()
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
+            while i < n and text[i] not in "\r\n":
                 advance()
             continue
         start_line, start_col = line, col
@@ -447,8 +448,8 @@ def _tokenize(text: str) -> list[_Token]:
 # --- reference parser -------------------------------------------------------
 # The `.ofn` front end that the token-string parser replaced: one match
 # object and one `_RefToken` per token, each carrying its offset.  Kept
-# verbatim (only renamed) as the differential reference for
-# `ontology.parse_ontology`.
+# verbatim (only renamed, and a comment ends at CR as well as at LF) as the
+# differential reference for `ontology.parse_ontology`.
 
 class _RefToken(NamedTuple):
     kind: str  # "(", ")", "=", "iri", "pname", "string", "ident", "eof"
@@ -462,7 +463,7 @@ class _RefToken(NamedTuple):
 # escapes.  A prefixed name's prefix may be empty (the default prefix).
 _NAME_CHARS = r"[A-Za-z0-9_.\-]*"
 _REF_TOKEN = re.compile(rf"""
-    (?P<skip>   (?: [ \t\r\n]+ | \#[^\n]* )+ )
+    (?P<skip>   (?: [ \t\r\n]+ | \#[^\r\n]* )+ )
   | (?P<punct>  [()=] )
   | < (?P<iri>  [^>\t\r\n]* ) >
   | " (?P<string> [^"\\]* (?: \\[\s\S] [^"\\]* )* ) "

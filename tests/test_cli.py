@@ -83,18 +83,25 @@ class TestDivide:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--lr", "nan"), ("--lr", "inf"), ("--margin", "nan"),
-        ("--margin", "inf")])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "must be finite"), ("--lr", "inf", "must be finite"),
+        ("--margin", "nan", "must be finite"),
+        ("--margin", "inf", "must be finite"),
+        # finite, but training overflows: first the loss, then a row norm
+        ("--margin", "1e308", "lower the learning rate or the margin"),
+        ("--lr", "1e200", "lower the learning rate or the margin")],
+        ids=["--lr-nan", "--lr-inf", "--margin-nan", "--margin-inf",
+             "--margin-1e308", "--lr-1e200"])
     def test_non_finite_training_flag_is_user_error(
-            self, toy_files, tmp_path, capsys, flag, value):
+            self, toy_files, tmp_path, capsys, flag, value, message):
         code = run_divide(toy_files, tmp_path / "division", n=1,
                           extra=(flag, value))
         assert code == 1
         err = capsys.readouterr().err
         errors = [ln for ln in err.splitlines() if "error" in ln]
         assert len(errors) == 1 and errors[0].startswith("error: ")
-        assert "must be finite" in errors[0]
+        assert message in errors[0]
         assert "Traceback" not in err
 
     def test_same_seed_byte_identical(self, toy_files, tmp_path):

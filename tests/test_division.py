@@ -24,7 +24,9 @@ from ontodivide.lexindex import (RELATIONS, Mapping, all_candidate_mappings,
 from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 size_ratio_division, size_ratio_task)
-from ontodivide.ontology import EntityRef, parse_ontology, serialize
+from ontodivide.ontology import (BUILTIN_PREFIXES, AnnotationAssertion,
+                                 EntityRef, Ontology, entity_labels,
+                                 parse_ontology, serialize)
 
 FAST = DivisionConfig(seed=42, epochs=15, dim=16)
 
@@ -425,6 +427,21 @@ class TestDivisionDirectory:
                 orig_task.source.signature
             assert loaded_task.target.signature == \
                 orig_task.target.signature
+
+    @pytest.mark.parametrize("label", ["x\ry", "x\r\ny"])
+    def test_line_breaks_in_label_round_trip(self, tmp_path, label):
+        o1, o2 = parse_toy_pair()
+        heart = o1.entity_by_iri[TOY1_NS + "Heart"]
+        o1 = Ontology(o1.axioms + (AnnotationAssertion(
+            heart, BUILTIN_PREFIXES["rdfs"] + "label", label),), o1.iri)
+        div = divide(o1, o2, 2, FAST)
+        assert all(label in entity_labels(task.source, heart)
+                   for task in div.subtasks)
+        write_division(div, (o1, o2), tmp_path / "div")
+        loaded = read_division(tmp_path / "div")
+        for task, loaded_task in zip(div.subtasks, loaded.subtasks):
+            assert loaded_task.source == task.source
+            assert loaded_task.target == task.target
 
     def test_provenance_reruns_division(self, tmp_path):
         cfg = DivisionConfig(seed=3, alpha=40, max_subsets=20, dim=12,

@@ -189,7 +189,7 @@ class TestTraining:
         cfg = TrainingConfig(dim=4, epochs=60, seed=0, learning_rate=1e120,
                              max_norm=float("inf"))
         with np.errstate(all="ignore"), \
-                pytest.raises(RuntimeError, match="non-finite"):
+                pytest.raises(ValueError, match="non-finite"):
             train_embeddings(table1_lexi, cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -199,7 +199,7 @@ class TestTraining:
         cfg = TrainingConfig(dim=4, epochs=5, seed=1, learning_rate=1e200,
                              max_norm=float("inf"))
         with np.errstate(all="ignore"), \
-                pytest.raises(RuntimeError, match="non-finite"):
+                pytest.raises(ValueError, match="non-finite"):
             train_embeddings(table1_lexi, cfg)
 
     def _two_group_lexi(self):

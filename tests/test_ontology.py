@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import TOY1_NS, load_toy_text
+from conftest import ANNOTATED_BEFORE_USE, TOY1_NS, load_toy_text
 from oracles import random_ontology, reference_parse_ontology
 
 from ontodivide.errors import OfnSyntaxError, UnsupportedConstructError
-from ontodivide.ontology import (CLASS, MAX_EXPR_DEPTH, OBJECT_PROPERTY,
-                                 AnnotationAssertion, Declaration, EntityRef,
+from ontodivide.ontology import (CLASS, INDIVIDUAL, MAX_EXPR_DEPTH,
+                                 OBJECT_PROPERTY, AnnotationAssertion,
+                                 Declaration, EntityRef,
                                  EquivalentClasses, NamedClass, Ontology,
                                  SomeValuesFrom, SubClassOf,
                                  SubObjectPropertyOf, axiom_signature,
@@ -110,17 +111,7 @@ class TestParsing:
         assert parse_ontology(text) == parse_ontology(text)
 
     def test_one_entity_ref_per_iri_and_kind(self):
-        onto = parse_ontology("""
-            AnnotationAssertion(rdfs:label :r "part of")
-            AnnotationAssertion(rdfs:label :A "a")
-            AnnotationAssertion(rdfs:label :Z "only annotated")
-            Declaration(Class(:A))
-            SubClassOf(:A ObjectSomeValuesFrom(:r :B))
-            SubClassOf(:B :A)
-            Declaration(ObjectProperty(:r))
-            SubObjectPropertyOf(:r :s)
-            EquivalentClasses(:A :B ObjectIntersectionOf(:A :C))
-        """)
+        onto = parse_ontology(ANNOTATED_BEFORE_USE)
         refs = []
         for a in onto.axioms:
             if isinstance(a, Declaration):
@@ -136,9 +127,10 @@ class TestParsing:
         one = {}
         for ref in refs:
             assert one.setdefault((ref.iri, ref.kind), ref) is ref
-        assert len(refs) == 20
+        assert len(refs) == 25
         assert sorted(one) == sorted(
             (NS + name, CLASS) for name in "ABCZ") + [
+            (NS + "i", INDIVIDUAL),
             (NS + "r", OBJECT_PROPERTY), (NS + "s", OBJECT_PROPERTY)]
         assert not hasattr(refs[0], "__dict__")  # slots
 
@@ -161,6 +153,16 @@ class TestReadOntology:
         path = tmp_path / "bom.ofn"
         path.write_text("\ufeff" + text, encoding="utf-8")
         assert read_ontology(path) == parse_ontology(text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_comment_ends_at_any_line_end(self, tmp_path, end):
+        lines = ["# two classes", "Declaration(Class(:A))", "# and one axiom",
+                 "SubClassOf(:A :B)"]
+        path = tmp_path / "ends.ofn"
+        path.write_bytes(end.join(lines).encode("utf-8"))
+        onto = read_ontology(path)
+        assert onto == parse_ontology("\n".join(lines))
+        assert len(onto.axioms) == 3  # :B is auto-declared
 
 
 class TestNestingLimit:

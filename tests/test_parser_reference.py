@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import TABLE1_O1, TABLE1_O2
+from conftest import ANNOTATED_BEFORE_USE, TABLE1_O1, TABLE1_O2
 from oracles import random_ontology, reference_parse_ontology
 
 from ontodivide.errors import OfnSyntaxError
@@ -52,6 +52,15 @@ def test_fixtures_and_data_files():
              if f.name.endswith(".ofn")]
     assert len(texts) == 2
     texts += [TABLE1_O1, TABLE1_O2]
+    assert mismatches(texts) == []
+
+
+def test_annotations_before_use():
+    # every run of consecutive axioms, so each subject is met first by an
+    # annotation, a declaration or a use in some text
+    lines = ANNOTATED_BEFORE_USE.strip().splitlines()
+    texts = ["\n".join(lines[i:j]) for i in range(len(lines))
+             for j in range(i + 1, len(lines) + 1)]
     assert mismatches(texts) == []
 
 
