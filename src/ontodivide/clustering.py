@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_ITERS
 from .errors import InvariantError
 from .lexindex import LexIndex, LexKey, LexValue
 
 # relative slack for the monotonicity assertion; Lloyd is non-increasing in
 # exact arithmetic, float summation may wobble at the last bit
 _INERTIA_TOL = 1e-9
-# Lloyd iterations at most, unless the caller sets another cap
-MAX_ITERS = 300
 
 
 @dataclass(frozen=True)

@@ -18,19 +18,19 @@ import shutil
 import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping as MappingT, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping as MappingT, NamedTuple
 
 from ._version import __version__
-from .clustering import MAX_ITERS, clusters_to_entries, kmeans
-from .embedding import TrainingConfig, entry_vectors, train_embeddings
+from .config import MAX_ITERS, TrainingConfig
 from .errors import InvariantError, check_int
 from .lexindex import (LexConfig, LexIndex, LexKey, LexValue, Mapping,
                        RELATIONS, build_lexi, mappings_of)
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
 from .ontology import EntityRef, Ontology, read_ontology, serialize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +123,12 @@ def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
 def divide(o1: Ontology, o2: Ontology, n: int,
            cfg: DivisionConfig | None = None) -> Division:
     """Divide the matching task (o1, o2) into n subtasks."""
+    # the numeric stages load numpy, which nothing else here needs
+    import numpy as np
+
+    from .clustering import clusters_to_entries, kmeans
+    from .embedding import entry_vectors, train_embeddings
+
     if cfg is None:
         cfg = DivisionConfig()
     if n < 1:

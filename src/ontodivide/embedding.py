@@ -16,42 +16,65 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .config import TrainingConfig
 from .lexindex import LexIndex
 from .ontology import EntityRef
 
 FloatArray = np.ndarray
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
-    dim: int = 64
-    epochs: int = 100
-    negatives: int = 10
-    margin: float = 0.05
-    learning_rate: float = 0.05
-    seed: int = 0
-    max_norm: float = 10.0
+def _ids(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
-    def __post_init__(self):
-        check_int("dim", self.dim)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        check_int("epochs", self.epochs)
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        check_int("negatives", self.negatives)
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
-        check_real("margin", self.margin)
-        if not (math.isfinite(self.margin) and self.margin >= 0):
-            raise ValueError("margin must be finite and >= 0")
-        check_real("learning_rate", self.learning_rate)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and > 0")
-        check_real("max_norm", self.max_norm)
-        if not self.max_norm > 0:  # +inf is allowed: no projection
-            raise ValueError("max_norm must be > 0")
+
+@dataclass(frozen=True)
+class IndexEncoding:
+    """`LexIndex.sorted_entries` as ids into the sorted words and entities.
+
+    Entry i's key is run i of `key_words` (`key_sizes[i]` ids); its value,
+    sorted `entities1` then sorted `entities2`, is run i of `value_entities`
+    (`value_sizes[i]` ids), which is also the negative-sampling multiset.
+    """
+
+    words: tuple[str, ...]
+    entities: tuple[EntityRef, ...]
+    key_words: np.ndarray
+    key_sizes: np.ndarray
+    value_entities: np.ndarray
+    value_sizes: np.ndarray
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Word and entity ids of all pairs: entry, key word, value entity."""
+        runs = np.repeat(self.value_sizes, self.key_sizes)  # per key word
+        # pair p of a key word's run is entity p of its entry's value run
+        first = np.repeat(np.cumsum(self.value_sizes) - self.value_sizes,
+                          self.key_sizes) - (np.cumsum(runs) - runs)
+        pair_e = self.value_entities[np.arange(runs.sum())
+                                     + np.repeat(first, runs)]
+        return _ids(np.repeat(self.key_words, runs)), _ids(pair_e)
+
+
+def encode_index(lexi: LexIndex) -> IndexEncoding:
+    """The encoding of `lexi`; use the cached `lexi.encoding` instead."""
+    entries = lexi.sorted_entries
+    words = sorted({w for key, _ in entries for w in key})
+    # (iri, kind) sorts and compares as EntityRef does, but hashes in C
+    by_fields = {(e.iri, e.kind): e for _, value in entries
+                 for e in value.entities1 | value.entities2}
+    word_id = {w: i for i, w in enumerate(words)}
+    ent_id = {f: i for i, f in enumerate(sorted(by_fields))}
+    return IndexEncoding(
+        tuple(words), tuple(by_fields[f] for f in ent_id),
+        _ids([word_id[w] for key, _ in entries for w in key]),
+        _ids([len(key) for key, _ in entries]),
+        # ids follow the entity order, so sorting ids sorts each side
+        _ids([i for _, value in entries
+              for side in (value.entities1, value.entities2)
+              for i in sorted(ent_id[e.iri, e.kind] for e in side)]),
+        _ids([len(value) for _, value in entries]))
 
 
 @dataclass(frozen=True)
@@ -191,6 +214,9 @@ def _project(matrix: FloatArray, rows: np.ndarray, max_norm: float) -> None:
     matrix[rows[over]] *= (max_norm / norms[over])[:, None]
 
 
+# a run that overflows ends in the `_diverged` error; numpy's warnings
+# would only print lines before it
+@np.errstate(over="ignore", invalid="ignore")
 def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
     """Mini-batch SGD over positive pairs with sampled negatives.
 

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import combinations
-from typing import Callable, Iterable, Mapping as MappingT
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping as MappingT
 
 from .errors import check_int
 from .ontology import EntityRef, Ontology, entity_labels
 from .stemming import porter_stem
+
+if TYPE_CHECKING:
+    from .embedding import IndexEncoding
 
 LexKey = tuple[str, ...]
 
@@ -109,40 +110,6 @@ class LexConfig:
             raise ValueError("max_subsets must be >= 1")
 
 
-def _ids(values) -> np.ndarray:
-    out = np.array(values, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class IndexEncoding:
-    """`LexIndex.sorted_entries` as ids into the sorted words and entities.
-
-    Entry i's key is run i of `key_words` (`key_sizes[i]` ids); its value,
-    sorted `entities1` then sorted `entities2`, is run i of `value_entities`
-    (`value_sizes[i]` ids), which is also the negative-sampling multiset.
-    """
-
-    words: tuple[str, ...]
-    entities: tuple[EntityRef, ...]
-    key_words: np.ndarray
-    key_sizes: np.ndarray
-    value_entities: np.ndarray
-    value_sizes: np.ndarray
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Word and entity ids of all pairs: entry, key word, value entity."""
-        runs = np.repeat(self.value_sizes, self.key_sizes)  # per key word
-        # pair p of a key word's run is entity p of its entry's value run
-        first = np.repeat(np.cumsum(self.value_sizes) - self.value_sizes,
-                          self.key_sizes) - (np.cumsum(runs) - runs)
-        pair_e = self.value_entities[np.arange(runs.sum())
-                                     + np.repeat(first, runs)]
-        return _ids(np.repeat(self.key_words, runs)), _ids(pair_e)
-
-
 @dataclass(frozen=True)
 class LexIndex:
     entries: MappingT[LexKey, LexValue]
@@ -158,22 +125,8 @@ class LexIndex:
 
     @cached_property
     def encoding(self) -> IndexEncoding:
-        entries = self.sorted_entries
-        words = sorted({w for key, _ in entries for w in key})
-        # (iri, kind) sorts and compares as EntityRef does, but hashes in C
-        by_fields = {(e.iri, e.kind): e for _, value in entries
-                     for e in value.entities1 | value.entities2}
-        word_id = {w: i for i, w in enumerate(words)}
-        ent_id = {f: i for i, f in enumerate(sorted(by_fields))}
-        return IndexEncoding(
-            tuple(words), tuple(by_fields[f] for f in ent_id),
-            _ids([word_id[w] for key, _ in entries for w in key]),
-            _ids([len(key) for key, _ in entries]),
-            # ids follow the entity order, so sorting ids sorts each side
-            _ids([i for _, value in entries
-                  for side in (value.entities1, value.entities2)
-                  for i in sorted(ent_id[e.iri, e.kind] for e in side)]),
-            _ids([len(value) for _, value in entries]))
+        from .embedding import encode_index  # numpy is loaded there
+        return encode_index(self)
 
 
 def build_lexi(o1: Ontology, o2: Ontology,

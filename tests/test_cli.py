@@ -348,24 +348,76 @@ class TestEval:
         assert payload["f_measure"] == 1.0
 
 
-def test_import_loads_only_stdlib_and_numpy():
-    """A fresh interpreter that imports ontodivide holds no module outside
-    the standard library, numpy and the package itself.  `-S` skips the
-    site hooks, which may load other modules at start-up."""
+def fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new `python -S` with the package's sources and
+    numpy on its path.  `-S` skips the site hooks, which may load other
+    modules at start-up."""
     import numpy
 
     paths = [Path(__file__).resolve().parents[1] / "src",
              Path(numpy.__file__).resolve().parents[1]]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
-    script = "import sys, ontodivide; print(*sorted(sys.modules))"
-    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-S", "-c", script, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.fixture(scope="module")
+def toy_division(toy_files, tmp_path_factory):
+    """A division of the toy pair and a reference alignment for it."""
+    root = tmp_path_factory.mktemp("division")
+    assert run_divide(toy_files, root / "division") == 0
+    reference = root / "reference.tsv"
+    write_alignment_tsv([Mapping(EntityRef(TOY1_NS + "heart"),
+                                 EntityRef(TOY2_NS + "heart"))], reference)
+    return root / "division", reference
+
+
+@pytest.mark.parametrize("command", ["import", "stats", "coverage", "eval",
+                                     "divide"])
+def test_numpy_loaded_only_to_divide(command, toy_files, toy_division,
+                                     tmp_path):
+    """A fresh interpreter holds only standard-library and package modules
+    after importing ontodivide or running a command other than `divide`;
+    `divide` loads numpy."""
+    src, tgt = map(str, toy_files)
+    division, reference = map(str, toy_division)
+    args = {"import": [],
+            "stats": ["stats", src, tgt],
+            "coverage": ["coverage", division, reference,
+                         "--report", str(tmp_path / "report.json")],
+            "eval": ["eval", reference, "--reference", reference],
+            "divide": ["divide", src, tgt, "-n", "2", "--epochs", "1",
+                       "--dim", "4", "-o", str(tmp_path / "out")]}[command]
+    script = ("import sys, ontodivide\n"
+              "from ontodivide.cli import main\n"
+              "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(code, *sorted(sys.modules))\n")
+    done = fresh_python(script, *args)
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split()) - {"__main__"}
-    assert {"numpy", "ontodivide"} <= loaded
-    allowed = sys.stdlib_module_names | {"numpy", "ontodivide"}
-    assert sorted(m for m in loaded if m.partition(".")[0] not in allowed) \
-        == []
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stdout
+    loaded = set(loaded) - {"__main__"}
+    packages = {m.partition(".")[0] for m in loaded}
+    if command == "divide":
+        assert "numpy" in packages
+    else:
+        allowed = sys.stdlib_module_names | {"ontodivide"}
+        assert sorted(packages - allowed) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "1e200"),
+                                         ("--margin", "1e308")])
+def test_diverging_divide_prints_one_line(flag, value, toy_files, tmp_path):
+    """numpy's overflow warnings stay quiet: the run's own error is all."""
+    done = fresh_python("import sys\nfrom ontodivide.cli import main\n"
+                        "sys.exit(main(sys.argv[1:]))\n",
+                        "divide", *map(str, toy_files), "-n", "2",
+                        "--epochs", "2", "-o", str(tmp_path / "out"),
+                        flag, value)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 class TestStats:

@@ -15,6 +15,7 @@ from conftest import O1_NS, O2_NS, TOY1_NS, TOY2_NS, load_toy_text
 from oracles import reference_read_alignment_tsv
 
 import ontodivide
+import ontodivide.embedding
 from ontodivide.division import (Division, DivisionConfig, divide,
                                  read_alignment_tsv, read_division,
                                  subtask_from_cluster, write_alignment_tsv,
@@ -213,13 +214,16 @@ class TestDivideMemo:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"build_lexi": 0, "train_embeddings": 0}
-        for name in counts:
-            def counted(*args, _name=name, _f=getattr(ontodivide.division,
-                                                     name)):
+        # where `divide` looks each stage up: the numeric stages are
+        # imported inside it, from their own module
+        homes = {"build_lexi": ontodivide.division,
+                 "train_embeddings": ontodivide.embedding}
+        counts = dict.fromkeys(homes, 0)
+        for name, module in homes.items():
+            def counted(*args, _name=name, _f=getattr(module, name)):
                 counts[_name] += 1
                 return _f(*args)
-            monkeypatch.setattr(ontodivide.division, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     def test_many_n_train_once(self, calls):
