@@ -27,7 +27,7 @@ from .lexindex import (LexConfig, LexIndex, LexKey, LexValue, Mapping,
                        RELATIONS, build_lexi, mappings_of)
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
-from .ontology import EntityRef, Ontology, read_ontology, serialize
+from .ontology import EntityRef, Ontology, _serialize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,14 +231,15 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
         shutil.rmtree(stale)
     out.mkdir(parents=True, exist_ok=True)
     task_rows = []
+    lines: dict[int, str] = {}  # `div` keeps each rendered axiom alive
     for task in div.subtasks:
         task_dir = out / f"task_{task.task_id}"
         task_dir.mkdir(exist_ok=True)
         # no newline translation: a line break in a literal is read back
         # as written
-        (task_dir / "source.ofn").write_text(serialize(task.source),
+        (task_dir / "source.ofn").write_text(_serialize(task.source, lines),
                                              encoding="utf-8", newline="")
-        (task_dir / "target.ofn").write_text(serialize(task.target),
+        (task_dir / "target.ofn").write_text(_serialize(task.target, lines),
                                              encoding="utf-8", newline="")
         write_alignment_tsv(task.candidates, task_dir / "candidates.tsv")
         ratio = size_ratio_task(task, orig)
@@ -295,18 +296,26 @@ def _check_division_meta(meta, path) -> None:
 
 
 def read_division(path) -> Division:
-    """Load a division directory written by `write_division`."""
+    """Load a division directory written by `write_division`.
+
+    Each task's modules read as `read_ontology` reads them, but an axiom
+    line repeated across the division's files is parsed once, and the
+    ontologies share their `EntityRef`s.
+    """
     root = Path(path)
     meta_path = root / "division.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"not a division directory: {root}")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     _check_division_meta(meta, meta_path)
+    # imported on first use, so that `import ontodivide` does not load it
+    from ._linereader import LineReader
+    read = LineReader().read
     subtasks = []
     for row in meta["tasks"]:
         task_dir = root / f"task_{row['task']}"
-        source = read_ontology(task_dir / "source.ofn")
-        target = read_ontology(task_dir / "target.ofn")
+        source = read(task_dir / "source.ofn")
+        target = read(task_dir / "target.ofn")
         candidates = read_alignment_tsv(task_dir / "candidates.tsv").mappings
         subtasks.append(MatchingTask(source, target, candidates,
                                      task_id=row["task"]))

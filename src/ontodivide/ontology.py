@@ -381,21 +381,43 @@ class _Parser:
             self.fail(f"undeclared prefix {prefix + ':'!r}", at)
         return self.prefixes[prefix] + local
 
+    def new_ref(self, iri: str, kind: str) -> EntityRef:
+        """The ref for an IRI met first here; the parser makes none else."""
+        return EntityRef(iri, kind)
+
     def use(self, iri: str, kind: str, at: int, verb: str = "used"
             ) -> EntityRef:
         """`known[iri]`, made of `kind` if `iri` is new; fails if `iri` is
         known as another kind.  `verb` says how token `at` met `iri`."""
         ref = self.known.get(iri)
         if ref is None:
-            ref = self.known[iri] = EntityRef(iri, kind)
+            ref = self.known[iri] = self.new_ref(iri, kind)
         elif ref.kind != kind:
             self.fail(f"{iri} {verb} as {kind} but already known as "
                       f"{ref.kind}", at)
         return ref
 
+    def finish(self) -> Ontology:
+        """The ontology of the axioms read, once the whole text is read."""
+        axioms, known = self.axioms, self.known
+        for i in self.unresolved:  # a subject only ever annotated is a class
+            a = axioms[i]
+            ref = known.setdefault(a.subject.iri, a.subject)
+            if ref is not a.subject:
+                axioms[i] = AnnotationAssertion(ref, a.property, a.literal)
+
+        missing = sorted(known.keys() - self.declared)
+        if missing:
+            logger.warning("auto-declared %d undeclared entit%s: %s",
+                           len(missing), "y" if len(missing) == 1 else "ies",
+                           ", ".join(missing[:5])
+                           + ("..." if len(missing) > 5 else ""))
+            axioms.extend(Declaration(known[iri]) for iri in missing)
+        return Ontology(tuple(axioms), self.ontology_iri)
+
     # grammar
 
-    def parse_document(self) -> tuple[list[Axiom], str | None]:
+    def parse_document(self) -> None:
         tokens = self.tokens
         axioms = self.axioms
         while tokens[self.pos] == "Prefix":
@@ -418,7 +440,6 @@ class _Parser:
             self.fail("unexpected ')'", at)
         if wrapped and tokens[at + 1]:
             self.fail("content after closing ')' of Ontology(...)", at + 1)
-        return axioms, self.ontology_iri
 
     def parse_prefix(self) -> None:
         tokens = self.tokens
@@ -478,7 +499,7 @@ class _Parser:
             if literal[:1] != '"':
                 self.fail("annotation value must be a quoted string", pos + 2)
             if subject is None:
-                subject = EntityRef(subj_iri, CLASS)
+                subject = self.new_ref(subj_iri, CLASS)
                 self.unresolved.append(len(self.axioms))
             axiom = AnnotationAssertion(subject, prop_iri, _value(literal))
             pos += 3
@@ -566,28 +587,18 @@ def parse_ontology(text: str) -> Ontology:
     explicit axioms, sorted by IRI) and reported via a warning log.
     """
     parser = _Parser(text)
-    axioms, onto_iri = parser.parse_document()
+    parser.parse_document()
+    return parser.finish()
 
-    known = parser.known
-    for i in parser.unresolved:  # a subject only ever annotated is a class
-        a = axioms[i]
-        ref = known.setdefault(a.subject.iri, a.subject)
-        if ref is not a.subject:
-            axioms[i] = AnnotationAssertion(ref, a.property, a.literal)
 
-    missing = sorted(known.keys() - parser.declared)
-    if missing:
-        logger.warning("auto-declared %d undeclared entit%s: %s",
-                       len(missing), "y" if len(missing) == 1 else "ies",
-                       ", ".join(missing[:5]) + ("..." if len(missing) > 5 else ""))
-        axioms.extend(Declaration(known[iri]) for iri in missing)
-    return Ontology(tuple(axioms), onto_iri)
+def _read_text(path) -> str:
+    # utf-8-sig drops a leading byte-order mark, which is not OFN syntax
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return fh.read()
 
 
 def read_ontology(path) -> Ontology:
-    # utf-8-sig drops a leading byte-order mark, which is not OFN syntax
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        return parse_ontology(fh.read())
+    return parse_ontology(_read_text(path))
 
 
 # --- serializer ---------------------------------------------------------------
@@ -635,8 +646,19 @@ def axiom_text(axiom: Axiom) -> str:
 
 def serialize(onto: Ontology) -> str:
     """Render back to `.ofn` text (full IRIs, one axiom per line)."""
-    head = f"Ontology(<{onto.iri}>" if onto.iri else "Ontology("
-    lines = [head]
-    lines.extend("  " + axiom_text(a) for a in onto.axioms)
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+    return _serialize(onto, {})
+
+
+def _serialize(onto: Ontology, lines: dict[int, str]) -> str:
+    """`serialize(onto)`, taking each axiom's line from `lines`, keyed by the
+    axiom's id, and adding the lines it lacks.  The caller keeps every axiom
+    rendered into `lines` alive while it uses `lines`, since a dead object's
+    id can be reused."""
+    out = [f"Ontology(<{onto.iri}>" if onto.iri else "Ontology("]
+    for a in onto.axioms:
+        line = lines.get(id(a))
+        if line is None:
+            line = lines[id(a)] = "  " + axiom_text(a)
+        out.append(line)
+    out.append(")")
+    return "\n".join(out) + "\n"

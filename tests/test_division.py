@@ -432,6 +432,17 @@ class TestDivisionDirectory:
             assert loaded_task.target.signature == \
                 orig_task.target.signature
 
+    def test_module_files_are_serialize_output(self, toy_pair, toy_division4,
+                                               tmp_path):
+        # write_division renders an axiom shared by several modules once
+        out = write_division(toy_division4, toy_pair, tmp_path / "div")
+        for task in toy_division4.subtasks:
+            task_dir = out / f"task_{task.task_id}"
+            assert (task_dir / "source.ofn").read_bytes() == \
+                serialize(task.source).encode("utf-8")
+            assert (task_dir / "target.ofn").read_bytes() == \
+                serialize(task.target).encode("utf-8")
+
     @pytest.mark.parametrize("label", ["x\ry", "x\r\ny"])
     def test_line_breaks_in_label_round_trip(self, tmp_path, label):
         o1, o2 = parse_toy_pair()

@@ -1,0 +1,195 @@
+"""`read_division` parses each distinct axiom line of a division once.
+
+Every file it reads must come back as `read_ontology` reads that file on its
+own: the same ontology, the same warnings, or the same error at the same
+line and column.
+"""
+
+import json
+import logging
+
+import numpy as np
+import pytest
+
+from oracles import random_ontology
+
+from ontodivide import ontology
+from ontodivide.division import (DivisionConfig, divide, read_division,
+                                 write_division)
+from ontodivide.errors import OfnSyntaxError
+from ontodivide.ontology import (CLASS, AnnotationAssertion, Declaration,
+                                 EntityRef, Ontology, axiom_signature,
+                                 read_ontology, serialize)
+
+FAST = DivisionConfig(seed=42, epochs=5, dim=16)
+NS = "http://example.org/x#"
+LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
+
+
+def task_files(root):
+    """The module files of the division in `root`, in the order read."""
+    meta = json.loads((root / "division.json").read_text(encoding="utf-8"))
+    return [root / f"task_{row['task']}" / f"{side}.ofn"
+            for row in meta["tasks"] for side in ("source", "target")]
+
+
+def write_files(root, texts):
+    """A division directory whose files, in reading order, hold `texts`
+    (source and target of task 0, then of task 1, ...)."""
+    root.mkdir()
+    n = (len(texts) + 1) // 2
+    (root / "division.json").write_text(json.dumps(
+        {"n": n, "tasks": [{"task": i} for i in range(n)]}))
+    for i in range(n):
+        (root / f"task_{i}").mkdir()
+        (root / f"task_{i}" / "candidates.tsv").write_text("")
+    texts = list(texts) + ["Ontology(\n)\n"] * (2 * n - len(texts))
+    for path, text in zip(task_files(root), texts):
+        path.write_bytes(text.encode("utf-8"))
+    return root
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except OfnSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def assert_refs_shared(ontos):
+    """One object per (IRI, kind) within each ontology."""
+    for onto in ontos:
+        refs = {}
+        for axiom in onto.axioms:
+            for ref in axiom_signature(axiom):
+                assert refs.setdefault((ref.iri, ref.kind), ref) is ref
+
+
+def assert_reads_as_read_ontology(root, caplog):
+    """`read_division(root)` gives each file's `read_ontology` result and
+    warnings, or the first file's error."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ontodivide.ontology"):
+        expected = [outcome(read_ontology, p) for p in task_files(root)]
+        expected_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        got = outcome(read_division, root)
+        got_log = [r.getMessage() for r in caplog.records]
+    error = next((e for e in expected if not isinstance(e, Ontology)), None)
+    if error is not None:
+        assert got == error
+        return
+    ontos = [o for task in got.subtasks for o in (task.source, task.target)]
+    assert ontos == expected
+    assert got_log == expected_log
+    assert_refs_shared(ontos)
+
+
+def lines(*axioms, head="Ontology("):
+    return "\n".join([head, *("  " + a for a in axioms), ")"]) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_toy_divisions_read_as_read_ontology(toy_pair, tmp_path, caplog, n):
+    out = write_division(divide(*toy_pair, n, FAST), toy_pair, tmp_path / "d")
+    assert_reads_as_read_ontology(out, caplog)
+    # the files of one division share their refs too
+    assert_refs_shared([Ontology(tuple(
+        a for task in read_division(out).subtasks
+        for onto in (task.source, task.target) for a in onto.axioms))])
+
+
+def shuffled_module(rng, onto):
+    """Some of `onto`'s axioms in another order, with labels mixed in, so
+    that entities go undeclared or are annotated before they are declared."""
+    axioms = [a for a in onto.axioms if rng.random() < 0.8]
+    entities = sorted({e for a in onto.axioms for e in axiom_signature(a)})
+    for _ in range(int(rng.integers(0, 4))):
+        e = entities[rng.integers(len(entities))]
+        axioms.append(AnnotationAssertion(e, LABEL, f"l{rng.integers(3)}"))
+    if rng.random() < 0.1:  # an object property declared as a class too
+        axioms.append(Declaration(EntityRef(onto.iri + "#r", CLASS)))
+    order = rng.permutation(len(axioms))
+    return Ontology(tuple(axioms[i] for i in order), onto.iri)
+
+
+def test_random_divisions_read_as_read_ontology(tmp_path, caplog):
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        texts = [serialize(shuffled_module(rng, random_ontology(rng)))
+                 for _ in range(int(rng.integers(1, 7)))]
+        root = write_files(tmp_path / f"d{trial}", texts)
+        assert_reads_as_read_ontology(root, caplog)
+
+
+DECLARE_A = f"Declaration(Class(<{NS}A>))"
+DECLARE_R = f"Declaration(ObjectProperty(<{NS}r>))"
+R_AS_CLASS = f"Declaration(Class(<{NS}r>))"
+SUB_R = f"SubObjectPropertyOf(<{NS}r> <{NS}s>)"
+SUB_A = f"SubClassOf(<{NS}A> <{NS}B>)"
+SOME_R = f"SubClassOf(<{NS}A> ObjectSomeValuesFrom(<{NS}r> <{NS}B>))"
+LABEL_R = f'AnnotationAssertion(<{LABEL}> <{NS}r> "r")'
+LABEL_A = f'AnnotationAssertion(<{LABEL}> <{NS}A> "a")'
+LABEL_THING = (f'AnnotationAssertion(<{LABEL}> '
+               '<http://www.w3.org/2002/07/owl#Thing> "t")')
+
+
+@pytest.mark.parametrize("texts", [
+    # a kind conflict between two lines of one file, first met on a line
+    # parsed for the first time, then on a line parsed before
+    [lines(DECLARE_A, R_AS_CLASS, SUB_R)],
+    [lines(DECLARE_R, SUB_R), lines(DECLARE_A, R_AS_CLASS, SUB_R)],
+    [lines(SOME_R), lines(R_AS_CLASS, DECLARE_A, SOME_R)],
+    # one IRI, a class in task 0 and an object property in task 1
+    [lines(R_AS_CLASS, SUB_A), lines(), lines(DECLARE_R, SUB_R, SUB_A)],
+    # annotations before their subject's declaration, or with none at all
+    [lines(DECLARE_R, LABEL_R), lines(LABEL_R, DECLARE_R), lines(LABEL_R)],
+    [lines(LABEL_R, SUB_R), lines(DECLARE_R, LABEL_R), lines(LABEL_R, SOME_R)],
+    [lines(LABEL_A, LABEL_R), lines(SOME_R, LABEL_A), lines(LABEL_R, SUB_A)],
+    [lines(LABEL_THING)],
+    [lines(DECLARE_A), lines(LABEL_THING)],
+    # undeclared entities are auto-declared, with a warning per file
+    [lines(SUB_A, SOME_R), lines(DECLARE_A, SUB_A), lines(SOME_R)],
+    # a truncated line, an axiom over two lines, two axioms on one line
+    [lines(DECLARE_A), lines(DECLARE_A, SUB_A[:-5])],
+    [lines(DECLARE_A), lines(DECLARE_A, SUB_A).replace("> <", ">\n<")],
+    [lines(DECLARE_A, SUB_A + " " + SUB_A)],
+    [lines(DECLARE_A, "SubClassOf(<x>)", SUB_A)],
+    [lines(DECLARE_A, "Prefix(:=<http://example.org/x#>)", SUB_A)],
+    # other layouts: Prefix lines, comments, blank lines, a byte-order mark,
+    # CRLF line ends, line breaks in a literal, no final newline
+    [lines(DECLARE_A), "Prefix(:=<http://example.org/x#>)\n"
+     + lines(DECLARE_A, "SubClassOf(:A :B)")],
+    [lines(DECLARE_A, SUB_A), lines("# note", DECLARE_A, SUB_A + " # note")],
+    [lines(DECLARE_A, "", SUB_A), lines(DECLARE_A, SUB_A + "  ")],
+    [lines(DECLARE_A), "\ufeff" + lines(DECLARE_A, SUB_A)],
+    [lines(DECLARE_A, SUB_A), lines(DECLARE_A, SUB_A).replace("\n", "\r\n")],
+    [lines(f'AnnotationAssertion(<{LABEL}> <{NS}A> "x\r\ny")', DECLARE_A),
+     lines(f'AnnotationAssertion(<{LABEL}> <{NS}A> "x\ry")', DECLARE_A)],
+    [lines(DECLARE_A, f'AnnotationAssertion(<{LABEL}> <{NS}A> "x\ny")')],
+    [lines(DECLARE_A, SUB_A), lines(DECLARE_A, SUB_A)[:-1]],
+    [lines(SUB_A, head=f"Ontology(<{NS}o>"), lines(SUB_A, head="Ontology(<>")],
+    [lines(SUB_A, head=f"Ontology(<{NS}o> <{NS}v>")],
+    [lines(DECLARE_A), lines(DECLARE_A) + ")\n"],
+    [lines(DECLARE_A), lines(DECLARE_A)[:-3]],
+])
+def test_damaged_files_read_as_read_ontology(tmp_path, caplog, texts):
+    assert_reads_as_read_ontology(write_files(tmp_path / "d", texts), caplog)
+
+
+def test_each_distinct_line_parsed_once(toy_pair, tmp_path, monkeypatch):
+    out = write_division(divide(*toy_pair, 4, FAST), toy_pair, tmp_path / "d")
+    axiom_lines = [line for path in task_files(out)
+                   for line in path.read_text(encoding="utf-8")
+                   .split("\n")[1:-2]]
+    assert len(set(axiom_lines)) < len(axiom_lines)  # the tasks share axioms
+    calls = []
+    parse_axiom = ontology._Parser.parse_axiom
+
+    def counted(self):
+        calls.append(self.tokens[self.pos])
+        return parse_axiom(self)
+
+    monkeypatch.setattr(ontology._Parser, "parse_axiom", counted)
+    read_division(out)
+    assert len(calls) == len(set(axiom_lines))
