@@ -10,60 +10,21 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import OfnSyntaxError
-from .ontology import (CLASS, _ONE_TOKEN, _TOKEN, AnnotationAssertion, Axiom,
-                       Declaration, EntityRef, Ontology, _Parser, _read_text,
-                       parse_ontology)
-
-
-class LineParser(_Parser):
-    """`_Parser` over one file, fed one axiom line at a time.  Every
-    `EntityRef` it makes comes from `refs`, one per (IRI, kind), and `uses`
-    lists the entities the last line used."""
-
-    def __init__(self, refs: dict[tuple[str, str], EntityRef]):
-        super().__init__("")
-        self.refs = refs
-        self.uses: list[EntityRef] = []
-
-    def new_ref(self, iri: str, kind: str) -> EntityRef:
-        ref = self.refs.get((iri, kind))
-        if ref is None:
-            ref = self.refs[iri, kind] = EntityRef(iri, kind)
-        return ref
-
-    def use(self, iri: str, kind: str, at: int, verb: str = "used"
-            ) -> EntityRef:
-        ref = super().use(iri, kind, at, verb)
-        self.uses.append(ref)
-        return ref
-
-    def parse_line(self, line: str) -> Axiom | None:
-        """The one axiom that makes up `line`, else None."""
-        self.tokens = tokens = _TOKEN.findall(line)
-        # an axiom ends in ')', which also rules out a scan error (the
-        # catch-all token is never ")")
-        if tokens[-2:] != [")", ""]:
-            return None
-        self.text = line
-        self.pos = 0
-        self.uses = []
-        try:
-            axiom = self.parse_axiom()
-        except OfnSyntaxError:
-            return None
-        return axiom if self.pos == len(tokens) - 1 else None
+from .ontology import (CLASS, _ONE_TOKEN, AnnotationAssertion, Axiom,
+                       Declaration, EntityRef, Ontology, _Parser, _read_text)
 
 
 class LineReader:
     """Reads `.ofn` files, parsing each distinct axiom line once per reader.
 
     A file laid out as `serialize` writes it (an `Ontology(` line, one axiom
-    per line, then `)`) is read line by line: a line met before is not
-    parsed again, but its axiom and the entities the parse used are replayed
-    against the file's own kind table, as the parser would have met them.
-    Any other file, and any file whose replay or parse fails, is read by
-    `parse_ontology`, so every result and every error is the one
-    `read_ontology` gives.  Files read by one reader share their `EntityRef`s.
+    per line, then `)`) is read line by line.  A line is parsed on its own
+    the first time it is met; its axiom and the entities it uses are then
+    replayed against the file's own kind table, as a parse of the whole
+    file would have met them.  Any other file, and any file whose lines do
+    not parse or replay, is parsed whole, so every result and every error
+    is the one `read_ontology` gives.  Every parse of one reader takes its
+    `EntityRef`s from one table, so the files share them.
     """
 
     def __init__(self):
@@ -75,16 +36,20 @@ class LineReader:
     def read(self, path) -> Ontology:
         text = _read_text(path)
         onto = self.read_lines(text)
-        return parse_ontology(text) if onto is None else onto
+        if onto is None:
+            parser = _Parser(text, self.refs)
+            parser.parse_document()
+            onto = parser.finish()
+        return onto
 
     def read_lines(self, text: str) -> Ontology | None:
-        """The ontology of `text`, or None where `parse_ontology` must
-        read it: another layout, a line that does not parse on its own, or
-        an entity used as two kinds."""
+        """The ontology of `text`, or None where it must be parsed whole:
+        another layout, a line that does not parse on its own, or an entity
+        used as two kinds."""
         lines = text.split("\n")
         if lines[-2:] != [")", ""]:
             return None
-        parser = LineParser(self.refs)
+        parser = _Parser("", self.refs)
         head = lines[0]  # `Ontology(`, then maybe the ontology's <IRI>
         if head[:10] == "Ontology(<" and _ONE_TOKEN.fullmatch(head, 9):
             parser.ontology_iri = head[10:-1]
@@ -93,13 +58,15 @@ class LineReader:
         known, axioms, memo = parser.known, parser.axioms, self.lines
         for line in islice(lines, 1, len(lines) - 2):
             entry = memo.get(line)
-            if entry is None:
-                axiom = parser.parse_line(line)
-                if axiom is None:
+            if entry is None:  # parsed alone, its `known` is what it uses
+                try:
+                    alone = _Parser(line, self.refs)
+                    axiom = alone.parse_axiom()
+                except OfnSyntaxError:
                     return None
-                memo[line] = axiom, tuple(parser.uses)
-                axioms.append(axiom)
-                continue
+                if alone.tokens[alone.pos]:  # more after the axiom
+                    return None
+                entry = memo[line] = axiom, tuple(alone.known.values())
             axiom, uses = entry
             for ref in uses:  # refs are shared, so another kind is another ref
                 if known.setdefault(ref.iri, ref) is not ref:

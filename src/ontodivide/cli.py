@@ -54,6 +54,10 @@ def cmd_divide(args) -> int:
                          max_subsets=args.max_subsets, dim=args.dim,
                          epochs=args.epochs, negatives=args.negatives,
                          margin=args.margin, learning_rate=args.lr)
+    output = Path(args.output)
+    for path in (output, *output.parents):  # before any input is read
+        if path.exists() and not path.is_dir():
+            return _fail(f"{path}: exists and is not a directory")
     o1 = read_ontology(args.source)
     o2 = read_ontology(args.target)
     div = divide(o1, o2, args.n, cfg)

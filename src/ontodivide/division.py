@@ -265,10 +265,8 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
 def _stale_task_dirs(out: Path, ids: set[int]) -> list[Path]:
     """Task directories of the division in `out` whose ids are not `ids`;
     none if `out` holds no readable `division.json`."""
-    meta_path = out / "division.json"
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        _check_division_meta(meta, meta_path)
+        meta = _read_division_meta(out / "division.json")
     except (OSError, ValueError):
         return []
     listed = (out / f"task_{row['task']}" for row in meta["tasks"]
@@ -276,9 +274,14 @@ def _stale_task_dirs(out: Path, ids: set[int]) -> list[Path]:
     return [path for path in listed if path.is_dir()]
 
 
-def _check_division_meta(meta, path) -> None:
-    """Raise ValueError unless `meta` has the fields `read_division` uses,
-    with one row per task, each a distinct task id."""
+def _read_division_meta(path: Path) -> dict:
+    """The `division.json` at `path`.  Raise ValueError, naming `path`,
+    unless it is JSON with the fields `read_division` uses, with one row per
+    task, each a distinct task id."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(meta, dict) or type(meta.get("n")) is not int:
         raise ValueError(f"{path}: 'n' must be an integer")
     tasks = meta.get("tasks")
@@ -293,21 +296,21 @@ def _check_division_meta(meta, path) -> None:
                          f"{len(ids)} task rows")
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: duplicate task ids in {ids}")
+    return meta
 
 
 def read_division(path) -> Division:
     """Load a division directory written by `write_division`.
 
     Each task's modules read as `read_ontology` reads them, but an axiom
-    line repeated across the division's files is parsed once, and the
-    ontologies share their `EntityRef`s.
+    line repeated across the division's files is parsed once, and all the
+    ontologies share one `EntityRef` per (IRI, kind).
     """
     root = Path(path)
     meta_path = root / "division.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"not a division directory: {root}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    _check_division_meta(meta, meta_path)
+    meta = _read_division_meta(meta_path)
     # imported on first use, so that `import ontodivide` does not load it
     from ._linereader import LineReader
     read = LineReader().read

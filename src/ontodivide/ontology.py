@@ -312,7 +312,8 @@ def _tokenize(text: str) -> list[str]:
         last = tokens[-2]
         if not last:  # trailing blanks leave a second "" at the very end
             tokens.pop()
-        elif not _ONE_TOKEN.fullmatch(last):  # the catch-all: a scan error
+        elif last != ")" and not _ONE_TOKEN.fullmatch(last):
+            # the catch-all took the rest of the text: a scan error
             raise _scan_error(text, len(text) - len(last))
     return tokens
 
@@ -335,12 +336,14 @@ class _Parser:
     A production reads its tokens by index, checks each before it reads the
     next (so it never reads past the final ""), and leaves `pos` after
     itself.  It calls out to resolve a prefixed name, to check the kind
-    of an entity (`use`), or to fail.  Each (IRI, kind) gets one `EntityRef`
-    once `parse_ontology` resolves the annotations in `unresolved`.
+    of an entity (`use`), or to fail.  Every `EntityRef` comes from `refs`,
+    one per (IRI, kind), which parsers may share.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str,
+                 refs: dict[tuple[str, str], EntityRef] | None = None):
         self.text = text
+        self.refs = {} if refs is None else refs
         self.tokens = _tokenize(text)
         self.pos = 0                              # index of the next token
         self.prefixes = dict(BUILTIN_PREFIXES)
@@ -382,8 +385,11 @@ class _Parser:
         return self.prefixes[prefix] + local
 
     def new_ref(self, iri: str, kind: str) -> EntityRef:
-        """The ref for an IRI met first here; the parser makes none else."""
-        return EntityRef(iri, kind)
+        """The ref of `iri` as `kind`; the parser makes none else."""
+        ref = self.refs.get((iri, kind))
+        if ref is None:
+            ref = self.refs[iri, kind] = EntityRef(iri, kind)
+        return ref
 
     def use(self, iri: str, kind: str, at: int, verb: str = "used"
             ) -> EntityRef:
@@ -654,7 +660,7 @@ def _serialize(onto: Ontology, lines: dict[int, str]) -> str:
     axiom's id, and adding the lines it lacks.  The caller keeps every axiom
     rendered into `lines` alive while it uses `lines`, since a dead object's
     id can be reused."""
-    out = [f"Ontology(<{onto.iri}>" if onto.iri else "Ontology("]
+    out = [f"Ontology(<{onto.iri}>" if onto.iri is not None else "Ontology("]
     for a in onto.axioms:
         line = lines.get(id(a))
         if line is None:

@@ -60,6 +60,18 @@ class TestDivide:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", ["out", "out/sub"])
+    def test_output_under_a_file_reported_before_input(
+            self, toy_files, tmp_path, capsys, output):
+        (tmp_path / "out").write_text("not a division\n")
+        src, tgt = toy_files
+        code = main(["divide", str(src), str(tgt), "-n", "1",
+                     "-o", str(tmp_path / output)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'out'}: exists and is not a directory\n"
+        assert (tmp_path / "out").read_text() == "not a division\n"
+
     def test_bad_flag_reported_before_missing_input(self, tmp_path, capsys):
         for flag, value, message in (
                 ("--lr", "nan", "learning_rate must be finite and > 0"),
@@ -194,6 +206,23 @@ class TestCoverage:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'tasks'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"n": 1,', "Expecting property name enclosed in double quotes: "
+                     "line 1 column 9 (char 8)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte"),
+    ], ids=["empty", "truncated", "not-utf8"])
+    def test_division_json_not_json_is_named(self, tmp_path, capsys, text,
+                                             message):
+        meta_path = tmp_path / "division.json"
+        meta_path.write_bytes(text if isinstance(text, bytes)
+                              else text.encode())
+        reference = tmp_path / "ref.tsv"
+        reference.write_text(f"{TOY1_NS}Heart\t{TOY2_NS}Heart\t=\n")
+        assert main(["coverage", str(tmp_path), str(reference)]) == 1
+        assert capsys.readouterr().err == f"error: {meta_path}: {message}\n"
 
     @pytest.mark.parametrize("n, ids, message", [
         (3, [0, 1], "'n' is 3 but there are 2 task rows"),

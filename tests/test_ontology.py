@@ -278,3 +278,12 @@ class TestRoundTrip:
         mitral = EntityRef(TOY1_NS + "Mitral_valve")
         assert entity_labels(again, mitral) == \
             ["Mitral valve", "Left atrioventricular valve"]
+
+    @pytest.mark.parametrize("head, iri", [
+        ("Ontology(", None), ("Ontology(<>", ""),
+        (f"Ontology(<{NS}o>", NS + "o")])
+    def test_ontology_iri(self, head, iri):
+        onto = parse_ontology(f"{head}\n  Declaration(Class(:A))\n)\n")
+        assert onto.iri == iri
+        assert serialize(onto).split("\n")[0] == head
+        assert parse_ontology(serialize(onto)) == onto

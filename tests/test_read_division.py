@@ -134,7 +134,7 @@ LABEL_THING = (f'AnnotationAssertion(<{LABEL}> '
                '<http://www.w3.org/2002/07/owl#Thing> "t")')
 
 
-@pytest.mark.parametrize("texts", [
+DAMAGED = [
     # a kind conflict between two lines of one file, first met on a line
     # parsed for the first time, then on a line parsed before
     [lines(DECLARE_A, R_AS_CLASS, SUB_R)],
@@ -172,9 +172,37 @@ LABEL_THING = (f'AnnotationAssertion(<{LABEL}> '
     [lines(SUB_A, head=f"Ontology(<{NS}o> <{NS}v>")],
     [lines(DECLARE_A), lines(DECLARE_A) + ")\n"],
     [lines(DECLARE_A), lines(DECLARE_A)[:-3]],
-])
+]
+
+
+@pytest.mark.parametrize("texts", DAMAGED)
 def test_damaged_files_read_as_read_ontology(tmp_path, caplog, texts):
     assert_reads_as_read_ontology(write_files(tmp_path / "d", texts), caplog)
+
+
+def test_files_parsed_whole_share_refs(tmp_path):
+    """A file that is not read line by line takes its refs from the table
+    of the files that are, so a division has one ref per (IRI, kind)."""
+    read = 0
+    for i, texts in enumerate(DAMAGED):
+        try:
+            div = read_division(write_files(tmp_path / f"d{i}", texts))
+        except OfnSyntaxError:
+            continue
+        read += 1
+        assert_refs_shared([Ontology(tuple(
+            a for task in div.subtasks
+            for onto in (task.source, task.target) for a in onto.axioms))])
+    assert read == 16
+
+
+def test_empty_ontology_iri_round_trips(tmp_path):
+    onto = Ontology((Declaration(EntityRef(NS + "A")),), "")
+    assert serialize(onto).startswith("Ontology(<>\n")
+    root = write_files(tmp_path / "d", [serialize(onto)])
+    div = read_division(root)
+    assert div.subtasks[0].source == onto
+    assert div.subtasks[0].target.iri is None
 
 
 def test_each_distinct_line_parsed_once(toy_pair, tmp_path, monkeypatch):
