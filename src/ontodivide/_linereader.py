@@ -1,17 +1,21 @@
-"""Read the `.ofn` files of one division, each distinct axiom line once.
+"""Read the files of one division: each distinct axiom line once, and the
+candidates through the refs of the modules.
 
 The modules of one division overlap, so one axiom line is written into
-many of its files.  `read_division` alone needs this reader and imports
-it on first use, so `import ontodivide` does not load it.
+many of its files.  `read_division` and `read_alignment_tsv` import this
+module on first use, so `import ontodivide` does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 
 from .errors import OfnSyntaxError
+from .lexindex import RELATIONS, Mapping
 from .ontology import (CLASS, _ONE_TOKEN, AnnotationAssertion, Axiom,
-                       Declaration, EntityRef, Ontology, _Parser, _read_text)
+                       Declaration, EntityRef, Ontology, _Parser, _read_text,
+                       _tokenize)
 
 
 class LineReader:
@@ -19,12 +23,14 @@ class LineReader:
 
     A file laid out as `serialize` writes it (an `Ontology(` line, one axiom
     per line, then `)`) is read line by line.  A line is parsed on its own
-    the first time it is met; its axiom and the entities it uses are then
-    replayed against the file's own kind table, as a parse of the whole
-    file would have met them.  Any other file, and any file whose lines do
-    not parse or replay, is parsed whole, so every result and every error
-    is the one `read_ontology` gives.  Every parse of one reader takes its
-    `EntityRef`s from one table, so the files share them.
+    the first time it is met, by the reader's one line parser reset for
+    it; its axiom and the entities it uses are then replayed against the
+    file's own kind table, as a parse of the whole file would have met
+    them.  Any other file, and any file whose lines do not parse or
+    replay, is parsed whole, so every result and every error is the one
+    `read_ontology` gives.  Every parse of one reader takes its
+    `EntityRef`s from one table, so the files share them; `read_division`
+    reads its candidates through that table too.
     """
 
     def __init__(self):
@@ -32,6 +38,9 @@ class LineReader:
         # subject aside
         self.lines: dict[str, tuple[Axiom, tuple[EntityRef, ...]]] = {}
         self.refs: dict[tuple[str, str], EntityRef] = {}
+        # parses every new line, reset for each; of its state only the
+        # `known` of the line just parsed is read
+        self.alone = _Parser("", self.refs)
 
     def read(self, path) -> Ontology:
         text = _read_text(path)
@@ -56,11 +65,13 @@ class LineReader:
         elif head != "Ontology(":
             return None
         known, axioms, memo = parser.known, parser.axioms, self.lines
+        alone = self.alone
         for line in islice(lines, 1, len(lines) - 2):
             entry = memo.get(line)
             if entry is None:  # parsed alone, its `known` is what it uses
                 try:
-                    alone = _Parser(line, self.refs)
+                    alone.text, alone.pos, alone.known = line, 0, {}
+                    alone.tokens = _tokenize(line)
                     axiom = alone.parse_axiom()
                 except OfnSyntaxError:
                     return None
@@ -85,3 +96,45 @@ class LineReader:
                                                 axiom.literal)
             axioms.append(axiom)
         return parser.finish()
+
+
+def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
+                  ) -> frozenset[Mapping]:
+    """The mappings of the TSV file at `path`.  An IRI's ref is its class
+    ref in `refs`, which gains the refs it lacks."""
+    def class_ref(iri: str) -> EntityRef:
+        ref = refs.get((iri, CLASS))
+        if ref is None:
+            ref = refs[iri, CLASS] = EntityRef(iri)
+        return ref
+
+    mappings: set[Mapping] = set()
+    seen: dict[str, EntityRef] = {}  # the refs of this file, by IRI
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (3, 4):
+                raise ValueError(
+                    f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
+            e1, e2, rel = parts[0], parts[1], parts[2]
+            if not e1 or not e2:
+                raise ValueError(f"{path}:{lineno}: empty IRI")
+            if rel not in RELATIONS:
+                raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
+            conf = 1.0
+            if len(parts) == 4:
+                try:
+                    conf = float(parts[3])
+                except ValueError:
+                    conf = math.nan
+                if not 0.0 < conf <= 1.0:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad confidence {parts[3]!r}")
+            mappings.add(Mapping(
+                seen.get(e1) or seen.setdefault(e1, class_ref(e1)),
+                seen.get(e2) or seen.setdefault(e2, class_ref(e2)),
+                rel, conf))
+    return frozenset(mappings)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import shutil
 import weakref
 from dataclasses import asdict, dataclass
@@ -24,10 +23,10 @@ from ._version import __version__
 from .config import MAX_ITERS, TrainingConfig
 from .errors import InvariantError, check_int
 from .lexindex import (LexConfig, LexIndex, LexKey, LexValue, Mapping,
-                       RELATIONS, build_lexi, mappings_of)
+                       build_lexi, mappings_of)
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
-from .ontology import EntityRef, Ontology, _serialize
+from .ontology import Ontology, _serialize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -166,13 +165,26 @@ def divide(o1: Ontology, o2: Ontology, n: int,
 # --- alignment / division file formats ------------------------------------
 
 def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
-    """`e1-iri \\t e2-iri \\t relation(=,<,>) \\t confidence`, sorted."""
+    """`e1-iri \\t e2-iri \\t relation(=,<,>) \\t confidence`, sorted.
+
+    Raises ValueError, before writing anything, for an IRI that would not
+    read back: an empty one, or one holding a tab, CR or LF.
+    """
     rows = sorted(mappings, key=lambda m: m.key)
+    # repr is the shortest text that reads back as the same float
+    text = "".join([f"{m.e1.iri}\t{m.e2.iri}\t{m.relation}"
+                    f"\t{m.confidence!r}\n" for m in rows])
+    # a row holds 3 tabs and 1 LF, so a tab or LF in an IRI changes these
+    # counts; an empty IRI leaves two tabs in a row, or a tab first (an
+    # empty e1 sorts first)
+    if text.count("\t") != 3 * len(rows) or text.count("\n") != len(rows) \
+            or "\r" in text or "\t\t" in text or text[:1] == "\t":
+        bad = next(iri for m in rows for iri in (m.e1.iri, m.e2.iri)
+                   if not iri or "\t" in iri or "\r" in iri or "\n" in iri)
+        raise ValueError(f"cannot write IRI {bad!r}: it is empty or holds "
+                         "a tab, CR or LF")
     with open(path, "w", encoding="utf-8") as fh:
-        for m in rows:
-            # repr is the shortest text that reads back as the same float
-            fh.write(f"{m.e1.iri}\t{m.e2.iri}\t{m.relation}"
-                     f"\t{m.confidence!r}\n")
+        fh.write(text)
 
 
 def read_alignment_tsv(path) -> Alignment:
@@ -180,36 +192,9 @@ def read_alignment_tsv(path) -> Alignment:
 
     Rows that name one IRI share one `EntityRef`.
     """
-    mappings: set[Mapping] = set()
-    refs: dict[str, EntityRef] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
-            e1, e2, rel = parts[0], parts[1], parts[2]
-            if not e1 or not e2:
-                raise ValueError(f"{path}:{lineno}: empty IRI")
-            if rel not in RELATIONS:
-                raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
-            conf = 1.0
-            if len(parts) == 4:
-                try:
-                    conf = float(parts[3])
-                except ValueError:
-                    conf = math.nan
-                if not 0.0 < conf <= 1.0:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad confidence {parts[3]!r}")
-            mappings.add(Mapping(
-                refs.get(e1) or refs.setdefault(e1, EntityRef(e1)),
-                refs.get(e2) or refs.setdefault(e2, EntityRef(e2)),
-                rel, conf))
-    return Alignment(frozenset(mappings))
+    # imported on first use, so that `import ontodivide` does not load it
+    from ._linereader import read_mappings
+    return Alignment(read_mappings(path, {}))
 
 
 def write_division(div: Division, orig: tuple[Ontology, Ontology],
@@ -303,23 +288,22 @@ def read_division(path) -> Division:
     """Load a division directory written by `write_division`.
 
     Each task's modules read as `read_ontology` reads them, but an axiom
-    line repeated across the division's files is parsed once, and all the
-    ontologies share one `EntityRef` per (IRI, kind).
+    line repeated across the division's files is parsed once.  All the
+    ontologies and candidates share one `EntityRef` per (IRI, kind).
     """
     root = Path(path)
     meta_path = root / "division.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"not a division directory: {root}")
     meta = _read_division_meta(meta_path)
-    # imported on first use, so that `import ontodivide` does not load it
-    from ._linereader import LineReader
-    read = LineReader().read
+    from ._linereader import LineReader, read_mappings
+    reader = LineReader()
     subtasks = []
     for row in meta["tasks"]:
         task_dir = root / f"task_{row['task']}"
-        source = read(task_dir / "source.ofn")
-        target = read(task_dir / "target.ofn")
-        candidates = read_alignment_tsv(task_dir / "candidates.tsv").mappings
+        source = reader.read(task_dir / "source.ofn")
+        target = reader.read(task_dir / "target.ofn")
+        candidates = read_mappings(task_dir / "candidates.tsv", reader.refs)
         subtasks.append(MatchingTask(source, target, candidates,
                                      task_id=row["task"]))
     return Division(meta["n"], tuple(subtasks), meta.get("provenance", {}))

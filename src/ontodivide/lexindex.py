@@ -164,7 +164,7 @@ def build_lexi(o1: Ontology, o2: Ontology,
     return LexIndex(entries, cfg.alpha, stats)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mapping:
     """Candidate or asserted correspondence between two entities.
 
@@ -191,7 +191,7 @@ class Mapping:
         return isinstance(other, Mapping) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return hash((self.e1.iri, self.e2.iri, self.relation))
 
 
 def mappings_of(entries: Iterable[tuple[LexKey, LexValue]]

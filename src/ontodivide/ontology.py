@@ -61,32 +61,32 @@ class EntityRef:
 
 # --- class expressions ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedClass:
     ref: EntityRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Thing:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nothing:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntersectionOf:
     parts: tuple["ClassExpr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnionOf:
     parts: tuple["ClassExpr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SomeValuesFrom:
     prop: EntityRef
     filler: "ClassExpr"
@@ -98,29 +98,29 @@ ClassExpr = Union[NamedClass, Thing, Nothing, IntersectionOf, UnionOf,
 
 # --- axioms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Declaration:
     entity: EntityRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubClassOf:
     sub: ClassExpr
     sup: ClassExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalentClasses:
     parts: tuple[ClassExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubObjectPropertyOf:
     sub: EntityRef
     sup: EntityRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationAssertion:
     subject: EntityRef
     property: str
@@ -613,10 +613,18 @@ def _escape(literal: str) -> str:
     return literal.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _iri(iri: str) -> str:
+    """`<iri>`; ValueError if the parser would not read it back."""
+    if ">" in iri or "\t" in iri or "\r" in iri or "\n" in iri:
+        raise ValueError(f"cannot write IRI {iri!r}: it holds '>', a tab, "
+                         "CR or LF")
+    return f"<{iri}>"
+
+
 def _expr_text(expr: ClassExpr) -> str:
     match expr:
         case NamedClass(ref):
-            return f"<{ref.iri}>"
+            return _iri(ref.iri)
         case Thing():
             return "owl:Thing"
         case Nothing():
@@ -626,7 +634,7 @@ def _expr_text(expr: ClassExpr) -> str:
         case UnionOf(parts):
             return "ObjectUnionOf(" + " ".join(map(_expr_text, parts)) + ")"
         case SomeValuesFrom(prop, filler):
-            return f"ObjectSomeValuesFrom(<{prop.iri}> {_expr_text(filler)})"
+            return f"ObjectSomeValuesFrom({_iri(prop.iri)} {_expr_text(filler)})"
     raise TypeError(f"not a class expression: {expr!r}")
 
 
@@ -637,15 +645,15 @@ _DECL_NAMES = {CLASS: "Class", OBJECT_PROPERTY: "ObjectProperty",
 def axiom_text(axiom: Axiom) -> str:
     match axiom:
         case Declaration(entity):
-            return f"Declaration({_DECL_NAMES[entity.kind]}(<{entity.iri}>))"
+            return f"Declaration({_DECL_NAMES[entity.kind]}({_iri(entity.iri)}))"
         case SubClassOf(sub, sup):
             return f"SubClassOf({_expr_text(sub)} {_expr_text(sup)})"
         case EquivalentClasses(parts):
             return "EquivalentClasses(" + " ".join(map(_expr_text, parts)) + ")"
         case SubObjectPropertyOf(sub, sup):
-            return f"SubObjectPropertyOf(<{sub.iri}> <{sup.iri}>)"
+            return f"SubObjectPropertyOf({_iri(sub.iri)} {_iri(sup.iri)})"
         case AnnotationAssertion(subject, prop, literal):
-            return (f"AnnotationAssertion(<{prop}> <{subject.iri}> "
+            return (f"AnnotationAssertion({_iri(prop)} {_iri(subject.iri)} "
                     f'"{_escape(literal)}")')
     raise TypeError(f"not an axiom: {axiom!r}")
 
@@ -660,7 +668,8 @@ def _serialize(onto: Ontology, lines: dict[int, str]) -> str:
     axiom's id, and adding the lines it lacks.  The caller keeps every axiom
     rendered into `lines` alive while it uses `lines`, since a dead object's
     id can be reused."""
-    out = [f"Ontology(<{onto.iri}>" if onto.iri is not None else "Ontology("]
+    out = [f"Ontology({_iri(onto.iri)}" if onto.iri is not None
+           else "Ontology("]
     for a in onto.axioms:
         line = lines.get(id(a))
         if line is None:

@@ -1,0 +1,123 @@
+"""Checks of the model's value classes that need neither pytest nor numpy.
+
+`test_model.py` runs each of them, and runs this file under Python 3.10 as
+well where one is installed.  To run it by hand, from the repository root:
+
+    PYTHONPATH=src python tests/model_checks.py
+"""
+
+import copy
+import dataclasses
+import pickle
+
+from ontodivide.division import Division, MatchingTask
+from ontodivide.lexindex import Mapping
+from ontodivide.metrics import Alignment
+from ontodivide.ontology import (OBJECT_PROPERTY, AnnotationAssertion,
+                                 Declaration, EntityRef, EquivalentClasses,
+                                 IntersectionOf, NamedClass, Nothing,
+                                 Ontology, SomeValuesFrom, SubClassOf,
+                                 SubObjectPropertyOf, Thing, UnionOf)
+
+NS = "http://example.org/m#"
+LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
+A, B = EntityRef(NS + "A"), EntityRef(NS + "B")
+R, S = EntityRef(NS + "r", OBJECT_PROPERTY), EntityRef(NS + "s",
+                                                       OBJECT_PROPERTY)
+
+EXPRESSIONS = [NamedClass(A), Thing(), Nothing(),
+               IntersectionOf((NamedClass(A), NamedClass(B))),
+               UnionOf((NamedClass(A), Thing())),
+               SomeValuesFrom(R, NamedClass(B))]
+AXIOMS = [Declaration(A), Declaration(R),
+          SubClassOf(NamedClass(A), SomeValuesFrom(R, NamedClass(B))),
+          EquivalentClasses((NamedClass(A), UnionOf((NamedClass(B),
+                                                      Nothing())))),
+          SubObjectPropertyOf(R, S),
+          AnnotationAssertion(A, LABEL, 'a "quoted" label')]
+MAPPING = Mapping(A, EntityRef(NS + "X"), "<", 0.5)
+
+
+def division() -> Division:
+    onto = Ontology(tuple(AXIOMS), NS + "o")
+    task = MatchingTask(onto, Ontology(tuple(AXIOMS[:2])),
+                        frozenset({MAPPING, Mapping(B, A)}), task_id=3)
+    return Division(1, (task,), {"seed": 0})
+
+
+def check_value_classes_have_no_instance_dict():
+    for value in [*EXPRESSIONS, *AXIOMS, MAPPING]:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+    assert {type(v) for v in [*EXPRESSIONS, *AXIOMS]} == {
+        NamedClass, Thing, Nothing, IntersectionOf, UnionOf, SomeValuesFrom,
+        Declaration, SubClassOf, EquivalentClasses, SubObjectPropertyOf,
+        AnnotationAssertion}
+
+
+def check_value_classes_stay_frozen():
+    for value in [*EXPRESSIONS, *AXIOMS, MAPPING]:
+        for name in [f.name for f in dataclasses.fields(value)] + ["extra"]:
+            try:
+                setattr(value, name, None)
+            except (dataclasses.FrozenInstanceError, AttributeError,
+                    TypeError):
+                continue
+            raise AssertionError(f"{type(value).__name__}.{name} was set")
+
+
+def check_mapping_identity_is_its_key():
+    other = Mapping(EntityRef(NS + "A"), EntityRef(NS + "X"), "<", 1.0)
+    assert other == MAPPING and hash(other) == hash(MAPPING)
+    assert hash(MAPPING) == hash(MAPPING.key)
+    assert Mapping(A, EntityRef(NS + "X")) != MAPPING
+    assert MAPPING != MAPPING.key
+
+
+def round_trips(value):
+    """`value` after pickling at every protocol and after `deepcopy`."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+    yield copy.deepcopy(value)
+
+
+def check_ontology_round_trips():
+    onto = Ontology(tuple(AXIOMS), NS + "o")
+    assert onto.signature == {A, R}  # cached on the instance
+    for again in round_trips(onto):
+        assert again == onto and again.signature == onto.signature
+        assert [type(a) for a in again.axioms] == [type(a) for a in AXIOMS]
+        # one ref per IRI stays one object within the copy
+        assert again.axioms[0].entity is again.axioms[2].sub.ref
+
+
+def check_mapping_round_trips():
+    for again in round_trips(MAPPING):
+        assert again == MAPPING and again.confidence == MAPPING.confidence
+        assert again.e1 == A and hash(again) == hash(MAPPING)
+
+
+def check_alignment_round_trips():
+    alignment = Alignment(frozenset({MAPPING, Mapping(B, A)}))
+    for again in round_trips(alignment):
+        assert again == alignment
+        assert {m.key: m.confidence for m in again.mappings} == \
+            {m.key: m.confidence for m in alignment.mappings}
+
+
+def check_division_round_trips():
+    div = division()
+    for again in round_trips(div):
+        assert again == div
+        task = again.subtasks[0]
+        assert task.task_id == 3 and task.source.iri == NS + "o"
+        assert {m.key: m.confidence for m in task.candidates} == \
+            {m.key: m.confidence for m in div.subtasks[0].candidates}
+
+
+CHECKS = [value for name, value in sorted(globals().items())
+          if name.startswith("check_")]
+
+if __name__ == "__main__":
+    for check in CHECKS:
+        check()
+    print(f"{len(CHECKS)} model checks passed")

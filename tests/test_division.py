@@ -16,6 +16,7 @@ from oracles import reference_read_alignment_tsv
 
 import ontodivide
 import ontodivide.embedding
+from ontodivide._linereader import read_mappings
 from ontodivide.division import (Division, DivisionConfig, divide,
                                  read_alignment_tsv, read_division,
                                  subtask_from_cluster, write_alignment_tsv,
@@ -25,9 +26,9 @@ from ontodivide.lexindex import (RELATIONS, Mapping, all_candidate_mappings,
 from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 size_ratio_division, size_ratio_task)
-from ontodivide.ontology import (BUILTIN_PREFIXES, AnnotationAssertion,
-                                 EntityRef, Ontology, entity_labels,
-                                 parse_ontology, serialize)
+from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, OBJECT_PROPERTY,
+                                 AnnotationAssertion, EntityRef, Ontology,
+                                 entity_labels, parse_ontology, serialize)
 
 FAST = DivisionConfig(seed=42, epochs=15, dim=16)
 
@@ -323,6 +324,20 @@ class TestAlignmentTsv:
         assert {mp.key: mp.confidence for mp in loaded} == \
             {mp.key: mp.confidence for mp in mappings}
 
+    @pytest.mark.parametrize("bad", ["", "a\tb", "a\rb", "a\nb", "\t",
+                                     "a\t", "\na"], ids=repr)
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_unreadable_iri_refused(self, tmp_path, bad, column):
+        iris = [O1_NS + "a", O2_NS + "x"]
+        iris[column] = bad
+        mappings = [Mapping(EntityRef(O1_NS + "b"), EntityRef(O2_NS + "y")),
+                    Mapping(*map(EntityRef, iris))]
+        path = tmp_path / "alignment.tsv"
+        with pytest.raises(ValueError) as err:
+            write_alignment_tsv(mappings, path)
+        assert str(err.value).startswith(f"cannot write IRI {bad!r}:")
+        assert not path.exists()
+
     def test_bad_relation_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\t?\t1.0\n")
@@ -371,9 +386,9 @@ class TestAlignmentTsv:
         assert ax.e1 is ay.e1 is xa.e2
         assert ax.e2 is xa.e1
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_texts_match_reference_reader(self, tmp_path, seed):
-        # the same mappings and confidences, or the same error message
+    @staticmethod
+    def random_texts(seed):
+        """1500 small TSV texts, mostly good rows, some bad ones."""
         rng = random.Random(seed)
         iris = [O1_NS + "a", O1_NS + "b", O2_NS + "x", "c", "é", " ", ""]
         relations = [*RELATIONS, "?", "", "=="]
@@ -393,19 +408,49 @@ class TestAlignmentTsv:
                 width = rng.choice([3, 4])
             return "\t".join(cols[:width])
 
-        def outcome(read, path):
-            try:
-                return {mp.key: mp.confidence for mp in read(path).mappings}
-            except ValueError as exc:
-                return str(exc)
-
-        path = tmp_path / "random.tsv"
         for _ in range(1500):
             lines = [line() for _ in range(rng.randrange(1, 9))]
             bom = "\ufeff" if rng.random() < 0.2 else ""
-            path.write_text(bom + "\n".join(lines) + "\n", encoding="utf-8")
-            assert outcome(read_alignment_tsv, path) == \
-                outcome(reference_read_alignment_tsv, path), lines
+            yield bom + "\n".join(lines) + "\n"
+
+    @staticmethod
+    def outcome(read, path):
+        try:
+            return {mp.key: mp.confidence for mp in read(path).mappings}
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_texts_match_reference_reader(self, tmp_path, seed):
+        # the same mappings and confidences, or the same error message
+        path = tmp_path / "random.tsv"
+        for text in self.random_texts(seed):
+            path.write_text(text, encoding="utf-8")
+            assert self.outcome(read_alignment_tsv, path) == \
+                self.outcome(reference_read_alignment_tsv, path), text
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_texts_read_through_shared_refs(self, tmp_path, seed):
+        """`read_division`'s path, one (IRI, kind) table for many files,
+        reads each as the reference does; every ref is the table's class
+        ref of its IRI, whatever other kinds the table holds."""
+        refs = {(iri, kind): EntityRef(iri, kind)
+                for iri in (O1_NS + "a", "c") for kind in (CLASS,
+                                                           OBJECT_PROPERTY)}
+        path = tmp_path / "random.tsv"
+
+        def read(path):
+            return Alignment(read_mappings(path, refs))
+
+        for text in self.random_texts(seed):
+            path.write_text(text, encoding="utf-8")
+            got = self.outcome(read, path)
+            assert got == self.outcome(reference_read_alignment_tsv, path), \
+                text
+            if not isinstance(got, str):
+                for mp in read(path).mappings:
+                    assert mp.e1 is refs[mp.e1.iri, CLASS]
+                    assert mp.e2 is refs[mp.e2.iri, CLASS]
 
 
 class TestDivisionDirectory:

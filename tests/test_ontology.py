@@ -8,13 +8,15 @@ from ontodivide.errors import OfnSyntaxError, UnsupportedConstructError
 from ontodivide.ontology import (CLASS, INDIVIDUAL, MAX_EXPR_DEPTH,
                                  OBJECT_PROPERTY, AnnotationAssertion,
                                  Declaration, EntityRef,
-                                 EquivalentClasses, NamedClass, Ontology,
+                                 EquivalentClasses, IntersectionOf,
+                                 NamedClass, Ontology,
                                  SomeValuesFrom, SubClassOf,
                                  SubObjectPropertyOf, axiom_signature,
                                  entity_labels, expr_entities, fragment_label,
                                  parse_ontology, read_ontology, serialize)
 
 NS = "http://example.org/ontology#"  # default prefix expansion
+LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
 
 
 def nested_axiom(depth: int) -> str:
@@ -287,3 +289,50 @@ class TestRoundTrip:
         assert onto.iri == iri
         assert serialize(onto).split("\n")[0] == head
         assert parse_ontology(serialize(onto)) == onto
+
+
+UNREADABLE_IRI_CHARS = [">", "\t", "\r", "\n"]
+
+
+def iri_uses(iri: str) -> dict[str, Ontology]:
+    """An ontology holding `iri` in each place `serialize` writes an IRI."""
+    bad = EntityRef(iri)
+    prop = EntityRef(iri, OBJECT_PROPERTY)
+    a, b = EntityRef(NS + "A"), EntityRef(NS + "B")
+    uses = {
+        "declared": Declaration(bad),
+        "subclass": SubClassOf(NamedClass(bad), NamedClass(a)),
+        "superclass": SubClassOf(NamedClass(a), NamedClass(bad)),
+        "in an expression": SubClassOf(NamedClass(a), IntersectionOf(
+            (NamedClass(b), NamedClass(bad)))),
+        "restriction property": SubClassOf(NamedClass(a), SomeValuesFrom(
+            prop, NamedClass(b))),
+        "subproperty": SubObjectPropertyOf(prop, EntityRef(NS + "r",
+                                                           OBJECT_PROPERTY)),
+        "annotation subject": AnnotationAssertion(bad, LABEL, "x"),
+        "annotation property": AnnotationAssertion(a, iri, "x"),
+    }
+    ontos = {use: Ontology((Declaration(a), axiom), NS + "o")
+             for use, axiom in uses.items()}
+    ontos["ontology"] = Ontology((Declaration(a),), iri)
+    return ontos
+
+
+class TestUnreadableIri:
+    """`serialize` refuses an IRI that `parse_ontology` would not read."""
+
+    @pytest.mark.parametrize("char", UNREADABLE_IRI_CHARS, ids=repr)
+    @pytest.mark.parametrize("use", list(iri_uses("")))
+    def test_refused(self, use, char):
+        iri = f"{NS}x{char}y"
+        with pytest.raises(ValueError) as err:
+            serialize(iri_uses(iri)[use])
+        assert repr(iri) in str(err.value)
+
+    @pytest.mark.parametrize("use", list(iri_uses("")))
+    def test_other_iris_round_trip(self, use):
+        # `<` and blanks are read back inside an IRI, and an IRI may be empty
+        for iri in (f"{NS}x<y", f"{NS}x y", ""):
+            onto = iri_uses(iri)[use]
+            assert set(parse_ontology(serialize(onto)).axioms) \
+                >= set(onto.axioms)

@@ -14,8 +14,9 @@ import pytest
 from oracles import random_ontology
 
 from ontodivide import ontology
-from ontodivide.division import (DivisionConfig, divide, read_division,
-                                 write_division)
+from ontodivide._linereader import LineReader
+from ontodivide.division import (DivisionConfig, divide, read_alignment_tsv,
+                                 read_division, write_division)
 from ontodivide.errors import OfnSyntaxError
 from ontodivide.ontology import (CLASS, AnnotationAssertion, Declaration,
                                  EntityRef, Ontology, axiom_signature,
@@ -221,3 +222,70 @@ def test_each_distinct_line_parsed_once(toy_pair, tmp_path, monkeypatch):
     monkeypatch.setattr(ontology._Parser, "parse_axiom", counted)
     read_division(out)
     assert len(calls) == len(set(axiom_lines))
+
+
+def test_reused_parser_gives_fresh_parser_entries():
+    """The reader parses every new line with one parser; each line's memo
+    entry is the one a fresh `_Parser(line)` gives, failed lines between
+    them included."""
+    rng = np.random.default_rng(11)
+    texts = [serialize(shuffled_module(rng, random_ontology(
+        rng, f"http://example.org/r{i % 10}#"))) for i in range(100)]
+    texts += [text for case in DAMAGED for text in case]
+    reader = LineReader()
+    for text in texts:
+        reader.read_lines(text)
+    assert len(reader.lines) > 300
+    for line, (axiom, uses) in reader.lines.items():
+        fresh = ontology._Parser(line, reader.refs)
+        assert fresh.parse_axiom() == axiom
+        assert not fresh.tokens[fresh.pos]
+        assert len(fresh.known) == len(uses)
+        assert all(a is b for a, b in zip(fresh.known.values(), uses))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_candidate_refs_are_module_refs(toy_pair, tmp_path, n):
+    """A candidate's ref is its task's module ref of that IRI as a class (a
+    TSV row names no kind), and one object per (IRI, kind) serves the whole
+    division."""
+    out = write_division(divide(*toy_pair, n, FAST), toy_pair, tmp_path / "d")
+    refs, shared = {}, 0
+    for task in read_division(out).subtasks:
+        for onto in (task.source, task.target):
+            for a in onto.axioms:
+                for ref in axiom_signature(a):
+                    assert refs.setdefault((ref.iri, ref.kind), ref) is ref
+        for m in task.candidates:
+            for ref, onto in ((m.e1, task.source), (m.e2, task.target)):
+                assert ref.kind == CLASS
+                if onto.entity_by_iri[ref.iri].kind == CLASS:
+                    assert ref is onto.entity_by_iri[ref.iri]
+                    shared += 1
+                assert refs.setdefault((ref.iri, CLASS), ref) is ref
+    assert shared > 0
+
+
+def test_candidates_read_as_read_alignment_tsv(tmp_path):
+    """A candidate naming a module's object property, or no module entity,
+    still reads as `read_alignment_tsv` reads it: a class ref."""
+    root = write_files(tmp_path / "d", [lines(DECLARE_A, DECLARE_R, SUB_R),
+                                        lines(SUB_A), lines(R_AS_CLASS)])
+    tsv = root / "task_0" / "candidates.tsv"
+    tsv.write_text(f"{NS}A\t{NS}B\t=\t0.5\n{NS}r\t{NS}new\t<\n"
+                   f"{NS}B\t{NS}r\t>\t0.25\n", encoding="utf-8")
+    div = read_division(root)
+    task = div.subtasks[0]
+    expected = read_alignment_tsv(tsv).mappings
+    assert task.candidates == expected
+    assert {m.key: m.confidence for m in task.candidates} == \
+        {m.key: m.confidence for m in expected}
+    by_key = {m.key: m for m in task.candidates}
+    a_b = by_key[NS + "A", NS + "B", "="]
+    r_new = by_key[NS + "r", NS + "new", "<"]
+    b_r = by_key[NS + "B", NS + "r", ">"]
+    assert a_b.e1 is task.source.entity_by_iri[NS + "A"]
+    assert a_b.e2 is task.target.entity_by_iri[NS + "B"]
+    assert r_new.e1 == EntityRef(NS + "r", CLASS) and r_new.e1 is b_r.e2
+    assert r_new.e1 is not task.source.entity_by_iri[NS + "r"]
+    assert r_new.e1 is div.subtasks[1].source.entity_by_iri[NS + "r"]
