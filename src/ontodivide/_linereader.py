@@ -13,9 +13,9 @@ from itertools import islice
 
 from .errors import OfnSyntaxError
 from .lexindex import RELATIONS, Mapping
-from .ontology import (CLASS, _ONE_TOKEN, AnnotationAssertion, Axiom,
-                       Declaration, EntityRef, Ontology, _Parser, _read_text,
-                       _tokenize)
+from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, _ONE_TOKEN,
+                       AnnotationAssertion, Axiom, Declaration, EntityRef,
+                       Ontology, _Parser, _read_text, _tokenize)
 
 
 class LineReader:
@@ -100,12 +100,16 @@ class LineReader:
 
 def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
                   ) -> frozenset[Mapping]:
-    """The mappings of the TSV file at `path`.  An IRI's ref is its class
-    ref in `refs`, which gains the refs it lacks."""
-    def class_ref(iri: str) -> EntityRef:
+    """The mappings of the TSV file at `path`.  An IRI's ref is its ref in
+    `refs`: as a class, else as an object property, else as an individual;
+    else a new class ref, which `refs` gains."""
+    def module_ref(iri: str) -> EntityRef:
         ref = refs.get((iri, CLASS))
-        if ref is None:
-            ref = refs[iri, CLASS] = EntityRef(iri)
+        if ref is None:  # a row names no kind: take the one the modules use
+            ref = refs.get((iri, OBJECT_PROPERTY)) \
+                or refs.get((iri, INDIVIDUAL))
+            if ref is None:
+                ref = refs[iri, CLASS] = EntityRef(iri)
         return ref
 
     mappings: set[Mapping] = set()
@@ -134,7 +138,7 @@ def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
                     raise ValueError(
                         f"{path}:{lineno}: bad confidence {parts[3]!r}")
             mappings.add(Mapping(
-                seen.get(e1) or seen.setdefault(e1, class_ref(e1)),
-                seen.get(e2) or seen.setdefault(e2, class_ref(e2)),
+                seen.get(e1) or seen.setdefault(e1, module_ref(e1)),
+                seen.get(e2) or seen.setdefault(e2, module_ref(e2)),
                 rel, conf))
     return frozenset(mappings)

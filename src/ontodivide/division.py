@@ -17,7 +17,8 @@ import shutil
 import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping as MappingT, NamedTuple
+from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping as MappingT,
+                    NamedTuple)
 
 from ._version import __version__
 from .config import MAX_ITERS, TrainingConfig
@@ -168,7 +169,9 @@ def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
     """`e1-iri \\t e2-iri \\t relation(=,<,>) \\t confidence`, sorted.
 
     Raises ValueError, before writing anything, for an IRI that would not
-    read back: an empty one, or one holding a tab, CR or LF.
+    read back: an empty one, one holding a tab, CR or LF, an e1 starting
+    with `#` (the row would read as a comment), or a first e1 starting
+    with U+FEFF (read as a byte-order mark).
     """
     rows = sorted(mappings, key=lambda m: m.key)
     # repr is the shortest text that reads back as the same float
@@ -176,15 +179,29 @@ def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
                     f"\t{m.confidence!r}\n" for m in rows])
     # a row holds 3 tabs and 1 LF, so a tab or LF in an IRI changes these
     # counts; an empty IRI leaves two tabs in a row, or a tab first (an
-    # empty e1 sorts first)
+    # empty e1 sorts first); a row starts with its e1
     if text.count("\t") != 3 * len(rows) or text.count("\n") != len(rows) \
-            or "\r" in text or "\t\t" in text or text[:1] == "\t":
-        bad = next(iri for m in rows for iri in (m.e1.iri, m.e2.iri)
-                   if not iri or "\t" in iri or "\r" in iri or "\n" in iri)
-        raise ValueError(f"cannot write IRI {bad!r}: it is empty or holds "
-                         "a tab, CR or LF")
+            or "\r" in text or "\t\t" in text or "\n#" in text \
+            or text[:1] in ("\t", "#", "\ufeff"):
+        raise ValueError(next(_unwritable(rows)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _unwritable(rows: list[Mapping]) -> Iterator[str]:
+    """Why each IRI of `rows` that would not read back cannot be written,
+    in row order."""
+    for i, m in enumerate(rows):
+        for iri in (m.e1.iri, m.e2.iri):
+            if not iri or "\t" in iri or "\r" in iri or "\n" in iri:
+                yield (f"cannot write IRI {iri!r}: it is empty or holds a "
+                       "tab, CR or LF")
+        if m.e1.iri[:1] == "#":
+            yield (f"cannot write IRI {m.e1.iri!r} first in a row: the row "
+                   "would read as a comment")
+        if i == 0 and m.e1.iri[:1] == "\ufeff":
+            yield (f"cannot write IRI {m.e1.iri!r} first in the file: it "
+                   "would read as a byte-order mark")
 
 
 def read_alignment_tsv(path) -> Alignment:
@@ -203,7 +220,10 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
 
     Raises ValueError, before writing anything, unless `div` has n subtasks
     with distinct task ids.  The task directories that a division written
-    earlier into `out_dir` lists, and `div` does not, are removed.
+    earlier into `out_dir` lists, and `div` does not, are removed, and so
+    is its `division.json`, which is written again last: a write that fails
+    part-way leaves a directory that `read_division` refuses, not a mix of
+    old and new tasks.
     """
     ids = [task.task_id for task in div.subtasks]
     if len(ids) != div.n:
@@ -215,6 +235,7 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
     for stale in _stale_task_dirs(out, set(ids)):
         shutil.rmtree(stale)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "division.json").unlink(missing_ok=True)
     task_rows = []
     lines: dict[int, str] = {}  # `div` keeps each rendered axiom alive
     for task in div.subtasks:

@@ -27,8 +27,9 @@ from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 size_ratio_division, size_ratio_task)
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, OBJECT_PROPERTY,
-                                 AnnotationAssertion, EntityRef, Ontology,
-                                 entity_labels, parse_ontology, serialize)
+                                 AnnotationAssertion, Declaration, EntityRef,
+                                 Ontology, entity_labels, parse_ontology,
+                                 serialize)
 
 FAST = DivisionConfig(seed=42, epochs=15, dim=16)
 
@@ -338,6 +339,36 @@ class TestAlignmentTsv:
         assert str(err.value).startswith(f"cannot write IRI {bad!r}:")
         assert not path.exists()
 
+    @pytest.mark.parametrize("other", ["!b", O1_NS + "b"])
+    def test_comment_iri_refused(self, tmp_path, other):
+        """An e1 starting with `#` would make its row a comment, whether it
+        sorts after another row (after `!`) or first (before `h`)."""
+        e1 = "#a"
+        mappings = [Mapping(EntityRef(other), EntityRef(O2_NS + "y")),
+                    Mapping(EntityRef(e1), EntityRef(O2_NS + "x"))]
+        path = tmp_path / "alignment.tsv"
+        with pytest.raises(ValueError) as err:
+            write_alignment_tsv(mappings, path)
+        assert str(err.value).startswith(f"cannot write IRI {e1!r} first "
+                                         "in a row:")
+        assert not path.exists()
+
+    def test_byte_order_mark_iri_refused(self, tmp_path):
+        """A first e1 starting with U+FEFF would lose it to `utf-8-sig`;
+        in a later row it reads back as written."""
+        later = [Mapping(EntityRef(O1_NS + "a"), EntityRef(O2_NS + "x")),
+                 Mapping(EntityRef("\ufeffz"), EntityRef(O2_NS + "y"))]
+        path = tmp_path / "alignment.tsv"
+        write_alignment_tsv(later, path)
+        assert read_alignment_tsv(path).mappings == frozenset(later)
+        path.unlink()
+        first = [Mapping(EntityRef("\ufeffa"), EntityRef(O2_NS + "x"))]
+        with pytest.raises(ValueError) as err:
+            write_alignment_tsv(first, path)
+        assert str(err.value).startswith("cannot write IRI '\\ufeffa' "
+                                         "first in the file:")
+        assert not path.exists()
+
     def test_bad_relation_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\t?\t1.0\n")
@@ -536,6 +567,22 @@ class TestDivisionDirectory:
         write_division(divide(*toy_pair, 2, FAST), toy_pair, out)
         assert sorted(p.name for p in out.iterdir()) == [
             "division.json", "task_0", "task_1", "task_2", "task_3"]
+
+    def test_failed_write_leaves_no_division(self, toy_pair, tmp_path):
+        """A write that fails after its first task leaves no division.json,
+        so the old division's other tasks do not read back as the new's."""
+        out = tmp_path / "div"
+        div = divide(*toy_pair, 2, FAST)
+        write_division(div, toy_pair, out)
+        bad = EntityRef("http://x#bad>")
+        task = div.subtasks[1]
+        broken = replace(div, subtasks=(div.subtasks[0], replace(
+            task, source=Ontology(task.source.axioms + (Declaration(bad),)))))
+        with pytest.raises(ValueError, match="cannot write IRI"):
+            write_division(broken, toy_pair, out)
+        assert not (out / "division.json").exists()
+        with pytest.raises(FileNotFoundError):
+            read_division(out)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,16 +1,23 @@
 """The package's public names, and the modules that may load numpy.
 
-Only `clustering` and `embedding` use numpy.  No other module imports
-numpy, or either of those two, while it is itself imported: `divide` and
-`ontodivide.__getattr__` import them on first use, so that importing the
-package and every command but `divide` stay numpy-free.
+`import ontodivide` loads no stage: `ontodivide.__getattr__` imports the
+module of each public name on first use.  Only `clustering` and
+`embedding` use numpy.  No other module imports numpy, or either of those
+two, while it is itself imported: `divide` and `ontodivide.__getattr__`
+import them on first use, so that importing the package and every command
+but `divide` stay numpy-free.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from test_model import python310
 
 import ontodivide
 
@@ -58,6 +65,63 @@ def test_exported_name_is_the_submodules(module, name):
     assert namespace["value"] is getattr(
         import_module(f"ontodivide.{module}"), name)
     assert name in dir(ontodivide)
+
+
+# what `from ontodivide import *` bound while every stage but the numeric
+# ones was imported with the package: their names, and their modules
+STAR = {name for module, names in EXPORTS.items()
+        if module not in ("clustering", "embedding", "_version")
+        for name in names} | {"TrainingConfig", "config", "data", "division",
+                              "errors", "lexindex", "locality", "metrics",
+                              "ontology", "stemming"}
+
+
+def test_star_import_binds_what_it_bound():
+    namespace = {}
+    exec("from ontodivide import *", namespace)
+    assert set(namespace) - {"__builtins__"} == STAR
+
+
+@pytest.mark.parametrize("name", sorted(ontodivide._SUBMODULES))
+def test_submodule_is_an_attribute(name, monkeypatch):
+    module = import_module(f"ontodivide.{name}")
+    monkeypatch.delattr(ontodivide, name)  # as before its first access
+    assert getattr(ontodivide, name) is module
+
+
+LOADED = """\
+import sys
+
+def loaded():
+    return " ".join(sorted(m for m in sys.modules
+                           if m.partition(".")[0] == "ontodivide"))
+
+import ontodivide
+print(loaded())
+ontodivide.read_ontology(sys.argv[1])
+print(loaded())
+"""
+
+
+@pytest.mark.parametrize("version", ["this", "3.10"])
+def test_import_and_read_load_only_the_parser(version, tmp_path):
+    """In a fresh interpreter without numpy on its path, `import ontodivide`
+    loads only `_version`, and reading an ontology only `ontology` and
+    `errors`."""
+    exe = sys.executable if version == "this" else python310()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter found")
+    src = Path(ontodivide.__file__).resolve().parent
+    # -S: no site-packages, so no numpy; -B: no .pyc in the source tree
+    done = subprocess.run(
+        [exe, "-S", "-B", "-c", LOADED,
+         str(src / "data" / "anatomy_toy_1.ofn")],
+        env={**os.environ, "PYTHONPATH": str(src.parent)}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "ontodivide ontodivide._version",
+        "ontodivide ontodivide._version ontodivide.errors ontodivide.ontology"]
 
 
 def test_moved_settings_keep_their_old_homes():

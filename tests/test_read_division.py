@@ -11,6 +11,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import TOY1_NS, TOY2_NS
 from oracles import random_ontology
 
 from ontodivide import ontology
@@ -18,9 +19,9 @@ from ontodivide._linereader import LineReader
 from ontodivide.division import (DivisionConfig, divide, read_alignment_tsv,
                                  read_division, write_division)
 from ontodivide.errors import OfnSyntaxError
-from ontodivide.ontology import (CLASS, AnnotationAssertion, Declaration,
-                                 EntityRef, Ontology, axiom_signature,
-                                 read_ontology, serialize)
+from ontodivide.ontology import (CLASS, OBJECT_PROPERTY, AnnotationAssertion,
+                                 Declaration, EntityRef, Ontology,
+                                 axiom_signature, read_ontology, serialize)
 
 FAST = DivisionConfig(seed=42, epochs=5, dim=16)
 NS = "http://example.org/x#"
@@ -246,11 +247,15 @@ def test_reused_parser_gives_fresh_parser_entries():
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_candidate_refs_are_module_refs(toy_pair, tmp_path, n):
-    """A candidate's ref is its task's module ref of that IRI as a class (a
-    TSV row names no kind), and one object per (IRI, kind) serves the whole
-    division."""
-    out = write_division(divide(*toy_pair, n, FAST), toy_pair, tmp_path / "d")
-    refs, shared = {}, 0
+    """A candidate's ref is its task's module ref of that IRI, of whatever
+    kind (a TSV row names none), and one object per (IRI, kind) serves the
+    whole division.  The toy pair's `part_of`/`isPartOf` candidate reads
+    back as object properties, as `divide` gave it."""
+    div = divide(*toy_pair, n, FAST)
+    out = write_division(div, toy_pair, tmp_path / "d")
+    divided = {m.key: (m.e1.kind, m.e2.kind)
+               for task in div.subtasks for m in task.candidates}
+    refs, kinds = {}, {}
     for task in read_division(out).subtasks:
         for onto in (task.source, task.target):
             for a in onto.axioms:
@@ -258,17 +263,18 @@ def test_candidate_refs_are_module_refs(toy_pair, tmp_path, n):
                     assert refs.setdefault((ref.iri, ref.kind), ref) is ref
         for m in task.candidates:
             for ref, onto in ((m.e1, task.source), (m.e2, task.target)):
-                assert ref.kind == CLASS
-                if onto.entity_by_iri[ref.iri].kind == CLASS:
-                    assert ref is onto.entity_by_iri[ref.iri]
-                    shared += 1
-                assert refs.setdefault((ref.iri, CLASS), ref) is ref
-    assert shared > 0
+                assert ref is onto.entity_by_iri[ref.iri]
+                assert refs.setdefault((ref.iri, ref.kind), ref) is ref
+            kinds[m.key] = m.e1.kind, m.e2.kind
+    assert kinds == divided
+    part_of = (TOY1_NS + "part_of", TOY2_NS + "isPartOf", "=")
+    assert kinds[part_of] == (OBJECT_PROPERTY, OBJECT_PROPERTY)
 
 
 def test_candidates_read_as_read_alignment_tsv(tmp_path):
-    """A candidate naming a module's object property, or no module entity,
-    still reads as `read_alignment_tsv` reads it: a class ref."""
+    """Candidates read as `read_alignment_tsv` reads them, mapping for
+    mapping.  One naming its module's object property takes that ref; one
+    naming no entity read so far takes a new class ref."""
     root = write_files(tmp_path / "d", [lines(DECLARE_A, DECLARE_R, SUB_R),
                                         lines(SUB_A), lines(R_AS_CLASS)])
     tsv = root / "task_0" / "candidates.tsv"
@@ -286,6 +292,8 @@ def test_candidates_read_as_read_alignment_tsv(tmp_path):
     b_r = by_key[NS + "B", NS + "r", ">"]
     assert a_b.e1 is task.source.entity_by_iri[NS + "A"]
     assert a_b.e2 is task.target.entity_by_iri[NS + "B"]
-    assert r_new.e1 == EntityRef(NS + "r", CLASS) and r_new.e1 is b_r.e2
-    assert r_new.e1 is not task.source.entity_by_iri[NS + "r"]
-    assert r_new.e1 is div.subtasks[1].source.entity_by_iri[NS + "r"]
+    assert r_new.e1 is task.source.entity_by_iri[NS + "r"] is b_r.e2
+    assert r_new.e1.kind == OBJECT_PROPERTY
+    assert r_new.e2 == EntityRef(NS + "new", CLASS)
+    assert div.subtasks[1].source.entity_by_iri[NS + "r"] == \
+        EntityRef(NS + "r", CLASS)
