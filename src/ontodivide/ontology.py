@@ -185,7 +185,14 @@ class Ontology:
 
     @cached_property
     def entity_by_iri(self) -> dict[str, EntityRef]:
-        return {e.iri: e for e in self.signature}
+        """The declared entity of each IRI; ValueError if one IRI is
+        declared as two kinds, as the parser refuses it too."""
+        out = {e.iri: e for e in self.signature}
+        if len(out) < len(self.signature):
+            iri = min(e.iri for e in self.signature if out[e.iri] is not e)
+            kinds = sorted(e.kind for e in self.signature if e.iri == iri)
+            raise ValueError(f"{iri} declared as {' and '.join(kinds)}")
+        return out
 
     @cached_property
     def logical_axioms(self) -> tuple[Axiom, ...]:

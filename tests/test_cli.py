@@ -435,6 +435,27 @@ def test_numpy_loaded_only_to_divide(command, toy_files, toy_division,
         assert sorted(packages - allowed) == []
 
 
+def test_divide_bytes_independent_of_hash_seed(toy_files, tmp_path):
+    """Processes with different string hash seeds write the same division:
+    no output follows the iteration order of a set of IRIs."""
+    files = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        done = subprocess.run(
+            [sys.executable, "-m", "ontodivide", "divide",
+             *map(str, toy_files), "-n", "4", "--epochs", "5", "--dim", "16",
+             "-o", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                     PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                    / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        files.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert len(files[0]) == 1 + 3 * 4
+    assert files[0] == files[1]
+
+
 @pytest.mark.parametrize("flag, value", [("--lr", "1e200"),
                                          ("--margin", "1e308")])
 def test_diverging_divide_prints_one_line(flag, value, toy_files, tmp_path):

@@ -1,6 +1,7 @@
 import time
 
 import numpy as np
+import pytest
 
 from conftest import TOY1_NS, TOY2_NS
 from oracles import (is_bot_equivalent, is_local, is_top_equivalent,
@@ -8,14 +9,16 @@ from oracles import (is_bot_equivalent, is_local, is_top_equivalent,
                      reference_extract_module, semantically_bot,
                      semantically_local, semantically_top)
 
+from ontodivide.errors import InvariantError
 from ontodivide.lexindex import Mapping
-from ontodivide.locality import context_of, extract_module
+from ontodivide.locality import _LocalityGraph, context_of, extract_module
 from ontodivide.metrics import Alignment, coverage
 from ontodivide.ontology import (CLASS, OBJECT_PROPERTY, AnnotationAssertion,
                                  Declaration, EntityRef, EquivalentClasses,
                                  IntersectionOf, NamedClass, Nothing,
-                                 Ontology, SomeValuesFrom, SubClassOf, Thing,
-                                 UnionOf, parse_ontology, serialize)
+                                 Ontology, SomeValuesFrom, SubClassOf,
+                                 SubObjectPropertyOf, Thing, UnionOf,
+                                 parse_ontology, serialize)
 
 NS = "http://example.org/ontology#"
 A = EntityRef(NS + "A")
@@ -156,6 +159,26 @@ class TestExtractModule:
             module = extract_module(onto, {A, EntityRef(NS + "Ghost")})
         assert "outside the signature" in caplog.text
         assert module.axioms == extract_module(onto, {A}).axioms
+
+    def test_iri_of_two_kinds_refused(self):
+        # one IRI names one entity: the module must not depend on which of
+        # A's two refs a frozenset yields last
+        a_prop = EntityRef(A.iri, OBJECT_PROPERTY)
+        onto = Ontology((Declaration(A), Declaration(a_prop),
+                         SubObjectPropertyOf(a_prop, R)))
+        with pytest.raises(ValueError,
+                           match="#A declared as class and object-property"):
+            extract_module(onto, {A})
+
+    def test_lost_seed_raises(self, monkeypatch):
+        """A closure that loses a seed's declaration is caught."""
+        onto = parse_ontology(CHAIN)
+        declare_a = onto.axioms.index(Declaration(A))
+        closure = _LocalityGraph.closure
+        monkeypatch.setattr(_LocalityGraph, "closure", lambda self, seed: [
+            i for i in closure(self, seed) if i != declare_a])
+        with pytest.raises(InvariantError, match="lost part of its seed"):
+            extract_module(onto, {A})
 
     def test_monotone_in_seed(self, toy_pair):
         o1, _ = toy_pair

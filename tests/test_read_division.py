@@ -7,9 +7,12 @@ line and column.
 
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TOY1_NS, TOY2_NS
 from oracles import random_ontology
@@ -269,6 +272,28 @@ def test_candidate_refs_are_module_refs(toy_pair, tmp_path, n):
     assert kinds == divided
     part_of = (TOY1_NS + "part_of", TOY2_NS + "isPartOf", "=")
     assert kinds[part_of] == (OBJECT_PROPERTY, OBJECT_PROPERTY)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_division_round_trips(toy_pair, n, seed):
+    """`read_division(write_division(d))` is `d` task by task: the module
+    axioms, with the kind of every ref in them, and the candidates, with the
+    kinds of their refs."""
+    div = divide(*toy_pair, n, DivisionConfig(seed=seed, epochs=2, dim=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        back = read_division(write_division(div, toy_pair, Path(tmp) / "d"))
+
+    def candidates(task):
+        return {m.key: (m.e1.kind, m.e2.kind, m.confidence)
+                for m in task.candidates}
+
+    assert back.n == n and len(back.subtasks) == n
+    for task, read in zip(div.subtasks, back.subtasks):
+        assert read.task_id == task.task_id
+        # refs compare by IRI and kind
+        assert read.source == task.source and read.target == task.target
+        assert candidates(read) == candidates(task)
 
 
 def test_candidates_read_as_read_alignment_tsv(tmp_path):
