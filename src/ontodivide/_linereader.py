@@ -9,28 +9,42 @@ module on first use, so `import ontodivide` does not load it.
 from __future__ import annotations
 
 import math
+import re
 from itertools import islice
 
 from .errors import OfnSyntaxError
 from .lexindex import RELATIONS, Mapping
-from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, _ONE_TOKEN,
+from .ontology import (CLASS, INDIVIDUAL, NOTHING_IRI, OBJECT_PROPERTY,
+                       THING_IRI, _DECL_KEYWORDS, _ONE_TOKEN,
                        AnnotationAssertion, Axiom, Declaration, EntityRef,
-                       Ontology, _Parser, _read_text, _tokenize)
+                       NamedClass, Ontology, SomeValuesFrom, SubClassOf,
+                       _Parser, _read_text, _tokenize, _value)
+
+# The flat axiom lines `serialize` writes, IRIs and string as `_WORD` scans
+# them: a declaration (groups 1-2), a subclass of a class (3-4) or of an
+# existential (3, 5-6), and an annotation (7-9).
+_IRI = r"<([^>\t\r\n]*)>"
+_SHAPE = re.compile(
+    rf"  (?:Declaration\((Class|ObjectProperty|NamedIndividual)\({_IRI}\)\)"
+    rf"|SubClassOf\({_IRI} (?:{_IRI}|ObjectSomeValuesFrom\({_IRI} {_IRI}\))\)"
+    rf'|AnnotationAssertion\({_IRI} {_IRI} ("[^"\\]*(?:\\[\s\S][^"\\]*)*")\))')
+_BUILTIN_CLASSES = frozenset((THING_IRI, NOTHING_IRI))
 
 
 class LineReader:
     """Reads `.ofn` files, parsing each distinct axiom line once per reader.
 
     A file laid out as `serialize` writes it (an `Ontology(` line, one axiom
-    per line, then `)`) is read line by line.  A line is parsed on its own
-    the first time it is met, by the reader's one line parser reset for
-    it; its axiom and the entities it uses are then replayed against the
-    file's own kind table, as a parse of the whole file would have met
-    them.  Any other file, and any file whose lines do not parse or
-    replay, is parsed whole, so every result and every error is the one
-    `read_ontology` gives.  Every parse of one reader takes its
-    `EntityRef`s from one table, so the files share them; `read_division`
-    reads its candidates through that table too.
+    per line, then `)`) is read line by line.  A line is read on its own
+    the first time it is met: matched against the flat shapes `serialize`
+    writes, else parsed by the reader's one line parser reset for it.  Its
+    axiom and the entities it uses are then replayed against the file's
+    own kind table, as a parse of the whole file would have met them.  Any
+    other file, and any file whose lines do not parse or replay, is parsed
+    whole, so every result and every error is the one `read_ontology`
+    gives.  Every parse of one reader takes its `EntityRef`s from one
+    table, so the files share them; `read_division` reads its candidates
+    through that table too.
     """
 
     def __init__(self):
@@ -65,19 +79,13 @@ class LineReader:
         elif head != "Ontology(":
             return None
         known, axioms, memo = parser.known, parser.axioms, self.lines
-        alone = self.alone
         for line in islice(lines, 1, len(lines) - 2):
             entry = memo.get(line)
-            if entry is None:  # parsed alone, its `known` is what it uses
-                try:
-                    alone.text, alone.pos, alone.known = line, 0, {}
-                    alone.tokens = _tokenize(line)
-                    axiom = alone.parse_axiom()
-                except OfnSyntaxError:
+            if entry is None:
+                entry = self.match_line(line) or self.parse_line(line)
+                if entry is None:
                     return None
-                if alone.tokens[alone.pos]:  # more after the axiom
-                    return None
-                entry = memo[line] = axiom, tuple(alone.known.values())
+                memo[line] = entry
             axiom, uses = entry
             for ref in uses:  # refs are shared, so another kind is another ref
                 if known.setdefault(ref.iri, ref) is not ref:
@@ -97,6 +105,65 @@ class LineReader:
             axioms.append(axiom)
         return parser.finish()
 
+    def match_line(self, line: str
+                   ) -> tuple[Axiom, tuple[EntityRef, ...]] | None:
+        """The entry `parse_line` gives `line`, if `line` has a flat shape;
+        else None.  None too where owl:Thing or owl:Nothing fills an IRI, or
+        where the property is also a class of the line: the parser reads
+        or refuses those lines."""
+        m = _SHAPE.fullmatch(line)
+        if m is None:
+            return None
+        kind, entity, sub, sup, prop, filler, annotation, subject, literal \
+            = m.groups()
+        new_ref = self.alone.new_ref
+        if kind is not None:  # Declaration(Kind(<entity>))
+            if entity in _BUILTIN_CLASSES:
+                return None
+            ref = new_ref(entity, _DECL_KEYWORDS[kind])
+            return Declaration(ref), (ref,)
+        if literal is not None:  # AnnotationAssertion(<p> <subject> "…")
+            if annotation in _BUILTIN_CLASSES or subject in _BUILTIN_CLASSES:
+                return None
+            # the parser's placeholder for a subject it does not know yet
+            return AnnotationAssertion(new_ref(subject, CLASS), annotation,
+                                       _value(literal)), ()
+        if prop is None:  # SubClassOf(<sub> <sup>)
+            if sub in _BUILTIN_CLASSES or sup in _BUILTIN_CLASSES:
+                return None
+            a = new_ref(sub, CLASS)
+            if sup == sub:
+                return SubClassOf(NamedClass(a), NamedClass(a)), (a,)
+            b = new_ref(sup, CLASS)
+            return SubClassOf(NamedClass(a), NamedClass(b)), (a, b)
+        # SubClassOf(<sub> ObjectSomeValuesFrom(<prop> <filler>))
+        if prop == sub or prop == filler or sub in _BUILTIN_CLASSES \
+                or prop in _BUILTIN_CLASSES or filler in _BUILTIN_CLASSES:
+            return None
+        a, p = new_ref(sub, CLASS), new_ref(prop, OBJECT_PROPERTY)
+        if filler == sub:
+            return SubClassOf(NamedClass(a),
+                              SomeValuesFrom(p, NamedClass(a))), (a, p)
+        f = new_ref(filler, CLASS)
+        return SubClassOf(NamedClass(a),
+                          SomeValuesFrom(p, NamedClass(f))), (a, p, f)
+
+    def parse_line(self, line: str
+                   ) -> tuple[Axiom, tuple[EntityRef, ...]] | None:
+        """The axiom of `line` and the entities it uses, in order of first
+        use, as a fresh `_Parser(line)` gives them; None unless `line` is
+        one axiom."""
+        alone = self.alone
+        try:
+            alone.text, alone.pos, alone.known = line, 0, {}
+            alone.tokens = _tokenize(line)
+            axiom = alone.parse_axiom()
+        except OfnSyntaxError:
+            return None
+        if alone.tokens[alone.pos]:  # more after the axiom
+            return None
+        return axiom, tuple(alone.known.values())
+
 
 def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
                   ) -> frozenset[Mapping]:
@@ -112,24 +179,28 @@ def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
                 ref = refs[iri, CLASS] = EntityRef(iri)
         return ref
 
+    # text mode reads every line end as "\n", as iterating the file would
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
     mappings: set[Mapping] = set()
     seen: dict[str, EntityRef] = {}  # the refs of this file, by IRI
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
-            e1, e2, rel = parts[0], parts[1], parts[2]
-            if not e1 or not e2:
-                raise ValueError(f"{path}:{lineno}: empty IRI")
-            if rel not in RELATIONS:
-                raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
-            conf = 1.0
-            if len(parts) == 4:
+    confidences: dict[str, float] = {}  # the valid ones of this file
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line or line.isspace() or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise ValueError(
+                f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
+        e1, e2, rel = parts[0], parts[1], parts[2]
+        if not e1 or not e2:
+            raise ValueError(f"{path}:{lineno}: empty IRI")
+        if rel not in RELATIONS:
+            raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
+        conf = 1.0
+        if len(parts) == 4:
+            conf = confidences.get(parts[3])
+            if conf is None:
                 try:
                     conf = float(parts[3])
                 except ValueError:
@@ -137,8 +208,9 @@ def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
                 if not 0.0 < conf <= 1.0:
                     raise ValueError(
                         f"{path}:{lineno}: bad confidence {parts[3]!r}")
-            mappings.add(Mapping(
-                seen.get(e1) or seen.setdefault(e1, module_ref(e1)),
-                seen.get(e2) or seen.setdefault(e2, module_ref(e2)),
-                rel, conf))
+                confidences[parts[3]] = conf
+        mappings.add(Mapping(
+            seen.get(e1) or seen.setdefault(e1, module_ref(e1)),
+            seen.get(e2) or seen.setdefault(e2, module_ref(e2)),
+            rel, conf))
     return frozenset(mappings)

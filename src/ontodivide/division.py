@@ -174,9 +174,10 @@ def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
     with U+FEFF (read as a byte-order mark).
     """
     rows = sorted(mappings, key=lambda m: m.key)
-    # repr is the shortest text that reads back as the same float
+    # the repr of a float is the shortest text that reads back as it; that
+    # of a numpy scalar or a bool does not read back
     text = "".join([f"{m.e1.iri}\t{m.e2.iri}\t{m.relation}"
-                    f"\t{m.confidence!r}\n" for m in rows])
+                    f"\t{float(m.confidence)!r}\n" for m in rows])
     # a row holds 3 tabs and 1 LF, so a tab or LF in an IRI changes these
     # counts; an empty IRI leaves two tabs in a row, or a tab first (an
     # empty e1 sorts first); a row starts with its e1

@@ -164,7 +164,7 @@ def build_lexi(o1: Ontology, o2: Ontology,
     return LexIndex(entries, cfg.alpha, stats)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Mapping:
     """Candidate or asserted correspondence between two entities.
 
@@ -177,11 +177,18 @@ class Mapping:
     relation: str = EQUIVALENCE
     confidence: float = 1.0
 
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
+    def __init__(self, e1: EntityRef, e2: EntityRef,
+                 relation: str = EQUIVALENCE, confidence: float = 1.0):
+        # what the generated `__init__` and a `__post_init__` would do, but
+        # each slot is set through its descriptor, not `object.__setattr__`
+        if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}")
-        if not 0.0 < self.confidence <= 1.0:
+        if not 0.0 < confidence <= 1.0:
             raise ValueError("confidence must be in (0, 1]")
+        _set_e1(self, e1)
+        _set_e2(self, e2)
+        _set_relation(self, relation)
+        _set_confidence(self, confidence)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -194,15 +201,22 @@ class Mapping:
         return hash((self.e1.iri, self.e2.iri, self.relation))
 
 
+_set_e1, _set_e2, _set_relation, _set_confidence = (
+    Mapping.e1.__set__, Mapping.e2.__set__, Mapping.relation.__set__,
+    Mapping.confidence.__set__)
+
+
 def mappings_of(entries: Iterable[tuple[LexKey, LexValue]]
                 ) -> frozenset[Mapping]:
     """Candidate mappings suggested by a subset of index entries."""
-    out: set[Mapping] = set()
+    # one `Mapping` per IRI pair, of the first entity pair met, as adding
+    # each pair's `Mapping` to a set would keep
+    pairs: dict[tuple[str, str], tuple[EntityRef, EntityRef]] = {}
     for _, value in entries:
         for e1 in value.entities1:
             for e2 in value.entities2:
-                out.add(Mapping(e1, e2))
-    return frozenset(out)
+                pairs.setdefault((e1.iri, e2.iri), (e1, e2))
+    return frozenset([Mapping(e1, e2) for e1, e2 in pairs.values()])
 
 
 def all_candidate_mappings(lexi: LexIndex) -> frozenset[Mapping]:

@@ -73,6 +73,45 @@ def check_mapping_identity_is_its_key():
     assert MAPPING != MAPPING.key
 
 
+def raises(error: type[Exception], message: str, call, *args, **kwargs):
+    try:
+        call(*args, **kwargs)
+    except error as exc:
+        assert str(exc) == message, str(exc)
+        return
+    raise AssertionError(f"no {error.__name__}: {message}")
+
+
+def check_mapping_init_validates():
+    """`Mapping` has its own `__init__`, which keeps the dataclass's
+    fields, defaults, checks and frozenness."""
+    relations = "relation must be one of ('=', '<', '>')"
+    confidences = "confidence must be in (0, 1]"
+    raises(ValueError, relations, Mapping, A, B, "?")
+    raises(ValueError, relations, Mapping, A, B, relation="")
+    for bad in (0.0, -0.5, 1.5, float("nan"), float("inf")):
+        raises(ValueError, confidences, Mapping, A, B, "=", bad)
+        raises(ValueError, confidences, Mapping, A, B, confidence=bad)
+        raises(ValueError, confidences, dataclasses.replace, MAPPING,
+               confidence=bad)
+    raises(ValueError, relations, dataclasses.replace, MAPPING, relation="?")
+    moved = dataclasses.replace(MAPPING, e2=B, confidence=0.25)
+    assert (moved.e1, moved.e2, moved.relation, moved.confidence) == \
+        (A, B, "<", 0.25)
+    plain = Mapping(e2=B, e1=A)
+    assert (plain.e1, plain.e2, plain.relation, plain.confidence) == \
+        (A, B, "=", 1.0)
+    for name in ("e1", "e2", "relation", "confidence"):
+        raises(dataclasses.FrozenInstanceError, f"cannot assign to field "
+               f"{name!r}", setattr, MAPPING, name, None)
+    assert [(f.name, f.default) for f in dataclasses.fields(Mapping)] == [
+        ("e1", dataclasses.MISSING), ("e2", dataclasses.MISSING),
+        ("relation", "="), ("confidence", 1.0)]
+    assert Mapping.__match_args__ == ("e1", "e2", "relation", "confidence")
+    assert repr(MAPPING) == (f"Mapping(e1={A!r}, e2={MAPPING.e2!r}, "
+                             "relation='<', confidence=0.5)")
+
+
 def round_trips(value):
     """`value` after pickling at every protocol and after `deepcopy`."""
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -324,6 +325,23 @@ class TestAlignmentTsv:
         loaded = read_alignment_tsv(path).mappings
         assert {mp.key: mp.confidence for mp in loaded} == \
             {mp.key: mp.confidence for mp in mappings}
+
+    @pytest.mark.parametrize("conf", [np.float64(0.5), np.float32(0.25),
+                                      np.float32(0.1), True, 1],
+                             ids=["float64", "float32", "float32-inexact",
+                                  "bool", "int"])
+    def test_non_float_confidence_round_trip(self, tmp_path, conf):
+        """A numpy scalar, a bool or an int is written as the float it
+        equals, which reads back."""
+        mapping = Mapping(EntityRef(O1_NS + "a"), EntityRef(O2_NS + "x"),
+                          "=", conf)
+        path = tmp_path / "alignment.tsv"
+        write_alignment_tsv([mapping], path)
+        assert path.read_text().split("\t")[3] == f"{float(conf)!r}\n"
+        (back,) = read_alignment_tsv(path).mappings
+        assert back == mapping
+        assert type(back.confidence) is float
+        assert back.confidence == float(conf)
 
     @pytest.mark.parametrize("bad", ["", "a\tb", "a\rb", "a\nb", "\t",
                                      "a\t", "\na"], ids=repr)

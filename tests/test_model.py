@@ -1,5 +1,5 @@
 """The model's value classes: slotted, frozen, picklable (`model_checks.py`),
-on this Python and on Python 3.10 where one is installed."""
+on this Python and on every other CPython 3.10 or later that is installed."""
 
 import glob
 import os
@@ -21,33 +21,40 @@ def test_model(check):
     check()
 
 
-def python310() -> str | None:
-    """A Python 3.10 interpreter: `python3.10` on the path, else one that
-    pyenv installed; None if there is none."""
-    found = [shutil.which("python3.10")]
+def other_pythons() -> dict[str, str]:
+    """One interpreter of each CPython 3.10 or later that is installed, by
+    version ("3.12"), this interpreter's version aside: `python3.<minor>`
+    on the path, else one that pyenv installed."""
+    names = [f"python3.{minor}" for minor in range(10, 30)]
+    found = [shutil.which(name) for name in names]
     pyenv = shutil.which("pyenv")
     if pyenv:
         root = subprocess.run([pyenv, "root"], capture_output=True,
                               text=True).stdout.strip()
-        found += sorted(glob.glob(
-            os.path.join(root, "versions", "3.10*", "bin", "python3.10")))
+        found += [exe for name in names for exe in sorted(glob.glob(
+            os.path.join(root, "versions", "*", "bin", name)))]
+    this = "%d.%d" % sys.version_info[:2]
+    pythons: dict[str, str] = {}
     for exe in filter(None, found):
         ran = subprocess.run(
-            [exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
-            capture_output=True)
-        if ran.returncode == 0:
-            return exe
-    return None
+            [exe, "-c", "import sys; print(sys.implementation.name, "
+                        "'%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True)
+        name, _, version = ran.stdout.strip().partition(" ")
+        if ran.returncode == 0 and name == "cpython" and version != this:
+            pythons.setdefault(version, exe)
+    return dict(sorted(pythons.items(),
+                       key=lambda item: tuple(map(int, item[0].split(".")))))
 
 
-@pytest.mark.skipif(sys.version_info[:2] == (3, 10),
-                    reason="this interpreter is Python 3.10")
-def test_model_checks_on_python_310():
-    exe = python310()
-    if exe is None:
-        pytest.skip("no Python 3.10 interpreter found")
+OTHER_PYTHONS = other_pythons()
+
+
+@pytest.mark.parametrize("version", OTHER_PYTHONS)
+def test_model_checks_on_python(version):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    ran = subprocess.run([exe, str(ROOT / "tests" / "model_checks.py")],
+    ran = subprocess.run([OTHER_PYTHONS[version],
+                          str(ROOT / "tests" / "model_checks.py")],
                          capture_output=True, text=True, env=env, cwd=ROOT)
     assert ran.returncode == 0, ran.stderr
     assert ran.stdout == f"{len(model_checks.CHECKS)} model checks passed\n"

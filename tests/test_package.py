@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from test_model import python310
+from test_model import OTHER_PYTHONS
 
 import ontodivide
 
@@ -108,9 +108,11 @@ def test_import_and_read_load_only_the_parser(version, tmp_path):
     """In a fresh interpreter without numpy on its path, `import ontodivide`
     loads only `_version`, and reading an ontology only `ontology` and
     `errors`."""
-    exe = sys.executable if version == "this" else python310()
+    this = "%d.%d" % sys.version_info[:2]
+    exe = sys.executable if version in ("this", this) \
+        else OTHER_PYTHONS.get(version)
     if exe is None:
-        pytest.skip("no Python 3.10 interpreter found")
+        pytest.skip(f"no Python {version} interpreter found")
     src = Path(ontodivide.__file__).resolve().parent
     # -S: no site-packages, so no numpy; -B: no .pyc in the source tree
     done = subprocess.run(

@@ -211,21 +211,75 @@ def test_empty_ontology_iri_round_trips(tmp_path):
 
 
 def test_each_distinct_line_parsed_once(toy_pair, tmp_path, monkeypatch):
+    """Each distinct axiom line gets one memo entry, made by the shape match
+    or by the line parser, and no line is read twice."""
     out = write_division(divide(*toy_pair, 4, FAST), toy_pair, tmp_path / "d")
     axiom_lines = [line for path in task_files(out)
                    for line in path.read_text(encoding="utf-8")
                    .split("\n")[1:-2]]
     assert len(set(axiom_lines)) < len(axiom_lines)  # the tasks share axioms
-    calls = []
+    matched, parsed = [], []
+    match_line = LineReader.match_line
     parse_axiom = ontology._Parser.parse_axiom
 
-    def counted(self):
-        calls.append(self.tokens[self.pos])
+    def counted_match(self, line):
+        entry = match_line(self, line)
+        if entry is not None:
+            matched.append(line)
+        return entry
+
+    def counted_parse(self):
+        parsed.append(self.text)
         return parse_axiom(self)
 
-    monkeypatch.setattr(ontology._Parser, "parse_axiom", counted)
+    monkeypatch.setattr(LineReader, "match_line", counted_match)
+    monkeypatch.setattr(ontology._Parser, "parse_axiom", counted_parse)
     read_division(out)
-    assert len(calls) == len(set(axiom_lines))
+    assert matched and parsed  # the toy modules hold both kinds of line
+    assert sorted(matched + parsed) == sorted(set(axiom_lines))
+
+
+OWL = "http://www.w3.org/2002/07/owl#"
+
+
+def shape_edges():
+    """Lines of the flat shapes `serialize` writes, filled so that the
+    parser fails on them or reads them otherwise, and lines near them."""
+    a, b, r, f = (f"<{NS}{name}>" for name in "ABrF")
+    shapes = ["Declaration(Class({}))", "Declaration(ObjectProperty({}))",
+              "Declaration(NamedIndividual({}))",
+              "SubClassOf({} " + b + ")", "SubClassOf(" + a + " {})",
+              f"SubClassOf({{}} ObjectSomeValuesFrom({r} {f}))",
+              f"SubClassOf({a} ObjectSomeValuesFrom({{}} {f}))",
+              f"SubClassOf({a} ObjectSomeValuesFrom({r} {{}}))",
+              f'AnnotationAssertion({{}} {a} "x")',
+              f'AnnotationAssertion(<{LABEL}> {{}} "x")']
+    edges = [shape.format(iri) for shape in shapes
+             for iri in (a, f"<{OWL}Thing>", f"<{OWL}Nothing>")]
+    edges += [f"SubClassOf({a} {a})",  # a == b, p == a, p == f, f == a
+              f"SubClassOf({a} ObjectSomeValuesFrom({a} {f}))",
+              f"SubClassOf({a} ObjectSomeValuesFrom({r} {r}))",
+              f"SubClassOf({a} ObjectSomeValuesFrom({r} {a}))",
+              f"SubClassOf({a} ObjectSomeValuesFrom({a} {a}))",
+              f"SubClassOf(<> <{NS}a b(c)>)"]
+    edges += [f"AnnotationAssertion(<{LABEL}> {a} {literal})" for literal in
+              (r'"say \"hi\""', r'"a\\b"', r'"\\"', r'"\\\""',
+               r'"a\nb"', '""', '"(x) <y>"', '"\r"', '"a"b"', r'"a\"')]
+    edges += [f"Declaration({kind}({a}))"
+              for kind in ("Datatype", "SubClassOf", "class")]
+    lines = ["  " + edge for edge in edges]
+    # other blanks and layouts, which the parser reads
+    lines += [f"   SubClassOf({a} {b})", f"\tSubClassOf({a} {b})",
+              f"  SubClassOf( {a} {b})", f"  SubClassOf({a}  {b})",
+              f"  SubClassOf({a}\t{b})", f"  SubClassOf({a} {b} )",
+              f"  SubClassOf({a} {b}) ", f"SubClassOf({a} {b})",
+              f"  Declaration( Class({a}))", f"  Declaration(Class({a}) )",
+              f"  SubClassOf({a} ObjectSomeValuesFrom( {r} {f}))",
+              f'  AnnotationAssertion(<{LABEL}> {a} "x" )',
+              f'  AnnotationAssertion(<{LABEL}>  {a} "x")',
+              f"  SubClassOf({a} {b}) # note", f"  SubClassOf({a} :B)",
+              f"  SubClassOf({a} owl:Thing)", "  Declaration(Class(:A))"]
+    return lines
 
 
 def test_reused_parser_gives_fresh_parser_entries():
@@ -236,6 +290,9 @@ def test_reused_parser_gives_fresh_parser_entries():
     texts = [serialize(shuffled_module(rng, random_ontology(
         rng, f"http://example.org/r{i % 10}#"))) for i in range(100)]
     texts += [text for case in DAMAGED for text in case]
+    # lines of the flat shapes and near them, each in a file of its own,
+    # since a file is left at its first line that does not read alone
+    texts += ["Ontology(\n" + line + "\n)\n" for line in shape_edges()]
     reader = LineReader()
     for text in texts:
         reader.read_lines(text)
