@@ -94,18 +94,14 @@ class _Memo(NamedTuple):
 
     `divide` keeps it in the source's instance dict, as `cached_property`
     keeps `signature` there, and replaces it with one assignment, so a
-    reader in another thread sees the old memo or the new one.
+    reader in another thread sees the old memo or the new one.  A pickled
+    or copied ontology is rebuilt through its constructor, without it.
     """
 
     config: DivisionConfig
     target: weakref.ref  # never keeps the target alive
     lexi: LexIndex
     points: np.ndarray   # read-only entry vectors
-
-    def __reduce__(self):
-        # a weak reference cannot be pickled: a pickled or deep-copied
-        # ontology forgets its last division
-        return type(None), ()
 
 
 def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
@@ -174,10 +170,10 @@ def write_alignment_tsv(mappings: Iterable[Mapping], path) -> None:
     with U+FEFF (read as a byte-order mark).
     """
     rows = sorted(mappings, key=lambda m: m.key)
-    # the repr of a float is the shortest text that reads back as it; that
-    # of a numpy scalar or a bool does not read back
+    # a confidence is a float, whose repr is the shortest text that reads
+    # back as it
     text = "".join([f"{m.e1.iri}\t{m.e2.iri}\t{m.relation}"
-                    f"\t{float(m.confidence)!r}\n" for m in rows])
+                    f"\t{m.confidence!r}\n" for m in rows])
     # a row holds 3 tabs and 1 LF, so a tab or LF in an IRI changes these
     # counts; an empty IRI leaves two tabs in a row, or a tab first (an
     # empty e1 sorts first); a row starts with its e1

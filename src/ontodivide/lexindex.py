@@ -180,7 +180,8 @@ class Mapping:
     def __init__(self, e1: EntityRef, e2: EntityRef,
                  relation: str = EQUIVALENCE, confidence: float = 1.0):
         # what the generated `__init__` and a `__post_init__` would do, but
-        # each slot is set through its descriptor, not `object.__setattr__`
+        # each slot is set through its descriptor, not `object.__setattr__`;
+        # a confidence in range is kept as the float it equals
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}")
         if not 0.0 < confidence <= 1.0:
@@ -188,7 +189,7 @@ class Mapping:
         _set_e1(self, e1)
         _set_e2(self, e2)
         _set_relation(self, relation)
-        _set_confidence(self, confidence)
+        _set_confidence(self, float(confidence))
 
     @property
     def key(self) -> tuple[str, str, str]:

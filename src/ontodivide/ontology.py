@@ -12,16 +12,12 @@ the ontology's last division.  One parse hands out one `EntityRef` per
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterator, Union
 
 from .errors import OfnSyntaxError, UnsupportedConstructError
-
-logger = logging.getLogger(__name__)
 
 # entity kinds
 CLASS = "class"
@@ -51,46 +47,133 @@ DEFAULT_LABEL_PROPERTIES = frozenset({
 })
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class EntityRef:
-    """A named entity; `kind` is fixed by its declaration."""
+class _Value:
+    """An immutable value whose fields are the attributes its class names in
+    `__match_args__`.  It is compared (with values of its own class only),
+    hashed, printed and pickled by its fields in order, as a frozen
+    dataclass is; no attribute can be set or deleted."""
 
-    iri: str
-    kind: str = CLASS
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join([
+            f"{name}={getattr(self, name)!r}"
+            for name in self.__match_args__]) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+def _setters(cls: type) -> list:
+    """The `__set__` of each slot of `cls`, in field order: the way round
+    the class's `__setattr__`, for its `__init__`."""
+    return [getattr(cls, name).__set__ for name in cls.__match_args__]
+
+
+class EntityRef(_Value):
+    """A named entity; `kind` is fixed by its declaration.  Refs order by
+    (IRI, kind)."""
+
+    __slots__ = __match_args__ = ("iri", "kind")
+
+    def __init__(self, iri: str, kind: str = CLASS):
+        _set_iri(self, iri)
+        _set_kind(self, kind)
+
+    # spelt out, as every hot path hashes and compares refs
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.iri, self.kind) == (other.iri, other.kind)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.iri, self.kind))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.iri, self.kind) < (other.iri, other.kind)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.iri, self.kind) <= (other.iri, other.kind)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.iri, self.kind) > (other.iri, other.kind)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.iri, self.kind) >= (other.iri, other.kind)
+        return NotImplemented
+
+
+_set_iri, _set_kind = _setters(EntityRef)
 
 
 # --- class expressions ----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class NamedClass:
-    ref: EntityRef
+class NamedClass(_Value):
+    __slots__ = __match_args__ = ("ref",)
+
+    def __init__(self, ref: EntityRef):
+        _set_ref(self, ref)
 
 
-@dataclass(frozen=True, slots=True)
-class Thing:
-    pass
+class Thing(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Nothing:
-    pass
+class Nothing(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class IntersectionOf:
-    parts: tuple["ClassExpr", ...]
+class IntersectionOf(_Value):
+    __slots__ = __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[ClassExpr, ...]):
+        _set_intersection_parts(self, parts)
 
 
-@dataclass(frozen=True, slots=True)
-class UnionOf:
-    parts: tuple["ClassExpr", ...]
+class UnionOf(_Value):
+    __slots__ = __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[ClassExpr, ...]):
+        _set_union_parts(self, parts)
 
 
-@dataclass(frozen=True, slots=True)
-class SomeValuesFrom:
-    prop: EntityRef
-    filler: "ClassExpr"
+class SomeValuesFrom(_Value):
+    __slots__ = __match_args__ = ("prop", "filler")
 
+    def __init__(self, prop: EntityRef, filler: ClassExpr):
+        _set_prop(self, prop)
+        _set_filler(self, filler)
+
+
+_set_ref, = _setters(NamedClass)
+_set_intersection_parts, = _setters(IntersectionOf)
+_set_union_parts, = _setters(UnionOf)
+_set_prop, _set_filler = _setters(SomeValuesFrom)
 
 ClassExpr = Union[NamedClass, Thing, Nothing, IntersectionOf, UnionOf,
                   SomeValuesFrom]
@@ -98,34 +181,50 @@ ClassExpr = Union[NamedClass, Thing, Nothing, IntersectionOf, UnionOf,
 
 # --- axioms -----------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Declaration:
-    entity: EntityRef
+class Declaration(_Value):
+    __slots__ = __match_args__ = ("entity",)
+
+    def __init__(self, entity: EntityRef):
+        _set_entity(self, entity)
 
 
-@dataclass(frozen=True, slots=True)
-class SubClassOf:
-    sub: ClassExpr
-    sup: ClassExpr
+class SubClassOf(_Value):
+    __slots__ = __match_args__ = ("sub", "sup")
+
+    def __init__(self, sub: ClassExpr, sup: ClassExpr):
+        _set_sub(self, sub)
+        _set_sup(self, sup)
 
 
-@dataclass(frozen=True, slots=True)
-class EquivalentClasses:
-    parts: tuple[ClassExpr, ...]
+class EquivalentClasses(_Value):
+    __slots__ = __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[ClassExpr, ...]):
+        _set_equivalent_parts(self, parts)
 
 
-@dataclass(frozen=True, slots=True)
-class SubObjectPropertyOf:
-    sub: EntityRef
-    sup: EntityRef
+class SubObjectPropertyOf(_Value):
+    __slots__ = __match_args__ = ("sub", "sup")
+
+    def __init__(self, sub: EntityRef, sup: EntityRef):
+        _set_sub_property(self, sub)
+        _set_sup_property(self, sup)
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotationAssertion:
-    subject: EntityRef
-    property: str
-    literal: str
+class AnnotationAssertion(_Value):
+    __slots__ = __match_args__ = ("subject", "property", "literal")
 
+    def __init__(self, subject: EntityRef, property: str, literal: str):
+        _set_subject(self, subject)
+        _set_property(self, property)
+        _set_literal(self, literal)
+
+
+_set_entity, = _setters(Declaration)
+_set_sub, _set_sup = _setters(SubClassOf)
+_set_equivalent_parts, = _setters(EquivalentClasses)
+_set_sub_property, _set_sup_property = _setters(SubObjectPropertyOf)
+_set_subject, _set_property, _set_literal = _setters(AnnotationAssertion)
 
 Axiom = Union[Declaration, SubClassOf, EquivalentClasses,
               SubObjectPropertyOf, AnnotationAssertion]
@@ -171,12 +270,20 @@ def axiom_signature(axiom: Axiom) -> frozenset[EntityRef]:
     raise TypeError(f"not an axiom: {axiom!r}")
 
 
-@dataclass(frozen=True)
-class Ontology:
-    """Immutable ordered axiom list plus the ontology IRI."""
+class Ontology(_Value):
+    """Immutable ordered axiom list plus the ontology IRI.
 
-    axioms: tuple[Axiom, ...]
-    iri: str | None = None
+    Its instance dict holds the fields and what is derived from them:
+    `cached_property` values and `division.divide`'s memo.  A copy is made
+    through the constructor, so it derives them anew.
+    """
+
+    __match_args__ = ("axioms", "iri")
+
+    def __init__(self, axioms: tuple[Axiom, ...], iri: str | None = None):
+        fields = self.__dict__
+        fields["axioms"] = axioms
+        fields["iri"] = iri
 
     @cached_property
     def signature(self) -> frozenset[EntityRef]:
@@ -354,6 +461,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0                              # index of the next token
         self.prefixes = dict(BUILTIN_PREFIXES)
+        # prefixed name -> its IRI; the prefixes are fixed once an axiom
+        # is read, as a `Prefix` only comes before the first
+        self.names: dict[str, str] = {}
         # iri -> its EntityRef, of the kind its first declaration or use gave
         self.known: dict[str, EntityRef] = {}
         self.declared: set[str] = set()
@@ -384,12 +494,15 @@ class _Parser:
         """The full IRI of prefixed name `at`.  An <IRI> is read in place,
         so any other token is an error."""
         tok = self.tokens[at]
-        if _kind(tok) != "pname":
-            self.fail(f"expected an IRI but found {_value(tok)!r}", at)
-        prefix, local = tok.split(":", 1)
-        if prefix not in self.prefixes:
-            self.fail(f"undeclared prefix {prefix + ':'!r}", at)
-        return self.prefixes[prefix] + local
+        iri = self.names.get(tok)
+        if iri is None:
+            if _kind(tok) != "pname":
+                self.fail(f"expected an IRI but found {_value(tok)!r}", at)
+            prefix, local = tok.split(":", 1)
+            if prefix not in self.prefixes:
+                self.fail(f"undeclared prefix {prefix + ':'!r}", at)
+            iri = self.names[tok] = self.prefixes[prefix] + local
+        return iri
 
     def new_ref(self, iri: str, kind: str) -> EntityRef:
         """The ref of `iri` as `kind`; the parser makes none else."""
@@ -421,7 +534,8 @@ class _Parser:
 
         missing = sorted(known.keys() - self.declared)
         if missing:
-            logger.warning("auto-declared %d undeclared entit%s: %s",
+            import logging  # only here, so that a read does not load it
+            logging.getLogger(__name__).warning("auto-declared %d undeclared entit%s: %s",
                            len(missing), "y" if len(missing) == 1 else "ies",
                            ", ".join(missing[:5])
                            + ("..." if len(missing) > 5 else ""))

@@ -45,6 +45,18 @@ def division() -> Division:
     return Division(1, (task,), {"seed": 0})
 
 
+def raises(error: type[Exception], message: str | None, call, *args,
+           **kwargs):
+    """`call(*args, **kwargs)` raises `error`, with `message` unless it is
+    None."""
+    try:
+        call(*args, **kwargs)
+    except error as exc:
+        assert message is None or str(exc) == message, str(exc)
+        return
+    raise AssertionError(f"no {error.__name__}: {message}")
+
+
 def check_value_classes_have_no_instance_dict():
     for value in [*EXPRESSIONS, *AXIOMS, MAPPING]:
         assert not hasattr(value, "__dict__"), type(value).__name__
@@ -55,14 +67,124 @@ def check_value_classes_have_no_instance_dict():
 
 
 def check_value_classes_stay_frozen():
-    for value in [*EXPRESSIONS, *AXIOMS, MAPPING]:
-        for name in [f.name for f in dataclasses.fields(value)] + ["extra"]:
-            try:
-                setattr(value, name, None)
-            except (dataclasses.FrozenInstanceError, AttributeError,
-                    TypeError):
-                continue
-            raise AssertionError(f"{type(value).__name__}.{name} was set")
+    onto = Ontology(tuple(AXIOMS))
+    fields = [(value, value.__match_args__)
+              for value in [A, *EXPRESSIONS, *AXIOMS, onto]]
+    fields.append((MAPPING, [f.name for f in dataclasses.fields(MAPPING)]))
+    for value, names in fields:
+        for name in [*names, "extra"]:
+            for change in (lambda: setattr(value, name, None),
+                           lambda: delattr(value, name)):
+                try:
+                    change()
+                except (AttributeError, TypeError):
+                    continue
+                raise AssertionError(f"{type(value).__name__}.{name} was "
+                                     "set or deleted")
+    assert onto == Ontology(tuple(AXIOMS))
+
+
+def check_value_reprs():
+    a = "EntityRef(iri='http://example.org/m#A', kind='class')"
+    b = "EntityRef(iri='http://example.org/m#B', kind='class')"
+    r = "EntityRef(iri='http://example.org/m#r', kind='object-property')"
+    s = "EntityRef(iri='http://example.org/m#s', kind='object-property')"
+    assert [repr(v) for v in [A, R, *EXPRESSIONS]] == [
+        a, r, f"NamedClass(ref={a})", "Thing()", "Nothing()",
+        f"IntersectionOf(parts=(NamedClass(ref={a}), NamedClass(ref={b})))",
+        f"UnionOf(parts=(NamedClass(ref={a}), Thing()))",
+        f"SomeValuesFrom(prop={r}, filler=NamedClass(ref={b}))"]
+    assert [repr(v) for v in AXIOMS] == [
+        f"Declaration(entity={a})", f"Declaration(entity={r})",
+        f"SubClassOf(sub=NamedClass(ref={a}), sup=SomeValuesFrom(prop={r}, "
+        f"filler=NamedClass(ref={b})))",
+        f"EquivalentClasses(parts=(NamedClass(ref={a}), UnionOf(parts=("
+        f"NamedClass(ref={b}), Nothing()))))",
+        f"SubObjectPropertyOf(sub={r}, sup={s})",
+        f"AnnotationAssertion(subject={a}, property='{LABEL}', "
+        """literal='a "quoted" label')"""]
+    assert repr(Ontology((Declaration(A),))) == \
+        f"Ontology(axioms=(Declaration(entity={a}),), iri=None)"
+    assert repr(Ontology((), NS + "o")) == \
+        "Ontology(axioms=(), iri='http://example.org/m#o')"
+
+
+def check_equality_is_within_one_class():
+    assert Thing() == Thing() and Nothing() == Nothing()
+    assert Thing() != Nothing() and NamedClass(A) != Declaration(A)
+    parts = (NamedClass(A), NamedClass(B))
+    assert IntersectionOf(parts) != UnionOf(parts) != EquivalentClasses(parts)
+    assert SubClassOf(NamedClass(A), NamedClass(B)) != \
+        SubClassOf(NamedClass(B), NamedClass(A))
+    assert EntityRef(NS + "A") == A and EntityRef(NS + "A", "individual") != A
+    assert A != (A.iri, A.kind) and Declaration(A) != (A,)
+    for value in [A, R, *EXPRESSIONS, *AXIOMS]:
+        assert [v for v in [A, R, *EXPRESSIONS, *AXIOMS] if v == value] \
+            == [value]
+    assert Ontology(tuple(AXIOMS), NS + "o") == Ontology(tuple(AXIOMS),
+                                                         NS + "o")
+    assert Ontology(tuple(AXIOMS)) != Ontology(tuple(AXIOMS), NS + "o")
+
+
+def check_hash_is_the_hash_of_the_fields():
+    onto = Ontology(tuple(AXIOMS), NS + "o")
+    for value in [A, R, *EXPRESSIONS, *AXIOMS, onto]:
+        fields = tuple(getattr(value, name) for name in value.__match_args__)
+        assert hash(value) == hash(fields), value
+    assert hash(A) == hash((NS + "A", "class")) and hash(Thing()) == hash(())
+
+
+def check_keyword_construction_and_defaults():
+    assert EntityRef(iri=NS + "A") == A and A.kind == "class"
+    assert EntityRef(kind=OBJECT_PROPERTY, iri=NS + "r") == R
+    assert Ontology(axioms=()).iri is None
+    assert Ontology(iri=NS + "o", axioms=tuple(AXIOMS)) == \
+        Ontology(tuple(AXIOMS), NS + "o")
+    assert NamedClass(ref=A) == EXPRESSIONS[0]
+    assert SomeValuesFrom(filler=NamedClass(B), prop=R) == EXPRESSIONS[5]
+    assert Declaration(entity=A) == AXIOMS[0]
+    assert SubClassOf(sup=EXPRESSIONS[5], sub=NamedClass(A)) == AXIOMS[2]
+    assert SubObjectPropertyOf(sup=S, sub=R) == AXIOMS[4]
+    assert AnnotationAssertion(literal='a "quoted" label', property=LABEL,
+                               subject=A) == AXIOMS[5]
+    assert IntersectionOf(parts=EXPRESSIONS[3].parts) == EXPRESSIONS[3]
+    assert UnionOf(parts=EXPRESSIONS[4].parts) == EXPRESSIONS[4]
+    assert EquivalentClasses(parts=AXIOMS[3].parts) == AXIOMS[3]
+    for call in (lambda: EntityRef(), lambda: Thing(A),
+                 lambda: NamedClass(A, B), lambda: Ontology(),
+                 lambda: Declaration(ref=A)):
+        raises(TypeError, None, call)
+
+
+def check_match_args():
+    assert {cls.__name__: cls.__match_args__ for cls in [
+        EntityRef, NamedClass, Thing, Nothing, IntersectionOf, UnionOf,
+        SomeValuesFrom, Declaration, SubClassOf, EquivalentClasses,
+        SubObjectPropertyOf, AnnotationAssertion, Ontology]} == {
+        "EntityRef": ("iri", "kind"), "NamedClass": ("ref",),
+        "Thing": (), "Nothing": (), "IntersectionOf": ("parts",),
+        "UnionOf": ("parts",), "SomeValuesFrom": ("prop", "filler"),
+        "Declaration": ("entity",), "SubClassOf": ("sub", "sup"),
+        "EquivalentClasses": ("parts",),
+        "SubObjectPropertyOf": ("sub", "sup"),
+        "AnnotationAssertion": ("subject", "property", "literal"),
+        "Ontology": ("axioms", "iri")}
+    match AXIOMS[2]:
+        case SubClassOf(NamedClass(ref), SomeValuesFrom(prop, filler)):
+            assert (ref, prop, filler) == (A, R, NamedClass(B))
+        case _:
+            raise AssertionError("no match")
+
+
+def check_entity_refs_order_by_iri_then_kind():
+    refs = [EntityRef(NS + "b"), EntityRef(NS + "a", "individual"),
+            EntityRef(NS + "a", OBJECT_PROPERTY), EntityRef(NS + "a")]
+    assert [(e.iri, e.kind) for e in sorted(refs)] == \
+        sorted((e.iri, e.kind) for e in refs)
+    assert A < B <= B and B > A >= A and not A < A
+    for compare in ("<", "<=", ">", ">="):
+        raises(TypeError, None, eval, f"A {compare} 'x'", {"A": A})
+        raises(TypeError, None, eval, f"A {compare} t", {"A": A, "t": Thing()})
 
 
 def check_mapping_identity_is_its_key():
@@ -73,13 +195,6 @@ def check_mapping_identity_is_its_key():
     assert MAPPING != MAPPING.key
 
 
-def raises(error: type[Exception], message: str, call, *args, **kwargs):
-    try:
-        call(*args, **kwargs)
-    except error as exc:
-        assert str(exc) == message, str(exc)
-        return
-    raise AssertionError(f"no {error.__name__}: {message}")
 
 
 def check_mapping_init_validates():
@@ -117,6 +232,13 @@ def round_trips(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         yield pickle.loads(pickle.dumps(value, protocol))
     yield copy.deepcopy(value)
+
+
+def check_values_round_trip():
+    for value in [A, R, *EXPRESSIONS, *AXIOMS]:
+        for again in round_trips(value):
+            assert type(again) is type(value) and again == value, value
+            assert hash(again) == hash(value) and repr(again) == repr(value)
 
 
 def check_ontology_round_trips():

@@ -343,6 +343,21 @@ class TestAlignmentTsv:
         assert type(back.confidence) is float
         assert back.confidence == float(conf)
 
+    @pytest.mark.parametrize("conf", [np.float64(0.5), np.float32(0.25),
+                                      np.float32(0.1), True, 1],
+                             ids=["float64", "float32", "float32-inexact",
+                                  "bool", "int"])
+    def test_confidence_is_stored_as_float(self, conf):
+        """A `Mapping` keeps the float its confidence equals, so equal
+        mappings carry confidences of one type; a string is refused."""
+        mapping = Mapping(EntityRef(O1_NS + "a"), EntityRef(O2_NS + "x"),
+                          "=", conf)
+        assert type(mapping.confidence) is float
+        assert mapping.confidence == float(conf)
+        assert type(replace(mapping, confidence=conf).confidence) is float
+        with pytest.raises(TypeError):
+            Mapping(mapping.e1, mapping.e2, "=", "0.5")
+
     @pytest.mark.parametrize("bad", ["", "a\tb", "a\rb", "a\nb", "\t",
                                      "a\t", "\na"], ids=repr)
     @pytest.mark.parametrize("column", [0, 1])

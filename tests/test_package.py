@@ -98,8 +98,11 @@ def loaded():
 
 import ontodivide
 print(loaded())
+before = set(sys.modules)
 ontodivide.read_ontology(sys.argv[1])
 print(loaded())
+print(" ".join(sorted((set(sys.modules) - before)
+                      & {"dataclasses", "inspect", "logging", "traceback"})))
 """
 
 
@@ -107,7 +110,8 @@ print(loaded())
 def test_import_and_read_load_only_the_parser(version, tmp_path):
     """In a fresh interpreter without numpy on its path, `import ontodivide`
     loads only `_version`, and reading an ontology only `ontology` and
-    `errors`."""
+    `errors`, and none of the stdlib's `dataclasses`, `inspect`, `logging`
+    or `traceback`."""
     this = "%d.%d" % sys.version_info[:2]
     exe = sys.executable if version in ("this", this) \
         else OTHER_PYTHONS.get(version)
@@ -123,7 +127,8 @@ def test_import_and_read_load_only_the_parser(version, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "ontodivide ontodivide._version",
-        "ontodivide ontodivide._version ontodivide.errors ontodivide.ontology"]
+        "ontodivide ontodivide._version ontodivide.errors ontodivide.ontology",
+        ""]
 
 
 def test_moved_settings_keep_their_old_homes():
