@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_ITERS
-from .errors import InvariantError
+from .errors import InvariantError, check_int
 from .lexindex import LexIndex, LexKey, LexValue
 
 # relative slack for the monotonicity assertion; Lloyd is non-increasing in
@@ -61,6 +61,7 @@ def _plus_plus_init(X: np.ndarray, n: int,
 def kmeans(points: np.ndarray, n: int, seed: int,
            max_iters: int = MAX_ITERS) -> ClusterAssignment:
     """Cluster the rows of an (m, dim) matrix into n non-empty clusters."""
+    check_int("n", n)
     if n <= 0:
         raise ValueError("n must be >= 1")
     if max_iters < 1:

@@ -119,6 +119,7 @@ def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
 def divide(o1: Ontology, o2: Ontology, n: int,
            cfg: DivisionConfig | None = None) -> Division:
     """Divide the matching task (o1, o2) into n subtasks."""
+    check_int("n", n)
     # the numeric stages load numpy, which nothing else here needs
     import numpy as np
 

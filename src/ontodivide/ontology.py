@@ -13,9 +13,9 @@ the ontology's last division.  One parse hands out one `EntityRef` per
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Union
 
 from .errors import OfnSyntaxError, UnsupportedConstructError
 
@@ -175,8 +175,8 @@ _set_intersection_parts, = _setters(IntersectionOf)
 _set_union_parts, = _setters(UnionOf)
 _set_prop, _set_filler = _setters(SomeValuesFrom)
 
-ClassExpr = Union[NamedClass, Thing, Nothing, IntersectionOf, UnionOf,
-                  SomeValuesFrom]
+ClassExpr = (NamedClass | Thing | Nothing | IntersectionOf | UnionOf
+             | SomeValuesFrom)
 
 
 # --- axioms -----------------------------------------------------------------
@@ -226,8 +226,8 @@ _set_equivalent_parts, = _setters(EquivalentClasses)
 _set_sub_property, _set_sup_property = _setters(SubObjectPropertyOf)
 _set_subject, _set_property, _set_literal = _setters(AnnotationAssertion)
 
-Axiom = Union[Declaration, SubClassOf, EquivalentClasses,
-              SubObjectPropertyOf, AnnotationAssertion]
+Axiom = (Declaration | SubClassOf | EquivalentClasses | SubObjectPropertyOf
+         | AnnotationAssertion)
 
 LOGICAL_AXIOM_TYPES = (SubClassOf, EquivalentClasses, SubObjectPropertyOf)
 
@@ -547,17 +547,7 @@ class _Parser:
     def parse_document(self) -> None:
         tokens = self.tokens
         axioms = self.axioms
-        while tokens[self.pos] == "Prefix":
-            self.parse_prefix()
-        at = self.pos
-        wrapped = tokens[at] == "Ontology"
-        if wrapped:
-            if tokens[at + 1] != "(":
-                self.fail_expected("(", at + 1)
-            self.pos = at + 2
-            if tokens[at + 2][:1] == "<":
-                self.ontology_iri = tokens[at + 2][1:-1]
-                self.pos = at + 3
+        wrapped = self.parse_head()
         while tokens[self.pos] not in ("", ")"):
             axioms.append(self.parse_axiom())
         at = self.pos  # the end of the text or a ')'
@@ -567,6 +557,34 @@ class _Parser:
             self.fail("unexpected ')'", at)
         if wrapped and tokens[at + 1]:
             self.fail("content after closing ')' of Ontology(...)", at + 1)
+
+    def parse_head(self) -> bool:
+        """Read the prefixes, then `Ontology(` and its IRI if they come
+        next; whether they came."""
+        tokens = self.tokens
+        while tokens[self.pos] == "Prefix":
+            self.parse_prefix()
+        at = self.pos
+        if tokens[at] != "Ontology":
+            return False
+        if tokens[at + 1] != "(":
+            self.fail_expected("(", at + 1)
+        self.pos = at + 2
+        if tokens[at + 2][:1] == "<":
+            self.ontology_iri = tokens[at + 2][1:-1]
+            self.pos = at + 3
+        return True
+
+    def parse_line(self, line: str) -> Axiom | None:
+        """The one axiom `line` holds, read as the next axiom of this
+        parser's text; None unless `line` is one axiom."""
+        try:
+            self.text, self.pos = line, 0
+            self.tokens = _tokenize(line)
+            axiom = self.parse_axiom()
+        except OfnSyntaxError:
+            return None
+        return None if self.tokens[self.pos] else axiom
 
     def parse_prefix(self) -> None:
         tokens = self.tokens
@@ -706,16 +724,159 @@ class _Parser:
         return expr
 
 
+# --- line pass ----------------------------------------------------------------
+# The flat axiom lines, maybe indented: a declaration (groups 1-2), a subclass
+# of a class (3-4) or of an existential (3, 5-6), and an annotation (7-9).  A
+# name slot takes any run of characters but controls, spaces, parentheses
+# and quotes, and `_flat_iri` checks that it is one <IRI> or prefixed name:
+# a loose slot keeps the pattern quick to compile.
+_NAME = r'([^\x00- ()"]+)'
+_SHAPE = re.compile(
+    rf"[ \t]*(?:Declaration\((Class|ObjectProperty|NamedIndividual)\({_NAME}\)\)"
+    rf"|SubClassOf\({_NAME} (?:{_NAME}|ObjectSomeValuesFrom\({_NAME} {_NAME}\))\)"
+    rf'|AnnotationAssertion\({_NAME} {_NAME} ("[^"\\]*(?:\\.[^"\\]*)*")\))')
+
+
+def _flat_iri(tok: str, prefixes: dict[str, str]) -> str | None:
+    """The IRI of name slot `tok` of a `_SHAPE` match, if `tok` is an <IRI>
+    or a prefixed name of a prefix in `prefixes`, and names neither
+    owl:Thing nor owl:Nothing; else None, and the grammar reads the line."""
+    if tok[0] == "<":
+        if tok.find(">") != len(tok) - 1:
+            return None
+        iri = tok[1:-1]
+    else:
+        prefix, colon, local = tok.partition(":")
+        if not colon or prefix not in prefixes \
+                or not _ONE_TOKEN.fullmatch(tok):
+            return None
+        iri = prefixes[prefix] + local
+    return None if iri == THING_IRI or iri == NOTHING_IRI else iri
+
+
+def _parse_lines(text: str) -> Ontology | None:
+    """The ontology of `text` as `_Parser.parse_document` reads it, read
+    line by line; None where the whole text must be parsed.
+
+    The grammar reads the prefixes and the `Ontology(` header, up to the
+    header's line.  Then each line is blank, a comment, a flat shape or one
+    axiom that the grammar reads on its own, up to a `)` line that only
+    blank and comment lines follow.  A flat line meets its entities in the
+    grammar's order, against the same kind table.  None for any other
+    layout, a CR, a line that fails or an entity of two kinds: the parse of
+    the whole text then gives the result or the error.
+    """
+    if "\r" in text:  # a CR ends a comment but not a line
+        return None
+    lines = text.split("\n")
+    for at, line in enumerate(lines):
+        word = line.lstrip(" \t")[:8]
+        if word == "Ontology":
+            break
+        if word and word[0] != "#" and word[:6] != "Prefix":
+            return None
+    else:
+        return None
+    try:
+        parser = _Parser("\n".join(lines[:at + 1]))
+        if not parser.parse_head() or parser.tokens[parser.pos]:
+            return None
+    except OfnSyntaxError:
+        return None
+    prefixes, known, axioms = parser.prefixes, parser.known, parser.axioms
+    new_ref = parser.new_ref
+    seen: dict[str, EntityRef] = {}  # name token -> its known ref
+    properties: dict[str, str] = {}  # annotation property token -> its IRI
+
+    def use(tok: str, kind: str) -> EntityRef | None:
+        """`parser.use` of name slot `tok`; None if it would fail, or if
+        the slot is no name the replay takes."""
+        ref = seen.get(tok)
+        if ref is None:
+            iri = _flat_iri(tok, prefixes)
+            if iri is None:
+                return None
+            ref = known.get(iri)
+            if ref is None:
+                ref = known[iri] = new_ref(iri, kind)
+            seen[tok] = ref
+        return ref if ref.kind == kind else None
+
+    rest = islice(lines, at + 1, None)
+    for line in rest:
+        axiom = None
+        m = _SHAPE.fullmatch(line)
+        if m is not None:
+            kind, name, sub, sup, prop, filler, annotation, subject, literal \
+                = m.groups()
+            if kind is not None:  # Declaration(Kind(name))
+                ref = use(name, _DECL_KEYWORDS[kind])
+                if ref is not None:
+                    parser.declared.add(ref.iri)
+                    axiom = Declaration(ref)
+            elif literal is not None:  # AnnotationAssertion(p subject "…")
+                prop = properties.get(annotation)
+                if prop is None:
+                    prop = _flat_iri(annotation, prefixes)
+                    properties[annotation] = prop
+                ref = seen.get(subject)
+                if ref is None and prop is not None:
+                    iri = _flat_iri(subject, prefixes)
+                    if iri is not None:
+                        ref = known.get(iri)
+                        if ref is None:  # a placeholder, as `parse_axiom` makes
+                            ref = new_ref(iri, CLASS)
+                            parser.unresolved.append(len(axioms))
+                        else:
+                            seen[subject] = ref
+                if ref is not None and prop is not None:
+                    axiom = AnnotationAssertion(ref, prop, _value(literal))
+            # every name is met even after one fails: the grammar then reads
+            # the line again, meeting the same names, or refuses it
+            elif prop is None:  # SubClassOf(sub sup)
+                a, b = use(sub, CLASS), use(sup, CLASS)
+                if a is not None and b is not None:
+                    axiom = SubClassOf(NamedClass(a), NamedClass(b))
+            else:  # SubClassOf(sub ObjectSomeValuesFrom(prop filler))
+                a, p = use(sub, CLASS), use(prop, OBJECT_PROPERTY)
+                f = use(filler, CLASS)
+                if a is not None and p is not None and f is not None:
+                    axiom = SubClassOf(NamedClass(a),
+                                       SomeValuesFrom(p, NamedClass(f)))
+        if axiom is None:
+            word = line.strip(" \t")
+            if not word or word[0] == "#":
+                continue
+            if word == ")":
+                break
+            axiom = parser.parse_line(line)
+            if axiom is None:
+                return None
+        axioms.append(axiom)
+    else:
+        return None  # no closing ')'
+    for line in rest:
+        word = line.lstrip(" \t")
+        if word and word[0] != "#":
+            return None
+    return parser.finish()
+
+
 def parse_ontology(text: str) -> Ontology:
     """Parse `.ofn` text into an Ontology.
 
     Axiom order is preserved.  Entities referenced by logical axioms or
     annotations without a Declaration are auto-declared (appended after the
-    explicit axioms, sorted by IRI) and reported via a warning log.
+    explicit axioms, sorted by IRI) and reported via a warning log.  A text
+    laid out one axiom per line is read line by line (`_parse_lines`), any
+    other text as a whole; the two give one result.
     """
-    parser = _Parser(text)
-    parser.parse_document()
-    return parser.finish()
+    onto = _parse_lines(text)
+    if onto is None:
+        parser = _Parser(text)
+        parser.parse_document()
+        onto = parser.finish()
+    return onto
 
 
 def _read_text(path) -> str:

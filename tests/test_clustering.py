@@ -46,6 +46,11 @@ class TestKmeansBasics:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            kmeans(np.arange(12, dtype=float).reshape(6, 2), n, seed=0)
+
     def test_no_points(self):
         with pytest.raises(ValueError):
             kmeans([], 1, seed=0)

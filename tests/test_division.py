@@ -147,6 +147,15 @@ class TestDivide:
         with pytest.raises(ValueError, match="n must be"):
             divide(*toy_pair, 0, FAST)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_non_integer_n_fails_before_any_stage(self, n):
+        """A float or a bool n is refused before the index is built or the
+        embeddings trained, so the source keeps no division memo."""
+        o1, o2 = parse_toy_pair()
+        with pytest.raises(ValueError, match="n must be an integer"):
+            divide(o1, o2, n, FAST)
+        assert "_division_memo" not in vars(o1)
+
     def test_zero_kmeans_iterations(self, toy_pair):
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             divide(*toy_pair, 2, DivisionConfig(epochs=0, kmeans_max_iters=0))
