@@ -784,7 +784,7 @@ def _parse_lines(text: str) -> Ontology | None:
     except OfnSyntaxError:
         return None
     prefixes, known, axioms = parser.prefixes, parser.known, parser.axioms
-    new_ref = parser.new_ref
+    declared, new_ref, shape = parser.declared, parser.new_ref, _SHAPE.fullmatch
     seen: dict[str, EntityRef] = {}  # name token -> its known ref
     properties: dict[str, str] = {}  # annotation property token -> its IRI
 
@@ -805,14 +805,14 @@ def _parse_lines(text: str) -> Ontology | None:
     rest = islice(lines, at + 1, None)
     for line in rest:
         axiom = None
-        m = _SHAPE.fullmatch(line)
+        m = shape(line)
         if m is not None:
             kind, name, sub, sup, prop, filler, annotation, subject, literal \
                 = m.groups()
             if kind is not None:  # Declaration(Kind(name))
                 ref = use(name, _DECL_KEYWORDS[kind])
                 if ref is not None:
-                    parser.declared.add(ref.iri)
+                    declared.add(ref.iri)
                     axiom = Declaration(ref)
             elif literal is not None:  # AnnotationAssertion(p subject "…")
                 prop = properties.get(annotation)
