@@ -1,7 +1,7 @@
 """Differential test: the `.ofn` line pass against the reference parser.
 
-`parse_ontology` first reads a text laid out one axiom per line line by
-line (`ontology._parse_lines`) and parses any other text whole.  On every
+`parse_ontology` reads a text laid out one axiom per line one line at a
+time (`ontology._parse_lines`), and any other text as a whole.  On every
 text the line pass reads, it must give the reference parser's ontology and
 auto-declaration warning; on every other text it must give None, so that
 the whole-text parse gives the reference parser's result or error.
@@ -31,7 +31,9 @@ LOCALS = {"class": ["A", "B", "C"], "property": ["r", "s"],
 DECLARED = {"Class": "class", "ObjectProperty": "property",
             "NamedIndividual": "individual"}
 LITERALS = ['"a"', '""', r'"say \"hi\""', r'"a\\b"', '"(x) <y> # z"', '"é"']
+ODD_LITERALS = ['"two\nlines"', '"open']
 PROPERTIES = ["rdfs:label", "skos:altLabel", f"<{P}note>", "p:note"]
+ODD_PROPERTIES = ["owl:Thing", "q:p"]
 FAULTS = ["kinds", "names", "prefixes", "literals", "lines", "cr", "head",
           "tail"]
 
@@ -45,17 +47,17 @@ def flat_texts(draw) -> str:
     lines, broken lines, CRs, odd headers or text after the closing
     `)`."""
     pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
-    faults = {pick([None, None] + FAULTS)}
+    fault = pick([None, None] + FAULTS)
 
     def name(kind: str) -> str:
-        local = pick(sum(LOCALS.values(), []) if "kinds" in faults
+        local = pick(sum(LOCALS.values(), []) if fault == "kinds"
                      else LOCALS[kind])
         form = draw(st.integers(0, 9))
         if form <= 4:
             return f":{local}"
         if form <= 7:
             return f"p:{local}"
-        if form == 8 or "names" not in faults:
+        if form == 8 or fault != "names":
             return f"<{P}{local}>"
         return pick(["owl:Thing", "owl:Nothing", f"q:{local}", local,
                      f"<{P}{local}><{P}{local}>", f"p:{local}#x"])
@@ -75,11 +77,11 @@ def flat_texts(draw) -> str:
             return f"SubClassOf({expr()} " \
                    f"ObjectSomeValuesFrom({name('property')} {expr()}))"
         if shape <= 7:
-            odd = "literals" in faults
+            odd = fault == "literals"
             return f"AnnotationAssertion(" \
-                   f"{pick(PROPERTIES + ['owl:Thing', 'q:p'] * odd)} " \
-                   f"{name(pick(['class', 'property', 'individual']))} " \
-                   f"{pick(LITERALS + [chr(34) + 'two' + chr(10) + 'lines' + chr(34), chr(34) + 'open'] * odd)})"
+                   f"{pick(PROPERTIES + ODD_PROPERTIES * odd)} " \
+                   f"{name(pick(list(LOCALS)))} " \
+                   f"{pick(LITERALS + ODD_LITERALS * odd)})"
         others = [f"EquivalentClasses({expr()} {expr()})",
                   f"SubClassOf({expr()} ObjectIntersectionOf("
                   f"{expr()} {expr()}))",
@@ -88,16 +90,16 @@ def flat_texts(draw) -> str:
                   f"SubClassOf({expr()} {expr()}) # trailing comment",
                   f"SubClassOf( {expr()}  {expr()} )",
                   "# a comment", "", "   "]
-        if "lines" in faults:
+        if fault == "lines":
             others += [f"SubClassOf({expr()}", f"{expr()})",
                        "Prefix(p:=<http://x.org/late#>)", ")"]
-        if "cr" in faults:
+        if fault == "cr":
             others += [f"# a comment\r{line()}", f"SubClassOf({expr()}\r"
                        f"{expr()})"]
         return pick(others)
 
     prefixes = draw(st.sets(st.sampled_from(["", "q"])))
-    if "prefixes" not in faults:
+    if fault != "prefixes":
         prefixes.add("p")
     lines = [f"Prefix({prefix}:=<http://x.org/{prefix or 'd'}#>)"
              for prefix in sorted(prefixes)]
@@ -106,17 +108,17 @@ def flat_texts(draw) -> str:
     lines.append(pick(["Ontology(", "Ontology(<http://x.org/o>"]
                       + ["Ontology(<>", "Ontology( <http://x.org/o>",
                          "Ontology(<http://x.org/o> )", "Ontology",
-                         "SubClassOf(:A :B)"] * ("head" in faults)))
+                         "SubClassOf(:A :B)"] * (fault == "head")))
     indent = ["", "  ", "\t", " \t "]
     for _ in range(draw(st.integers(0, 12))):
         lines.append(pick(indent) + line())
     ending = pick([[")"], [")", ""], [")", "", "# done"]]
                   + [[") # done"], [], [")", "Declaration(Class(:A))"],
-                     [")", ")"]] * ("tail" in faults))
+                     [")", ")"]] * (fault == "tail"))
     text = "\n".join(lines + ending)
     if draw(st.booleans()):
         text += "\n"
-    if "cr" in faults and draw(st.booleans()):
+    if fault == "cr" and draw(st.booleans()):
         text = text.replace("\n", "\r\n")
     return text
 
