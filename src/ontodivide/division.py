@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import shutil
 import weakref
 from dataclasses import asdict, dataclass
@@ -23,11 +24,12 @@ from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping as MappingT,
 from ._version import __version__
 from .config import MAX_ITERS, TrainingConfig
 from .errors import InvariantError, check_int
-from .lexindex import (LexConfig, LexIndex, LexKey, LexValue, Mapping,
-                       build_lexi, mappings_of)
+from .lexindex import (RELATIONS, LexConfig, LexIndex, LexKey, LexValue,
+                       Mapping, build_lexi, mappings_of)
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
-from .ontology import Ontology, _serialize
+from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, EntityRef,
+                       Ontology, _parse, _read_text, _serialize)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -207,9 +209,58 @@ def read_alignment_tsv(path) -> Alignment:
 
     Rows that name one IRI share one `EntityRef`.
     """
-    # imported on first use, so that `import ontodivide` does not load it
-    from ._linereader import read_mappings
     return Alignment(read_mappings(path, {}))
+
+
+def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
+                  ) -> frozenset[Mapping]:
+    """The mappings of the TSV file at `path`.  An IRI's ref is its ref in
+    `refs`: as a class, else as an object property, else as an individual;
+    else a new class ref, which `refs` gains."""
+    def module_ref(iri: str) -> EntityRef:
+        ref = refs.get((iri, CLASS))
+        if ref is None:  # a row names no kind: take the one the modules use
+            ref = refs.get((iri, OBJECT_PROPERTY)) \
+                or refs.get((iri, INDIVIDUAL))
+            if ref is None:
+                ref = refs[iri, CLASS] = EntityRef(iri)
+        return ref
+
+    # text mode reads every line end as "\n", as iterating the file would
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    mappings: set[Mapping] = set()
+    seen: dict[str, EntityRef] = {}  # the refs of this file, by IRI
+    confidences: dict[str, float] = {}  # the valid ones of this file
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line or line.isspace() or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise ValueError(
+                f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
+        e1, e2, rel = parts[0], parts[1], parts[2]
+        if not e1 or not e2:
+            raise ValueError(f"{path}:{lineno}: empty IRI")
+        if rel not in RELATIONS:
+            raise ValueError(f"{path}:{lineno}: bad relation {rel!r}")
+        conf = 1.0
+        if len(parts) == 4:
+            conf = confidences.get(parts[3])
+            if conf is None:
+                try:
+                    conf = float(parts[3])
+                except ValueError:
+                    conf = math.nan
+                if not 0.0 < conf <= 1.0:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad confidence {parts[3]!r}")
+                confidences[parts[3]] = conf
+        mappings.add(Mapping(
+            seen.get(e1) or seen.setdefault(e1, module_ref(e1)),
+            seen.get(e2) or seen.setdefault(e2, module_ref(e2)),
+            rel, conf))
+    return frozenset(mappings)
 
 
 def write_division(div: Division, orig: tuple[Ontology, Ontology],
@@ -306,23 +357,24 @@ def _read_division_meta(path: Path) -> dict:
 def read_division(path) -> Division:
     """Load a division directory written by `write_division`.
 
-    Each task's modules read as `read_ontology` reads them, but an axiom
-    line repeated across the division's files is parsed once.  All the
-    ontologies and candidates share one `EntityRef` per (IRI, kind).
+    Each task's modules read as `read_ontology` reads them, through one
+    line pass (`ontology._parse_lines`) with one ref table and one line
+    memo for the whole division: an axiom line repeated across its files
+    is read once, and all the ontologies and candidates share one
+    `EntityRef` per (IRI, kind).
     """
     root = Path(path)
     meta_path = root / "division.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"not a division directory: {root}")
     meta = _read_division_meta(meta_path)
-    from ._linereader import LineReader, read_mappings
-    reader = LineReader()
+    refs, memo = {}, {}  # shared by every file: see `ontology._parse_lines`
     subtasks = []
     for row in meta["tasks"]:
         task_dir = root / f"task_{row['task']}"
-        source = reader.read(task_dir / "source.ofn")
-        target = reader.read(task_dir / "target.ofn")
-        candidates = read_mappings(task_dir / "candidates.tsv", reader.refs)
+        source = _parse(_read_text(task_dir / "source.ofn"), refs, memo)
+        target = _parse(_read_text(task_dir / "target.ofn"), refs, memo)
+        candidates = read_mappings(task_dir / "candidates.tsv", refs)
         subtasks.append(MatchingTask(source, target, candidates,
                                      task_id=row["task"]))
     return Division(meta["n"], tuple(subtasks), meta.get("provenance", {}))

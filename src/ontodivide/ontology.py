@@ -8,6 +8,12 @@ lookup, locality graph) are computed once per ontology on first use and
 cached on the instance, where `division.divide` also keeps the index of
 the ontology's last division.  One parse hands out one `EntityRef` per
 (IRI, kind).
+
+A text laid out one axiom per line is read by one line pass
+(`_parse_lines`), any other text by the grammar as a whole.
+`read_division` runs the same pass over every file of a division, with
+one ref table and one memo of the lines read, so that the files share
+their refs and each distinct line is read once.
 """
 
 from __future__ import annotations
@@ -402,8 +408,9 @@ def _token_offset(text: str, i: int) -> int:
     return next(islice(_TOKEN.finditer(text), i, None)).start(1)
 
 
-def _scan_error(text: str, pos: int) -> OfnSyntaxError:
-    """Why no token starts at offset `pos`."""
+def _scan_error(text: str, pos: int, line: int = 0) -> OfnSyntaxError:
+    """Why no token starts at offset `pos`, in a document whose first
+    `line` lines come before `text`."""
     ch = text[pos]
     if ch == "<":
         end = text.find(">", pos + 1)
@@ -416,11 +423,13 @@ def _scan_error(text: str, pos: int) -> OfnSyntaxError:
         message = "unterminated string literal"
     else:
         message = f"unexpected character {ch!r}"
-    return OfnSyntaxError(message, *_line_col(text, pos))
+    row, column = _line_col(text, pos)
+    return OfnSyntaxError(message, line + row, column)
 
 
-def _tokenize(text: str) -> list[str]:
-    """Token strings of `text`, ending in one ""."""
+def _tokenize(text: str, line: int = 0) -> list[str]:
+    """Token strings of `text`, ending in one "".  A scan error counts the
+    `line` lines of the document before `text`."""
     tokens = _TOKEN.findall(text)
     if len(tokens) > 1:
         last = tokens[-2]
@@ -428,7 +437,7 @@ def _tokenize(text: str) -> list[str]:
             tokens.pop()
         elif last != ")" and not _ONE_TOKEN.fullmatch(last):
             # the catch-all took the rest of the text: a scan error
-            raise _scan_error(text, len(text) - len(last))
+            raise _scan_error(text, len(text) - len(last), line)
     return tokens
 
 
@@ -451,12 +460,14 @@ class _Parser:
     next (so it never reads past the final ""), and leaves `pos` after
     itself.  It calls out to resolve a prefixed name, to check the kind
     of an entity (`use`), or to fail.  Every `EntityRef` comes from `refs`,
-    one per (IRI, kind), which parsers may share.
+    one per (IRI, kind), which parsers may share.  `text` may be the rest
+    of a document, after its first `line` lines.
     """
 
     def __init__(self, text: str,
                  refs: dict[tuple[str, str], EntityRef] | None = None):
         self.text = text
+        self.line = 0
         self.refs = {} if refs is None else refs
         self.tokens = _tokenize(text)
         self.pos = 0                              # index of the next token
@@ -476,8 +487,8 @@ class _Parser:
     def fail(self, message: str, at: int,
              error: type[OfnSyntaxError] = OfnSyntaxError):
         """Raise `error` at the line and column of token `at`."""
-        offset = _token_offset(self.text, at)
-        raise error(message, *_line_col(self.text, offset))
+        row, column = _line_col(self.text, _token_offset(self.text, at))
+        raise error(message, self.line + row, column)
 
     def fail_expected(self, punct: str, at: int):
         self.fail(f"expected {punct!r} but found "
@@ -545,9 +556,13 @@ class _Parser:
     # grammar
 
     def parse_document(self) -> None:
+        self.parse_body(self.parse_head())
+
+    def parse_body(self, wrapped: bool) -> None:
+        """Read axioms up to the end of the text or a `)`, which closes
+        `Ontology(` if `wrapped`, and check that nothing follows."""
         tokens = self.tokens
         axioms = self.axioms
-        wrapped = self.parse_head()
         while tokens[self.pos] not in ("", ")"):
             axioms.append(self.parse_axiom())
         at = self.pos  # the end of the text or a ')'
@@ -575,16 +590,20 @@ class _Parser:
             self.pos = at + 3
         return True
 
-    def parse_line(self, line: str) -> Axiom | None:
-        """The one axiom `line` holds, read as the next axiom of this
-        parser's text; None unless `line` is one axiom."""
+    def parse_alone(self, line: str
+                    ) -> tuple[Axiom, tuple[EntityRef, ...]] | None:
+        """The one axiom `line` holds and the entities it uses, in order of
+        first use, as a fresh parser with these prefixes reads them; None
+        unless `line` is one axiom."""
+        self.known = {}
         try:
             self.text, self.pos = line, 0
             self.tokens = _tokenize(line)
             axiom = self.parse_axiom()
         except OfnSyntaxError:
             return None
-        return None if self.tokens[self.pos] else axiom
+        return None if self.tokens[self.pos] \
+            else (axiom, tuple(self.known.values()))
 
     def parse_prefix(self) -> None:
         tokens = self.tokens
@@ -754,17 +773,25 @@ def _flat_iri(tok: str, prefixes: dict[str, str]) -> str | None:
     return None if iri == THING_IRI or iri == NOTHING_IRI else iri
 
 
-def _parse_lines(text: str) -> Ontology | None:
+def _parse_lines(text: str, refs: dict | None = None,
+                 memo: dict | None = None) -> Ontology | None:
     """The ontology of `text` as `_Parser.parse_document` reads it, read
     line by line; None where the whole text must be parsed.
 
     The grammar reads the prefixes and the `Ontology(` header, up to the
-    header's line.  Then each line is blank, a comment, a flat shape or one
-    axiom that the grammar reads on its own, up to a `)` line that only
-    blank and comment lines follow.  A flat line meets its entities in the
-    grammar's order, against the same kind table.  None for any other
-    layout, a CR, a line that fails or an entity of two kinds: the parse of
-    the whole text then gives the result or the error.
+    header's line.  Then each line is blank, a comment, a flat shape, or one
+    axiom that the grammar reads alone.  A flat line meets its entities in
+    the grammar's order, against the file's kind table; a line read alone
+    is replayed against it.  At the first other line (the closing `)`, a
+    line the grammar refuses alone, an entity of two kinds) the grammar
+    reads the rest of the text from the state read so far, and gives the
+    result or the error.  None for another head, a CR, or no `)` line.
+
+    Every `EntityRef` comes from `refs`, keyed by (IRI, kind).  `memo`
+    maps each line read to its axiom and the entities it uses, in order of
+    first use, as a fresh `_Parser(line, refs)` gives them, and a line met
+    again is replayed from it.  It serves only a text with the built-in
+    prefixes, as an entry holds the IRIs its names have under them.
     """
     if "\r" in text:  # a CR ends a comment but not a line
         return None
@@ -778,19 +805,22 @@ def _parse_lines(text: str) -> Ontology | None:
     else:
         return None
     try:
-        parser = _Parser("\n".join(lines[:at + 1]))
+        parser = _Parser("\n".join(lines[:at + 1]), refs)
         if not parser.parse_head() or parser.tokens[parser.pos]:
             return None
     except OfnSyntaxError:
         return None
     prefixes, known, axioms = parser.prefixes, parser.known, parser.axioms
     declared, new_ref, shape = parser.declared, parser.new_ref, _SHAPE.fullmatch
+    if prefixes != BUILTIN_PREFIXES:
+        memo = None
+    alone = None  # parses each line no shape takes, made for the first
     seen: dict[str, EntityRef] = {}  # name token -> its known ref
     properties: dict[str, str] = {}  # annotation property token -> its IRI
 
     def use(tok: str, kind: str) -> EntityRef | None:
         """`parser.use` of name slot `tok`; None if it would fail, or if
-        the slot is no name the replay takes."""
+        `_flat_iri` does not take the slot."""
         ref = seen.get(tok)
         if ref is None:
             iri = _flat_iri(tok, prefixes)
@@ -802,10 +832,10 @@ def _parse_lines(text: str) -> Ontology | None:
             seen[tok] = ref
         return ref if ref.kind == kind else None
 
-    rest = islice(lines, at + 1, None)
-    for line in rest:
-        axiom = None
-        m = shape(line)
+    for at in range(at + 1, len(lines)):
+        line = lines[at]
+        entry = None if memo is None else memo.get(line)
+        m = shape(line) if entry is None else None
         if m is not None:
             kind, name, sub, sup, prop, filler, annotation, subject, literal \
                 = m.groups()
@@ -813,7 +843,7 @@ def _parse_lines(text: str) -> Ontology | None:
                 ref = use(name, _DECL_KEYWORDS[kind])
                 if ref is not None:
                     declared.add(ref.iri)
-                    axiom = Declaration(ref)
+                    entry = Declaration(ref), (ref,)
             elif literal is not None:  # AnnotationAssertion(p subject "…")
                 prop = properties.get(annotation)
                 if prop is None:
@@ -831,34 +861,73 @@ def _parse_lines(text: str) -> Ontology | None:
                             seen[subject] = ref
                 if ref is not None and prop is not None:
                     axiom = AnnotationAssertion(ref, prop, _value(literal))
+                    axioms.append(axiom)
+                    if memo is not None:  # read alone, the subject is a class
+                        if ref.kind != CLASS:
+                            axiom = AnnotationAssertion(
+                                new_ref(ref.iri, CLASS), prop, axiom.literal)
+                        memo[line] = axiom, ()
+                    continue
             # every name is met even after one fails: the grammar then reads
             # the line again, meeting the same names, or refuses it
             elif prop is None:  # SubClassOf(sub sup)
                 a, b = use(sub, CLASS), use(sup, CLASS)
                 if a is not None and b is not None:
-                    axiom = SubClassOf(NamedClass(a), NamedClass(b))
+                    entry = (SubClassOf(NamedClass(a), NamedClass(b)),
+                             (a,) if a is b else (a, b))
             else:  # SubClassOf(sub ObjectSomeValuesFrom(prop filler))
                 a, p = use(sub, CLASS), use(prop, OBJECT_PROPERTY)
                 f = use(filler, CLASS)
                 if a is not None and p is not None and f is not None:
-                    axiom = SubClassOf(NamedClass(a),
-                                       SomeValuesFrom(p, NamedClass(f)))
-        if axiom is None:
+                    entry = (SubClassOf(NamedClass(a),
+                                        SomeValuesFrom(p, NamedClass(f))),
+                             (a, p) if a is f else (a, p, f))
+            if entry is not None:
+                axioms.append(entry[0])
+                if memo is not None:
+                    memo[line] = entry
+                continue
+        if entry is None:
             word = line.strip(" \t")
             if not word or word[0] == "#":
                 continue
             if word == ")":
                 break
-            axiom = parser.parse_line(line)
-            if axiom is None:
-                return None
-        axioms.append(axiom)
+            if alone is None:
+                alone = _Parser("", parser.refs)
+                alone.prefixes, alone.names = prefixes, parser.names
+            entry = alone.parse_alone(line)
+            if entry is None:
+                break
+            if memo is not None:
+                memo[line] = entry
+        # replay the line read alone against the file's kind table
+        axiom, uses = entry
+        for ref in uses:  # refs are shared, so another kind is another ref
+            if known.setdefault(ref.iri, ref) is not ref:
+                break
+        else:
+            if type(axiom) is Declaration:
+                declared.add(axiom.entity.iri)
+            elif type(axiom) is AnnotationAssertion:
+                # the subject as the grammar takes it here: the known
+                # entity, else a class placeholder
+                subject = known.get(axiom.subject.iri)
+                if subject is None:
+                    subject = new_ref(axiom.subject.iri, CLASS)
+                    parser.unresolved.append(len(axioms))
+                if subject is not axiom.subject:
+                    axiom = AnnotationAssertion(subject, axiom.property,
+                                                axiom.literal)
+            axioms.append(axiom)
+            continue
+        break  # an entity of two kinds
     else:
         return None  # no closing ')'
-    for line in rest:
-        word = line.lstrip(" \t")
-        if word and word[0] != "#":
-            return None
+    # the grammar reads the rest, from line `at` on, with the state so far
+    rest = parser.text = "\n".join(lines[at:])
+    parser.line, parser.pos, parser.tokens = at, 0, _tokenize(rest, at)
+    parser.parse_body(True)
     return parser.finish()
 
 
@@ -871,9 +940,15 @@ def parse_ontology(text: str) -> Ontology:
     laid out one axiom per line is read line by line (`_parse_lines`), any
     other text as a whole; the two give one result.
     """
-    onto = _parse_lines(text)
+    return _parse(text)
+
+
+def _parse(text: str, refs: dict | None = None, memo: dict | None = None
+           ) -> Ontology:
+    """`parse_ontology(text)`, through `_parse_lines`' `refs` and `memo`."""
+    onto = _parse_lines(text, refs, memo)
     if onto is None:
-        parser = _Parser(text)
+        parser = _Parser(text, refs)
         parser.parse_document()
         onto = parser.finish()
     return onto

@@ -17,11 +17,10 @@ from oracles import reference_read_alignment_tsv
 
 import ontodivide
 import ontodivide.embedding
-from ontodivide._linereader import read_mappings
 from ontodivide.division import (Division, DivisionConfig, divide,
                                  read_alignment_tsv, read_division,
-                                 subtask_from_cluster, write_alignment_tsv,
-                                 write_division)
+                                 read_mappings, subtask_from_cluster,
+                                 write_alignment_tsv, write_division)
 from ontodivide.lexindex import (RELATIONS, Mapping, all_candidate_mappings,
                                  build_lexi)
 from ontodivide.locality import context_of, extract_module

@@ -1,9 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import ANNOTATED_BEFORE_USE, TOY1_NS, load_toy_text
 from oracles import random_ontology, reference_parse_ontology
 
+from ontodivide import ontology
 from ontodivide.errors import OfnSyntaxError, UnsupportedConstructError
 from ontodivide.ontology import (CLASS, INDIVIDUAL, MAX_EXPR_DEPTH,
                                  OBJECT_PROPERTY, AnnotationAssertion,
@@ -17,6 +21,7 @@ from ontodivide.ontology import (CLASS, INDIVIDUAL, MAX_EXPR_DEPTH,
 
 NS = "http://example.org/ontology#"  # default prefix expansion
 LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def nested_axiom(depth: int) -> str:
@@ -165,6 +170,36 @@ class TestReadOntology:
         onto = read_ontology(path)
         assert onto == parse_ontology("\n".join(lines))
         assert len(onto.axioms) == 3  # :B is auto-declared
+
+
+class TestLinePassHandOff:
+    def test_late_break_tokenizes_only_the_rest(self, monkeypatch):
+        """A file that leaves the one-axiom-per-line layout at its last
+        axiom is read line by line up to that axiom; the grammar then
+        tokenizes only the rest of the text, and the result is the
+        reference parser's."""
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            from gen import generate
+            from workloads import WORKLOADS
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        _, text, _ = generate(WORKLOADS["anatomy-n10"].pair, 201)
+        body, last, close, end = text.rsplit("\n", 3)
+        assert (close, end) == (")", "")
+        text = "\n".join([body, last.replace(" ", "\n", 1), close, end])
+        tokenized = []
+        tokenize = ontology._tokenize
+
+        def counted(part, *args):
+            tokenized.append(len(part))
+            return tokenize(part, *args)
+
+        monkeypatch.setattr(ontology, "_tokenize", counted)
+        onto = parse_ontology(text)
+        # the head's two lines and the rest from the broken axiom on
+        assert 0 < sum(tokenized) < len(text) // 100
+        assert onto == reference_parse_ontology(text)
 
 
 class TestNestingLimit:

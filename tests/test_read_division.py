@@ -18,7 +18,6 @@ from conftest import TOY1_NS, TOY2_NS
 from oracles import random_ontology
 
 from ontodivide import ontology
-from ontodivide._linereader import LineReader
 from ontodivide.division import (DivisionConfig, divide, read_alignment_tsv,
                                  read_division, write_division)
 from ontodivide.errors import OfnSyntaxError
@@ -137,6 +136,10 @@ LABEL_R = f'AnnotationAssertion(<{LABEL}> <{NS}r> "r")'
 LABEL_A = f'AnnotationAssertion(<{LABEL}> <{NS}A> "a")'
 LABEL_THING = (f'AnnotationAssertion(<{LABEL}> '
                '<http://www.w3.org/2002/07/owl#Thing> "t")')
+SUB_NAMES = "SubClassOf(:A :B)"
+SUB_THING = "SubClassOf(:A owl:Thing)"
+PREFIX_DEFAULT = "Prefix(:=<http://example.org/x#>)\n"
+PREFIX_OWL = "Prefix(owl:=<http://example.org/x#>)\n"
 
 
 DAMAGED = [
@@ -177,6 +180,12 @@ DAMAGED = [
     [lines(SUB_A, head=f"Ontology(<{NS}o> <{NS}v>")],
     [lines(DECLARE_A), lines(DECLARE_A) + ")\n"],
     [lines(DECLARE_A), lines(DECLARE_A)[:-3]],
+    # one line under the built-in prefixes and under a declared one, in
+    # both orders: what a line means depends on the prefixes of its file
+    [lines(SUB_NAMES), PREFIX_DEFAULT + lines(SUB_NAMES)],
+    [PREFIX_DEFAULT + lines(SUB_NAMES), lines(SUB_NAMES)],
+    [lines(SUB_THING), PREFIX_OWL + lines(SUB_THING)],
+    [PREFIX_OWL + lines(SUB_THING), lines(SUB_THING)],
 ]
 
 
@@ -198,7 +207,7 @@ def test_files_parsed_whole_share_refs(tmp_path):
         assert_refs_shared([Ontology(tuple(
             a for task in div.subtasks
             for onto in (task.source, task.target) for a in onto.axioms))])
-    assert read == 16
+    assert read == 20
 
 
 def test_empty_ontology_iri_round_trips(tmp_path):
@@ -211,32 +220,35 @@ def test_empty_ontology_iri_round_trips(tmp_path):
 
 
 def test_each_distinct_line_parsed_once(toy_pair, tmp_path, monkeypatch):
-    """Each distinct axiom line gets one memo entry, made by the shape match
-    or by the line parser, and no line is read twice."""
+    """Each distinct axiom line is read once per division: matched against
+    the flat shapes, then parsed if they do not take it.  A line met again
+    is replayed from its memo entry."""
     out = write_division(divide(*toy_pair, 4, FAST), toy_pair, tmp_path / "d")
     axiom_lines = [line for path in task_files(out)
                    for line in path.read_text(encoding="utf-8")
                    .split("\n")[1:-2]]
     assert len(set(axiom_lines)) < len(axiom_lines)  # the tasks share axioms
-    matched, parsed = [], []
-    match_line = LineReader.match_line
+    met, parsed = [], []
+    shape = ontology._SHAPE
     parse_axiom = ontology._Parser.parse_axiom
 
-    def counted_match(self, line):
-        entry = match_line(self, line)
-        if entry is not None:
-            matched.append(line)
-        return entry
+    class CountedShape:
+        def fullmatch(self, line):
+            if line != ")":  # each file's closing line
+                met.append(line)
+            return shape.fullmatch(line)
 
     def counted_parse(self):
         parsed.append(self.text)
         return parse_axiom(self)
 
-    monkeypatch.setattr(LineReader, "match_line", counted_match)
+    monkeypatch.setattr(ontology, "_SHAPE", CountedShape())
     monkeypatch.setattr(ontology._Parser, "parse_axiom", counted_parse)
     read_division(out)
-    assert matched and parsed  # the toy modules hold both kinds of line
-    assert sorted(matched + parsed) == sorted(set(axiom_lines))
+    assert sorted(met) == sorted(set(axiom_lines))
+    # the toy modules hold lines of both kinds
+    assert 0 < len(parsed) == len(set(parsed)) < len(met)
+    assert set(parsed) < set(axiom_lines)
 
 
 OWL = "http://www.w3.org/2002/07/owl#"
@@ -283,9 +295,10 @@ def shape_edges():
 
 
 def test_reused_parser_gives_fresh_parser_entries():
-    """The reader parses every new line with one parser; each line's memo
-    entry is the one a fresh `_Parser(line)` gives, failed lines between
-    them included."""
+    """The line pass parses every new line that no flat shape takes with
+    one parser per file; each line's memo entry, matched or parsed, is the
+    one a fresh `_Parser(line)` gives, failed lines between them
+    included."""
     rng = np.random.default_rng(11)
     texts = [serialize(shuffled_module(rng, random_ontology(
         rng, f"http://example.org/r{i % 10}#"))) for i in range(100)]
@@ -293,12 +306,15 @@ def test_reused_parser_gives_fresh_parser_entries():
     # lines of the flat shapes and near them, each in a file of its own,
     # since a file is left at its first line that does not read alone
     texts += ["Ontology(\n" + line + "\n)\n" for line in shape_edges()]
-    reader = LineReader()
+    refs, memo = {}, {}
     for text in texts:
-        reader.read_lines(text)
-    assert len(reader.lines) > 300
-    for line, (axiom, uses) in reader.lines.items():
-        fresh = ontology._Parser(line, reader.refs)
+        try:
+            ontology._parse_lines(text, refs, memo)
+        except OfnSyntaxError:
+            pass
+    assert len(memo) > 300
+    for line, (axiom, uses) in memo.items():
+        fresh = ontology._Parser(line, refs)
         assert fresh.parse_axiom() == axiom
         assert not fresh.tokens[fresh.pos]
         assert len(fresh.known) == len(uses)
