@@ -33,20 +33,56 @@ class ClusterAssignment:
     inertia_history: tuple[float, ...]
 
 
-def _pairwise_sq_dists(X: np.ndarray, x2: np.ndarray,
-                       C: np.ndarray) -> np.ndarray:
-    """Squared distances of the rows of X (squared norms x2) to C's rows."""
-    d2 = x2[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
-    return np.maximum(d2, 0.0)
+# rows per block of the elementwise work.  The product X @ C.T stays whole:
+# OpenBLAS may round a row block of it differently from the full product.
+_BLOCK_ROWS = 256
 
 
-def _plus_plus_init(X: np.ndarray, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _sq_dists(X: np.ndarray, c: np.ndarray | None, out: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """out[i] = |X[i] - c|^2 (|X[i]|^2 for c None), block by block.
+
+    The same bits as `np.sum((X - c) ** 2, axis=1)`, in which `x ** 2` is
+    `x * x`.  numpy sums each row of that temporary pairwise, unless X is
+    stored column by column: then it adds the columns in turn, as
+    `accumulate` does.
+    """
+    by_column = min(X.shape) > 1 and abs(X.strides[0]) < abs(X.strides[1])
+    for s in range(0, len(X), len(scratch)):
+        xb = X[s:s + len(scratch)]
+        b = scratch[:len(xb)]
+        if c is not None:
+            xb = np.subtract(xb, c, out=b)
+        np.multiply(xb, xb, out=b)
+        if by_column:
+            out[s:s + len(b)] = np.add.accumulate(b, axis=1, out=b)[:, -1]
+        else:
+            np.add.reduce(b, axis=1, out=out[s:s + len(b)])
+
+
+def _pairwise_sq_dists(X: np.ndarray, x2: np.ndarray, C: np.ndarray,
+                       d2: np.ndarray, scratch: np.ndarray) -> None:
+    """d2 = max((x2 + |C|^2) - 2 X @ C.T, 0) for the rows of X (squared
+    norms x2) and C; in place, block by block through scratch (B, n)."""
+    c2 = np.sum(C * C, axis=1)
+    np.matmul(X, C.T, out=d2)
+    for s in range(0, len(d2), len(scratch)):
+        p = d2[s:s + len(scratch)]
+        b = scratch[:len(p)]
+        np.add(x2[s:s + len(b), None], c2, out=b)
+        np.multiply(p, 2.0, out=p)
+        np.subtract(b, p, out=p)
+        np.maximum(p, 0.0, out=p)
+
+
+def _plus_plus_init(X: np.ndarray, n: int, rng: np.random.Generator,
+                    scratch: np.ndarray) -> np.ndarray:
     m = X.shape[0]
     centroids = np.empty((n, X.shape[1]), dtype=float)
     first = int(rng.integers(m))
     centroids[0] = X[first]
-    closest = np.sum((X - centroids[0]) ** 2, axis=1)
+    closest, dist = np.empty(m), np.empty(m)
+    _sq_dists(X, centroids[0], closest, scratch)
     for c in range(1, n):
         total = closest.sum()
         if total <= 0:  # every point equals one of the c centroids
@@ -54,7 +90,8 @@ def _plus_plus_init(X: np.ndarray, n: int,
                 f"n={n} exceeds the {c} distinct points available")
         idx = int(rng.choice(m, p=closest / total))
         centroids[c] = X[idx]
-        closest = np.minimum(closest, np.sum((X - centroids[c]) ** 2, axis=1))
+        _sq_dists(X, centroids[c], dist, scratch)
+        np.minimum(closest, dist, out=closest)
     return centroids
 
 
@@ -70,13 +107,18 @@ def kmeans(points: np.ndarray, n: int, seed: int,
     if X.ndim != 2 or not len(X):
         raise ValueError("points must be a non-empty (m, dim) matrix")
     m = X.shape[0]
-    centroids = _plus_plus_init(X, n, np.random.default_rng(seed))
+    # work arrays, allocated once: a block of rows of X, the distances, and
+    # a block of rows of those
+    x_block = np.empty((min(m, _BLOCK_ROWS), X.shape[1]))
+    centroids = _plus_plus_init(X, n, np.random.default_rng(seed), x_block)
+    d2, d_block = np.empty((m, n)), np.empty((len(x_block), n))
 
     history: list[float] = []
     assign = np.full(m, -1, dtype=np.intp)
-    x2 = np.sum(X * X, axis=1)
+    x2 = np.empty(m)
+    _sq_dists(X, None, x2, x_block)
     for _ in range(max_iters):
-        d2 = _pairwise_sq_dists(X, x2, centroids)
+        _pairwise_sq_dists(X, x2, centroids, d2, d_block)
         new_assign = d2.argmin(axis=1)
 
         for repairs in range(n + 1):
@@ -88,7 +130,7 @@ def kmeans(points: np.ndarray, n: int, seed: int,
             far = int(d2[np.arange(m), new_assign].argmax())
             empty_id = int(empties[0])
             centroids[empty_id] = X[far]
-            d2[:, empty_id] = np.sum((X - centroids[empty_id]) ** 2, axis=1)
+            _sq_dists(X, centroids[empty_id], d2[:, empty_id], x_block)
             new_assign = d2.argmin(axis=1)
 
         inertia = float(d2[np.arange(m), new_assign].sum())

@@ -212,13 +212,19 @@ def read_alignment_tsv(path) -> Alignment:
     return Alignment(read_mappings(path, {}))
 
 
-def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
+def read_mappings(path, refs: dict[tuple[str, str], EntityRef],
+                  modules: tuple[Ontology, Ontology] | None = None
                   ) -> frozenset[Mapping]:
-    """The mappings of the TSV file at `path`.  An IRI's ref is its ref in
-    `refs`: as a class, else as an object property, else as an individual;
-    else a new class ref, which `refs` gains."""
-    def module_ref(iri: str) -> EntityRef:
-        ref = refs.get((iri, CLASS))
+    """The mappings of the TSV file at `path`.  An IRI's ref is its entity
+    in `modules`, if given: the source module's for e1, the target's for
+    e2.  Else it is its ref in `refs`: as a class, else as an object
+    property, else as an individual; else a new class ref, which `refs`
+    gains."""
+    def module_ref(iri: str, module: Ontology | None) -> EntityRef:
+        # a class ref in `refs` may be only a label's placeholder
+        ref = module.entity_by_iri.get(iri) if module is not None else None
+        if ref is None:
+            ref = refs.get((iri, CLASS))
         if ref is None:  # a row names no kind: take the one the modules use
             ref = refs.get((iri, OBJECT_PROPERTY)) \
                 or refs.get((iri, INDIVIDUAL))
@@ -226,11 +232,14 @@ def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
                 ref = refs[iri, CLASS] = EntityRef(iri)
         return ref
 
+    source, target = modules or (None, None)
     # text mode reads every line end as "\n", as iterating the file would
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     mappings: set[Mapping] = set()
-    seen: dict[str, EntityRef] = {}  # the refs of this file, by IRI
+    # the refs of this file, by IRI, for each column
+    seen1: dict[str, EntityRef] = {}
+    seen2: dict[str, EntityRef] = {}
     confidences: dict[str, float] = {}  # the valid ones of this file
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line or line.isspace() or line[0] == "#":
@@ -257,8 +266,8 @@ def read_mappings(path, refs: dict[tuple[str, str], EntityRef]
                         f"{path}:{lineno}: bad confidence {parts[3]!r}")
                 confidences[parts[3]] = conf
         mappings.add(Mapping(
-            seen.get(e1) or seen.setdefault(e1, module_ref(e1)),
-            seen.get(e2) or seen.setdefault(e2, module_ref(e2)),
+            seen1.get(e1) or seen1.setdefault(e1, module_ref(e1, source)),
+            seen2.get(e2) or seen2.setdefault(e2, module_ref(e2, target)),
             rel, conf))
     return frozenset(mappings)
 
@@ -374,7 +383,8 @@ def read_division(path) -> Division:
         task_dir = root / f"task_{row['task']}"
         source = _parse(_read_text(task_dir / "source.ofn"), refs, memo)
         target = _parse(_read_text(task_dir / "target.ofn"), refs, memo)
-        candidates = read_mappings(task_dir / "candidates.tsv", refs)
+        candidates = read_mappings(task_dir / "candidates.tsv", refs,
+                                   (source, target))
         subtasks.append(MatchingTask(source, target, candidates,
                                      task_id=row["task"]))
     return Division(meta["n"], tuple(subtasks), meta.get("provenance", {}))

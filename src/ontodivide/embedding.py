@@ -293,19 +293,28 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
     return EmbeddingSpace(enc.words, enc.entities, W, E, tuple(losses))
 
 
-def _segment_means(matrix: FloatArray, ids: np.ndarray,
-                   sizes: np.ndarray) -> FloatArray:
-    """Mean of the rows `matrix[ids]` over each consecutive run of `sizes`.
+# bytes of one gathered block of rows in `_segment_means`
+_GATHER_BYTES = 1 << 18
 
-    Runs of one length are averaged as one (count, length, d) block, row by
-    row as `np.mean` over one run does: bit-identical, unlike reduceat.
+
+def _segment_means(matrix: FloatArray, ids: np.ndarray, sizes: np.ndarray,
+                   out: FloatArray) -> None:
+    """out[i] = mean of the rows `matrix[ids]` over the i-th consecutive run
+    of `sizes`.
+
+    Runs of one length are averaged as (count, length, d) blocks of at most
+    about `_GATHER_BYTES`, row by row as `np.mean` over one run does:
+    bit-identical, unlike reduceat.
     """
-    out = np.empty((len(sizes), matrix.shape[1]))
     starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
+    row_bytes = matrix.shape[1] * matrix.itemsize
+    for size in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == size)
-        out[rows] = matrix[ids[starts[rows, None] + np.arange(size)]].mean(1)
-    return out
+        step = max(1, _GATHER_BYTES // max(1, size * row_bytes))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            out[block] = matrix[ids[starts[block, None]
+                                    + np.arange(size)]].mean(1)
 
 
 def entry_vectors(lexi: LexIndex, space: EmbeddingSpace) -> FloatArray:
@@ -313,7 +322,10 @@ def entry_vectors(lexi: LexIndex, space: EmbeddingSpace) -> FloatArray:
     enc = lexi.encoding
     if space.words != enc.words or space.entities != enc.entities:
         raise ValueError("embedding space does not match the index")
-    return np.hstack([
-        _segment_means(space.word_matrix, enc.key_words, enc.key_sizes),
-        _segment_means(space.entity_matrix, enc.value_entities,
-                       enc.value_sizes)])
+    d = space.dim
+    out = np.empty((len(enc.key_sizes), 2 * d))
+    _segment_means(space.word_matrix, enc.key_words, enc.key_sizes,
+                   out[:, :d])
+    _segment_means(space.entity_matrix, enc.value_entities, enc.value_sizes,
+                   out[:, d:])
+    return out

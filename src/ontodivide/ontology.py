@@ -585,10 +585,15 @@ class _Parser:
         if tokens[at + 1] != "(":
             self.fail_expected("(", at + 1)
         self.pos = at + 2
-        if tokens[at + 2][:1] == "<":
-            self.ontology_iri = tokens[at + 2][1:-1]
-            self.pos = at + 3
+        self.parse_ontology_iri()
         return True
+
+    def parse_ontology_iri(self) -> None:
+        """Read the ontology IRI, if it comes next."""
+        tok = self.tokens[self.pos]
+        if tok[:1] == "<":
+            self.ontology_iri = tok[1:-1]
+            self.pos += 1
 
     def parse_alone(self, line: str
                     ) -> tuple[Axiom, tuple[EntityRef, ...]] | None:
@@ -927,6 +932,8 @@ def _parse_lines(text: str, refs: dict | None = None,
     # the grammar reads the rest, from line `at` on, with the state so far
     rest = parser.text = "\n".join(lines[at:])
     parser.line, parser.pos, parser.tokens = at, 0, _tokenize(rest, at)
+    if not axioms and parser.ontology_iri is None:
+        parser.parse_ontology_iri()  # on a line after `Ontology(`
     parser.parse_body(True)
     return parser.finish()
 

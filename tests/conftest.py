@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -92,6 +93,16 @@ def fast_thread_switching():
         yield
     finally:
         sys.setswitchinterval(interval)
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the most bytes it held at once, numpy's buffers
+    included."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -20,8 +20,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ontodivide.clustering import ClusterAssignment
+from ontodivide.config import MAX_ITERS
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
-                               UnsupportedConstructError)
+                               UnsupportedConstructError, check_int)
 from ontodivide.lexindex import RELATIONS, Mapping
 from ontodivide.metrics import Alignment
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
@@ -922,6 +924,88 @@ def reference_train_embeddings(lexi, cfg):
                 f"non-finite embedding values after epoch {epoch}; "
                 "lower the learning rate")
     return W, E, tuple(losses)
+
+
+# --- reference k-means -------------------------------------------------------
+# The 0.2.0 k-means, verbatim with its helpers, which builds fresh
+# data-sized temporaries at every step.  `kmeans` must match it bit for bit.
+
+_INERTIA_TOL = 1e-9
+
+
+def _ref_pairwise_sq_dists(X: np.ndarray, x2: np.ndarray,
+                           C: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of X (squared norms x2) to C's rows."""
+    d2 = x2[:, None] + np.sum(C * C, axis=1)[None, :] - 2.0 * (X @ C.T)
+    return np.maximum(d2, 0.0)
+
+
+def _ref_plus_plus_init(X: np.ndarray, n: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    m = X.shape[0]
+    centroids = np.empty((n, X.shape[1]), dtype=float)
+    first = int(rng.integers(m))
+    centroids[0] = X[first]
+    closest = np.sum((X - centroids[0]) ** 2, axis=1)
+    for c in range(1, n):
+        total = closest.sum()
+        if total <= 0:  # every point equals one of the c centroids
+            raise ValueError(
+                f"n={n} exceeds the {c} distinct points available")
+        idx = int(rng.choice(m, p=closest / total))
+        centroids[c] = X[idx]
+        closest = np.minimum(closest, np.sum((X - centroids[c]) ** 2, axis=1))
+    return centroids
+
+
+def reference_kmeans(points: np.ndarray, n: int, seed: int,
+                     max_iters: int = MAX_ITERS) -> ClusterAssignment:
+    """Cluster the rows of an (m, dim) matrix into n non-empty clusters."""
+    check_int("n", n)
+    if n <= 0:
+        raise ValueError("n must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2 or not len(X):
+        raise ValueError("points must be a non-empty (m, dim) matrix")
+    m = X.shape[0]
+    centroids = _ref_plus_plus_init(X, n, np.random.default_rng(seed))
+
+    history: list[float] = []
+    assign = np.full(m, -1, dtype=np.intp)
+    x2 = np.sum(X * X, axis=1)
+    for _ in range(max_iters):
+        d2 = _ref_pairwise_sq_dists(X, x2, centroids)
+        new_assign = d2.argmin(axis=1)
+
+        for repairs in range(n + 1):
+            empties = np.flatnonzero(np.bincount(new_assign, minlength=n) == 0)
+            if empties.size == 0:
+                break
+            if repairs == n:
+                raise InvariantError("empty-cluster repair failed to settle")
+            far = int(d2[np.arange(m), new_assign].argmax())
+            empty_id = int(empties[0])
+            centroids[empty_id] = X[far]
+            d2[:, empty_id] = np.sum((X - centroids[empty_id]) ** 2, axis=1)
+            new_assign = d2.argmin(axis=1)
+
+        inertia = float(d2[np.arange(m), new_assign].sum())
+        if history and inertia > history[-1] * (1 + _INERTIA_TOL) + 1e-12:
+            raise InvariantError(
+                f"inertia increased: {history[-1]} -> {inertia}")
+        history.append(inertia)
+
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(n):
+            centroids[c] = X[assign == c].mean(axis=0)
+
+    centroids.flags.writeable = assign.flags.writeable = False
+    return ClusterAssignment(n, assign, centroids, history[-1], len(history),
+                             tuple(history))
 
 
 # --- reference Porter stemmer ----------------------------------------------

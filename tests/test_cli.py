@@ -456,6 +456,34 @@ def test_divide_bytes_independent_of_hash_seed(toy_files, tmp_path):
     assert files[0] == files[1]
 
 
+def test_kmeans_bits_independent_of_blas_threads():
+    """Processes with 1 and 2 BLAS threads cluster alike.  At 3,000 x 128
+    points and n = 10, OpenBLAS splits the product `X @ C.T` over its
+    threads; each element must still round as with one thread."""
+    script = """
+import hashlib
+import numpy as np
+from ontodivide.clustering import kmeans
+asg = kmeans(np.random.default_rng(7).normal(size=(3000, 128)), 10, seed=3)
+h = hashlib.sha256(asg.labels.astype(np.int64).tobytes())
+h.update(asg.centroids.tobytes())
+h.update(np.array(asg.inertia_history).tobytes())
+print(asg.n_iter, h.hexdigest())
+"""
+    digests = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                     OMP_NUM_THREADS=threads,
+                     PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                    / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("flag, value", [("--lr", "1e200"),
                                          ("--margin", "1e308")])
 def test_diverging_divide_prints_one_line(flag, value, toy_files, tmp_path):

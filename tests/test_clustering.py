@@ -3,6 +3,10 @@ import inspect
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+from oracles import reference_kmeans
+
+from ontodivide import clustering
 from ontodivide.clustering import (MAX_ITERS, ClusterAssignment,
                                    clusters_to_entries, kmeans)
 from ontodivide.division import DivisionConfig
@@ -93,6 +97,90 @@ class TestDeterminism:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia_history == b.inertia_history
+
+
+def kmeans_case(rng, block, case):
+    """Points, n, seed and max_iters of one differential case.
+
+    Cases 0-3 have B - 1, B, B + 1 and 2B + 1 points for B = `block`; the
+    rest a log-uniform count.  The points are Gaussian at a random scale,
+    drawn from a few distinct rows, integer-valued, two blobs, or nearly
+    equal far from the origin; their matrix is C-ordered, F-ordered, or a
+    strided view of either.
+    """
+    cap = {1: 150, 7: 600}.get(block, 3000)  # blocks of 1 row are slow
+    if case < 4:
+        m = max(1, (block - 1, block, block + 1, 2 * block + 1)[case])
+    else:
+        m = int(np.exp(rng.uniform(0, np.log(cap + 1))))
+    d = int(rng.choice([1, 2, 8, 64, 128]))
+    family = case % 5
+    if family == 0:
+        X = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-3, 3)
+    elif family == 1:
+        rows = rng.normal(size=(int(rng.integers(1, 12)), d))
+        X = rows[rng.integers(len(rows), size=m)]
+    elif family == 2:
+        X = rng.integers(-2, 3, size=(m, d)).astype(float)
+    elif family == 3:
+        X, _ = two_blobs(int(rng.integers(1000)), per_blob=m, dim=d)
+        X = X[rng.permutation(len(X))[:m]]
+    else:
+        # rounding in the distances ties and reorders them: empty clusters
+        # to repair, and the errors of a repair or a step gone wrong
+        X = 10.0 ** rng.uniform(0, 3) + rng.normal(size=(m, d)) * 10.0 ** (
+            rng.uniform(-7, -4))
+    layout = case // 5 % 4
+    if layout == 1:
+        X = np.asfortranarray(X)
+    elif layout == 2:
+        wide = np.empty((m, 2 * d))
+        wide[:, ::2] = X
+        X = wide[:, ::2]
+    elif layout == 3:
+        X = np.asfortranarray(X)[::-1]
+    n = int(np.exp(rng.uniform(0, np.log(min(120, m + 1) + 1))))
+    max_iters = MAX_ITERS if rng.random() < 0.8 else int(rng.integers(1, 6))
+    return X, n, int(rng.integers(2 ** 32)), max_iters
+
+
+def outcome(fn, X, n, seed, max_iters=MAX_ITERS):
+    """Every bit of a k-means result, or its error."""
+    try:
+        asg = fn(X, n, seed, max_iters)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (asg.labels.dtype, asg.labels.tobytes(), asg.centroids.tobytes(),
+            asg.inertia_history, asg.inertia, asg.n_iter)
+
+
+class TestKmeansDifferential:
+    """`kmeans`, which works in buffers it allocates once per call, against
+    the 0.2.0 k-means, which made fresh temporaries at every step."""
+
+    @pytest.mark.parametrize("case", range(40))
+    @pytest.mark.parametrize("block", [1, 7, 256, 1024])
+    def test_random_points(self, monkeypatch, block, case):
+        monkeypatch.setattr(clustering, "_BLOCK_ROWS", block)
+        args = kmeans_case(np.random.default_rng([block, case]), block,
+                           case)
+        assert outcome(kmeans, *args) == outcome(reference_kmeans, *args)
+
+    @pytest.mark.parametrize("m, n", [(745, 4), (2049, 10), (2049, 100),
+                                      (3000, 3)])
+    def test_embedding_shape(self, m, n):
+        """d = 128, as `divide` clusters by default.  At each of these
+        shapes, with 1 or 2 OpenBLAS threads, `X @ C.T` in 256-row blocks
+        rounds some bits differently from the whole product."""
+        X = np.random.default_rng([m, n]).normal(size=(m, 128))
+        assert outcome(kmeans, X, n, 1) == outcome(reference_kmeans, X, n, 1)
+
+
+def test_kmeans_holds_no_data_sized_temporary():
+    """No temporary the size of the points, such as the one that each
+    seeding pass of 0.2.0 made for `np.sum((X - c) ** 2, axis=1)`."""
+    X = np.random.default_rng(0).normal(size=(20_000, 128))
+    assert traced_peak(kmeans, X, 10, 0, 3)[1] < X.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import O1_NS, O2_NS
+from conftest import O1_NS, O2_NS, traced_peak
 from oracles import (all_entities, reference_entry_vector,
                      reference_positive_pairs, reference_train_embeddings,
                      reference_value_entity_multiset)
 
+from ontodivide import embedding
 from ontodivide.embedding import (EmbeddingSpace, TrainingConfig,
                                   batch_gaps, batch_gradients, batch_loss,
                                   entry_vectors, hinge_gradients, hinge_loss,
@@ -321,6 +322,37 @@ def random_space(rng, lexi, dim):
                           rows(len(entities)))
 
 
+def large_lexi(rng, count):
+    """An index of `count` entries, four in five keyed by one word, with
+    values of 2-4 entities."""
+    words = [f"w{i:05d}" for i in range(count)]
+    pool = [[EntityRef(f"{ns}e{i:04d}") for i in range(1000)]
+            for ns in (O1_NS, O2_NS)]
+    entries = {}
+    for i, w in enumerate(words):
+        key = (w,) if rng.random() < 0.8 else tuple(sorted(
+            {w, words[int(rng.integers(count))]}))
+        left = int(rng.integers(1, 3))
+        right = int(rng.integers(1, 3))
+        entries[key] = LexValue(*(
+            frozenset(side[j] for j in rng.choice(1000, size=k,
+                                                  replace=False))
+            for side, k in ((pool[0], left), (pool[1], right))))
+    return make_lexi(entries)
+
+
+def spans_gather_blocks(lexi, dim):
+    """Whether some run length of keys or values has more entries than one
+    gather block of `entry_vectors` holds."""
+    enc = lexi.encoding
+    for runs in (enc.key_sizes, enc.value_sizes):
+        sizes, counts = np.unique(runs, return_counts=True)
+        rows = np.maximum(1, embedding._GATHER_BYTES // (sizes * dim * 8))
+        if (counts > rows).any():
+            return True
+    return False
+
+
 class TestEncoding:
     """The integer encoding against the per-entry object code it replaced."""
 
@@ -354,11 +386,39 @@ class TestEncoding:
         lexi = random_lexi(rng)
         self.check(lexi, random_space(rng, lexi, int(rng.integers(1, 9))))
 
+    @pytest.mark.parametrize("gather_bytes", [1, 100, 1000])
+    def test_groups_span_gather_blocks(self, monkeypatch, gather_bytes):
+        monkeypatch.setattr(embedding, "_GATHER_BYTES", gather_bytes)
+        rng = np.random.default_rng(gather_bytes)
+        spanned = 0
+        for _ in range(5):
+            lexi = random_lexi(rng)
+            dim = int(rng.integers(1, 9))
+            spanned += spans_gather_blocks(lexi, dim)
+            self.check(lexi, random_space(rng, lexi, dim))
+        assert spanned
+
+    def test_large_index(self):
+        # the default gather block: 512 rows of one word at d = 64
+        lexi = large_lexi(np.random.default_rng(0), 6000)
+        assert spans_gather_blocks(lexi, 64)
+        self.check(lexi, random_space(np.random.default_rng(1), lexi, 64))
+
     def test_training_vocabulary_is_the_encoding(self, table1_lexi):
         space = train_embeddings(table1_lexi,
                                  TrainingConfig(dim=4, epochs=0, seed=0))
         assert space.words is table1_lexi.encoding.words
         assert space.entities is table1_lexi.encoding.entities
+
+
+def test_entry_vectors_hold_little_but_their_result():
+    """Both halves go straight into the result, and each run-length group
+    is gathered a bounded block at a time."""
+    lexi = large_lexi(np.random.default_rng(2), 5000)
+    space = random_space(np.random.default_rng(3), lexi, 64)
+    lexi.encoding  # cached: built before the trace
+    out, peak = traced_peak(entry_vectors, lexi, space)
+    assert peak < 1.5 * out.nbytes
 
 
 class TestTrainerDifferential:

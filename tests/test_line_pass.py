@@ -191,6 +191,9 @@ SubClassOf(<{P}A> ObjectSomeValuesFrom(:r owl:Thing))
 @example('Ontology(\nAnnotationAssertion(rdfs:label :A "a")\n'
          "SubClassOf(:B ObjectSomeValuesFrom(:A :C))\n)")
 @example('Ontology(\nAnnotationAssertion(rdfs:label owl:Thing "a")\n)')
+# the ontology IRI on a line of its own, then an axiom or a stray `)`
+@example("Ontology(\n# c\n<http://x.org/o>\nDeclaration(Class(:A))\n)\n")
+@example("Prefix(p:=<http://x.org/p#>)\nOntology(\n<http://x.org/p#A>)\n)")
 def test_line_pass_matches_reference(text):
     expected = outcome(reference_parse_ontology, text, "oracles")
     assert outcome(parse_ontology, text, "ontodivide.ontology") == expected

@@ -395,3 +395,18 @@ def test_candidates_read_as_read_alignment_tsv(tmp_path):
     assert r_new.e2 == EntityRef(NS + "new", CLASS)
     assert div.subtasks[1].source.entity_by_iri[NS + "r"] == \
         EntityRef(NS + "r", CLASS)
+
+
+def test_candidate_of_labelled_property_reads_as_its_module_ref(tmp_path):
+    """A candidate takes the ref of its own module, source for e1 and
+    target for e2: the class ref that a label puts in the division's ref
+    table does not shadow a labelled object property."""
+    module = lines(DECLARE_R, LABEL_R)
+    root = write_files(tmp_path / "d", [module, module])
+    (root / "task_0" / "candidates.tsv").write_text(f"{NS}r\t{NS}r\t=\n",
+                                                    encoding="utf-8")
+    task = read_division(root).subtasks[0]
+    (m,) = task.candidates
+    assert m.e1 is task.source.entity_by_iri[NS + "r"]
+    assert m.e2 is task.target.entity_by_iri[NS + "r"]
+    assert m.e1.kind == m.e2.kind == OBJECT_PROPERTY
