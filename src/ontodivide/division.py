@@ -29,7 +29,7 @@ from .lexindex import (RELATIONS, LexConfig, LexIndex, LexKey, LexValue,
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
 from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, EntityRef,
-                       Ontology, _parse, _read_text, _serialize)
+                       Ontology, _gc_paused, _parse, _read_text, _serialize)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,6 +118,7 @@ def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
     return MatchingTask(left, right, candidates, task_id)
 
 
+@_gc_paused
 def divide(o1: Ontology, o2: Ontology, n: int,
            cfg: DivisionConfig | None = None) -> Division:
     """Divide the matching task (o1, o2) into n subtasks."""
@@ -204,6 +205,7 @@ def _unwritable(rows: list[Mapping]) -> Iterator[str]:
                    "would read as a byte-order mark")
 
 
+@_gc_paused
 def read_alignment_tsv(path) -> Alignment:
     """Read mappings from TSV; missing confidence defaults to 1.0.
 
@@ -272,6 +274,7 @@ def read_mappings(path, refs: dict[tuple[str, str], EntityRef],
     return frozenset(mappings)
 
 
+@_gc_paused
 def write_division(div: Division, orig: tuple[Ontology, Ontology],
                    out_dir) -> Path:
     """Write `task_<i>/{source.ofn,target.ofn,candidates.tsv}` + division.json.
@@ -363,6 +366,7 @@ def _read_division_meta(path: Path) -> dict:
     return meta
 
 
+@_gc_paused
 def read_division(path) -> Division:
     """Load a division directory written by `write_division`.
 

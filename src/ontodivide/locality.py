@@ -132,6 +132,9 @@ class _LocalityGraph:
                 raise TypeError(f"not an axiom: {a!r}")
             for j in inputs:
                 feeds[j].append(i)
+        # `names` and `node` reach themselves through their closure cells:
+        # emptying the cells leaves no cycle for the collector to free
+        del names, node
         # ⊤ and any intersection of no parts
         self.sources = [i for i, k in enumerate(need) if not k]
 

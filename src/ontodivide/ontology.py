@@ -18,9 +18,11 @@ their refs and each distinct line is read once.
 
 from __future__ import annotations
 
+import gc
 import re
+from _thread import allocate_lock
 from collections.abc import Iterator
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import islice
 
 from .errors import OfnSyntaxError, UnsupportedConstructError
@@ -938,6 +940,42 @@ def _parse_lines(text: str, refs: dict | None = None,
     return parser.finish()
 
 
+# the paused calls running in this process, and whether the cyclic collector
+# was enabled when the first of them began
+_pause_lock = allocate_lock()
+_paused_calls = 0
+_gc_was_enabled = False
+
+
+def _gc_paused(fn):
+    """`fn`, run with Python's cyclic garbage collector paused.
+
+    The model's values make no reference cycles, so reference counting
+    frees all of them; the collector would only rescan, at every full
+    collection, every object a large read or division has built.  The
+    collector is one per process: it stays paused while any paused call
+    runs, in any thread, and the last of them to return, or to raise,
+    enables it again if it was enabled when the first began.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        global _paused_calls, _gc_was_enabled
+        with _pause_lock:
+            if not _paused_calls:
+                _gc_was_enabled = gc.isenabled()
+                gc.disable()
+            _paused_calls += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with _pause_lock:
+                _paused_calls -= 1
+                if not _paused_calls and _gc_was_enabled:
+                    gc.enable()
+    return paused
+
+
+@_gc_paused
 def parse_ontology(text: str) -> Ontology:
     """Parse `.ofn` text into an Ontology.
 

@@ -1,4 +1,5 @@
-"""Checks of the model's value classes that need neither pytest nor numpy.
+"""Checks of the model's value classes, and of the cyclic collector's pause
+around a parse, that need neither pytest nor numpy.
 
 `test_model.py` runs each of them, and runs this file under Python 3.10 as
 well where one is installed.  To run it by hand, from the repository root:
@@ -8,16 +9,23 @@ well where one is installed.  To run it by hand, from the repository root:
 
 import copy
 import dataclasses
+import gc
 import pickle
+import sys
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
 
 from ontodivide.division import Division, MatchingTask
+from ontodivide.errors import OfnSyntaxError
 from ontodivide.lexindex import Mapping
 from ontodivide.metrics import Alignment
 from ontodivide.ontology import (OBJECT_PROPERTY, AnnotationAssertion,
                                  Declaration, EntityRef, EquivalentClasses,
                                  IntersectionOf, NamedClass, Nothing,
                                  Ontology, SomeValuesFrom, SubClassOf,
-                                 SubObjectPropertyOf, Thing, UnionOf)
+                                 SubObjectPropertyOf, Thing, UnionOf,
+                                 parse_ontology, read_ontology)
 
 NS = "http://example.org/m#"
 LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
@@ -273,6 +281,76 @@ def check_division_round_trips():
         assert task.task_id == 3 and task.source.iri == NS + "o"
         assert {m.key: m.confidence for m in task.candidates} == \
             {m.key: m.confidence for m in div.subtasks[0].candidates}
+
+
+# a text of many axioms, long enough for the collector to run while it is
+# parsed, and one the parser refuses at its last line
+LONG = (f"Ontology(<{NS}o>\n"
+        + "".join(f"Declaration(Class(<{NS}C{i}>))\n"
+                  f"SubClassOf(<{NS}C{i}> <{NS}C{i // 2}>)\n"
+                  for i in range(1000)) + ")\n")
+MALFORMED = LONG[:-2] + "SubClassOf(\n)\n"
+
+
+@contextmanager
+def collector(enabled: bool, threshold: int | None = None):
+    """The cyclic collector enabled or not, with `threshold` young objects
+    before a collection if given; as it was again afterwards."""
+    was, thresholds = gc.isenabled(), gc.get_threshold()
+    (gc.enable if enabled else gc.disable)()
+    if threshold is not None:
+        gc.set_threshold(threshold, *thresholds[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*thresholds)
+        (gc.enable if was else gc.disable)()
+
+
+def collections_during(call, *args) -> list[int]:
+    """`call(*args)`; the generation of each collection that starts while
+    the function `call` wraps, or else `call` itself, is running."""
+    code = getattr(call, "__wrapped__", call).__code__
+    found = []
+
+    def seen(phase, info):
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            found.append(info["generation"])
+    gc.callbacks.append(seen)
+    try:
+        call(*args)
+    finally:
+        gc.callbacks.remove(seen)
+    return found
+
+
+def check_parse_pauses_the_collector():
+    # with a threshold of one object, an unpaused parse collects at once
+    with collector(True, threshold=1):
+        assert collections_during(parse_ontology.__wrapped__, LONG)
+        assert collections_during(parse_ontology, LONG) == []
+
+
+def check_parse_leaves_the_collector_as_it_was():
+    """Returning or raising, `parse_ontology` and `read_ontology` leave the
+    collector enabled if it was, and disabled if the caller disabled it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        good, bad = Path(tmp, "good.ofn"), Path(tmp, "bad.ofn")
+        good.write_text(LONG, encoding="utf-8")
+        bad.write_text(MALFORMED, encoding="utf-8")
+        for enabled in (True, False):
+            with collector(enabled):
+                assert len(parse_ontology(LONG).axioms) == 2000
+                assert gc.isenabled() is enabled
+                assert read_ontology(good) == parse_ontology(LONG)
+                assert gc.isenabled() is enabled
+                raises(OfnSyntaxError, None, parse_ontology, MALFORMED)
+                assert gc.isenabled() is enabled
+                raises(OfnSyntaxError, None, read_ontology, bad)
+                assert gc.isenabled() is enabled
 
 
 CHECKS = [value for name, value in sorted(globals().items())

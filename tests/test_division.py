@@ -294,6 +294,9 @@ class TestDivideMemo:
             futures = {n: pool.submit(divide, o1, o2, n, FAST) for n in ns}
             assert {n: division_text(f.result(timeout=60))
                     for n, f in futures.items()} == serial
+        # `divide` paused the collector in each thread; the last to return
+        # enabled it again
+        assert gc.isenabled()
 
 
 class TestAlignmentTsv:

@@ -102,8 +102,8 @@ before = set(sys.modules)
 ontodivide.read_ontology(sys.argv[1])
 print(loaded())
 print(" ".join(sorted((set(sys.modules) - before)
-                      & {"dataclasses", "inspect", "logging", "traceback",
-                         "typing"})))
+                      & {"contextlib", "dataclasses", "inspect", "logging",
+                         "threading", "traceback", "typing"})))
 """
 
 
@@ -111,8 +111,9 @@ print(" ".join(sorted((set(sys.modules) - before)
 def test_import_and_read_load_only_the_parser(version, tmp_path):
     """In a fresh interpreter without numpy on its path, `import ontodivide`
     loads only `_version`, and reading an ontology only `ontology` and
-    `errors`, and none of the stdlib's `dataclasses`, `inspect`, `logging`,
-    `traceback` or `typing`."""
+    `errors`, and none of the stdlib's `contextlib`, `dataclasses`,
+    `inspect`, `logging`, `threading`, `traceback` or `typing`: the
+    collector's pause takes only the built-in `gc` and `_thread`."""
     this = "%d.%d" % sys.version_info[:2]
     exe = sys.executable if version in ("this", this) \
         else OTHER_PYTHONS.get(version)
