@@ -12,9 +12,9 @@ dividing one pair again at another n starts at k-means.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import shutil
+import sys
 import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,8 +33,6 @@ from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, EntityRef,
 
 if TYPE_CHECKING:
     import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def divide(o1: Ontology, o2: Ontology, n: int,
     # the numeric stages load numpy, which nothing else here needs
     import numpy as np
 
-    from .clustering import clusters_to_entries, kmeans
+    from .clustering import kmeans
     from .embedding import entry_vectors, train_embeddings
 
     if cfg is None:
@@ -152,14 +150,18 @@ def divide(o1: Ontology, o2: Ontology, n: int,
         points.flags.writeable = False
         vars(o1)["_division_memo"] = _Memo(cfg, weakref.ref(o2), lexi, points)
     assignment = kmeans(points, n, km_seed, cfg.kmeans_max_iters)
-    clusters = clusters_to_entries(assignment, lexi)
+    clusters: list[list[int]] = [[] for _ in range(n)]  # entry ids
+    for i, c in enumerate(assignment.labels.tolist()):
+        clusters[c].append(i)
     if any(not c for c in clusters):
         raise InvariantError("k-means returned an empty cluster")
 
-    subtasks = tuple(subtask_from_cluster(c, o1, o2, task_id=i)
-                     for i, c in enumerate(clusters))
-    logger.info("divided task into %d subtasks from %d index entries",
-                n, len(lexi))
+    subtasks = tuple(MatchingTask(*context_of(m, o1, o2), m, i)
+                     for i, m in enumerate(map(lexi.mappings, clusters)))
+    if "logging" in sys.modules:  # no handler exists before it is loaded
+        sys.modules["logging"].getLogger(__name__).info(
+            "divided task into %d subtasks from %d index entries",
+            n, len(lexi))
     return Division(n, subtasks, cfg.provenance())
 
 

@@ -23,58 +23,32 @@ from .ontology import EntityRef
 FloatArray = np.ndarray
 
 
-def _ids(values) -> np.ndarray:
-    out = np.array(values, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class IndexEncoding:
-    """`LexIndex.sorted_entries` as ids into the sorted words and entities.
-
-    Entry i's key is run i of `key_words` (`key_sizes[i]` ids); its value,
-    sorted `entities1` then sorted `entities2`, is run i of `value_entities`
-    (`value_sizes[i]` ids), which is also the negative-sampling multiset.
-    """
-
-    words: tuple[str, ...]
-    entities: tuple[EntityRef, ...]
-    key_words: np.ndarray
-    key_sizes: np.ndarray
-    value_entities: np.ndarray
-    value_sizes: np.ndarray
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Word and entity ids of all pairs: entry, key word, value entity."""
-        runs = np.repeat(self.value_sizes, self.key_sizes)  # per key word
-        # pair p of a key word's run is entity p of its entry's value run
-        first = np.repeat(np.cumsum(self.value_sizes) - self.value_sizes,
-                          self.key_sizes) - (np.cumsum(runs) - runs)
-        pair_e = self.value_entities[np.arange(runs.sum())
-                                     + np.repeat(first, runs)]
-        return _ids(np.repeat(self.key_words, runs)), _ids(pair_e)
-
-
-def encode_index(lexi: LexIndex) -> IndexEncoding:
-    """The encoding of `lexi`; use the cached `lexi.encoding` instead."""
-    entries = lexi.sorted_entries
-    words = sorted({w for key, _ in entries for w in key})
+def _value_rows(lexi: LexIndex) -> tuple[tuple[EntityRef, ...], np.ndarray]:
+    """The entities of the kept values, sorted, one per (IRI, kind), and
+    `lexi.value_ids` as rows of them: the value of entry i is run i of the
+    rows, which are also the negative-sampling multiset."""
+    ids = np.asarray(lexi.value_ids)
+    used = np.flatnonzero(np.bincount(ids, minlength=len(lexi.entities)))
+    refs = [lexi.entities[e] for e in used.tolist()]
     # (iri, kind) sorts and compares as EntityRef does, but hashes in C
-    by_fields = {(e.iri, e.kind): e for _, value in entries
-                 for e in value.entities1 | value.entities2}
-    word_id = {w: i for i, w in enumerate(words)}
-    ent_id = {f: i for i, f in enumerate(sorted(by_fields))}
-    return IndexEncoding(
-        tuple(words), tuple(by_fields[f] for f in ent_id),
-        _ids([word_id[w] for key, _ in entries for w in key]),
-        _ids([len(key) for key, _ in entries]),
-        # ids follow the entity order, so sorting ids sorts each side
-        _ids([i for _, value in entries
-              for side in (value.entities1, value.entities2)
-              for i in sorted(ent_id[e.iri, e.kind] for e in side)]),
-        _ids([len(value) for _, value in entries]))
+    by_fields = {(e.iri, e.kind): e for e in refs}
+    row = {f: i for i, f in enumerate(sorted(by_fields))}
+    rows = np.zeros(len(lexi.entities), dtype=np.intp)
+    rows[used] = [row[e.iri, e.kind] for e in refs]
+    return tuple(by_fields[f] for f in row), rows[ids]
+
+
+def _pairs(lexi: LexIndex, value_rows: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Word ids and entity rows of all pairs: entry, key word, value
+    entity."""
+    key_sizes = np.diff(lexi.key_ptr)
+    runs = np.repeat(np.diff(lexi.value_ptr), key_sizes)  # per key word
+    # pair p of a key word's run is entity p of its entry's value run
+    first = np.repeat(lexi.value_ptr[:-1], key_sizes) \
+        - (np.cumsum(runs) - runs)
+    return (np.repeat(lexi.key_words, runs),
+            value_rows[np.arange(runs.sum()) + np.repeat(first, runs)])
 
 
 @dataclass(frozen=True)
@@ -118,10 +92,10 @@ def similarity(a: FloatArray, b: FloatArray) -> float:
 
 
 def positive_pairs(lexi: LexIndex) -> list[tuple[str, EntityRef]]:
-    """`IndexEncoding.pairs` as (word, entity), in the order training uses."""
-    enc = lexi.encoding
-    pair_w, pair_e = enc.pairs
-    return [(enc.words[w], enc.entities[e])
+    """(word, entity) pairs of the index, in the order training uses."""
+    entities, value_rows = _value_rows(lexi)
+    pair_w, pair_e = _pairs(lexi, value_rows)
+    return [(lexi.words[w], entities[e])
             for w, e in zip(pair_w.tolist(), pair_e.tolist())]
 
 
@@ -207,7 +181,13 @@ def _project(matrix: FloatArray, rows: np.ndarray, max_norm: float) -> None:
     touched = np.zeros(len(matrix), dtype=bool)
     touched[rows] = True
     rows = np.flatnonzero(touched)
-    norms = np.linalg.norm(matrix[rows], axis=1)
+    block = matrix.take(rows, axis=0)
+    # no norm exceeds max|x| sqrt(d), and none below 1e150 overflows; the
+    # margin covers rounding.  A NaN fails this test, and passes below.
+    bound = np.abs(block).max() * math.sqrt(matrix.shape[1]) * (1 + 1e-9)
+    if bound < max_norm and bound < 1e150:
+        return
+    norms = np.linalg.norm(block, axis=1)
     if np.isinf(norms).any():  # scaling by max_norm / inf would zero the row
         raise _diverged("embedding norm")
     over = norms > max_norm
@@ -228,17 +208,16 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
     rate, decayed linearly to zero over all pairs of all epochs.  Fully
     deterministic given the seed.
     """
-    enc = lexi.encoding
-    pair_w, pair_e = enc.pairs
-    multiset = enc.value_entities
+    entities, multiset = _value_rows(lexi)
+    pair_w, pair_e = _pairs(lexi, multiset)
     if not len(pair_w):
         raise ValueError("cannot train on an empty index")
 
     rng = np.random.default_rng(cfg.seed)
     d = cfg.dim
     bound = 1.0 / d
-    W = rng.uniform(-bound, bound, size=(len(enc.words), d))
-    E = rng.uniform(-bound, bound, size=(len(enc.entities), d))
+    W = rng.uniform(-bound, bound, size=(len(lexi.words), d))
+    E = rng.uniform(-bound, bound, size=(len(entities), d))
     flat_w = W.reshape(-1)
     flat_e = E.reshape(-1)
 
@@ -290,7 +269,7 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
                 and np.isfinite(E).all()):
             raise _diverged(f"embedding values after epoch {epoch}")
     W.flags.writeable = E.flags.writeable = False
-    return EmbeddingSpace(enc.words, enc.entities, W, E, tuple(losses))
+    return EmbeddingSpace(lexi.words, entities, W, E, tuple(losses))
 
 
 # bytes of one gathered block of rows in `_segment_means`
@@ -308,7 +287,7 @@ def _segment_means(matrix: FloatArray, ids: np.ndarray, sizes: np.ndarray,
     """
     starts = np.cumsum(sizes) - sizes
     row_bytes = matrix.shape[1] * matrix.itemsize
-    for size in np.unique(sizes).tolist():
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == size)
         step = max(1, _GATHER_BYTES // max(1, size * row_bytes))
         for lo in range(0, len(rows), step):
@@ -318,14 +297,14 @@ def _segment_means(matrix: FloatArray, ids: np.ndarray, sizes: np.ndarray,
 
 
 def entry_vectors(lexi: LexIndex, space: EmbeddingSpace) -> FloatArray:
-    """Row i: key-word mean, then value-entity mean of `sorted_entries[i]`."""
-    enc = lexi.encoding
-    if space.words != enc.words or space.entities != enc.entities:
+    """Row i: key-word mean, then value-entity mean of entry i."""
+    entities, value_rows = _value_rows(lexi)
+    if space.words != lexi.words or space.entities != entities:
         raise ValueError("embedding space does not match the index")
     d = space.dim
-    out = np.empty((len(enc.key_sizes), 2 * d))
-    _segment_means(space.word_matrix, enc.key_words, enc.key_sizes,
-                   out[:, :d])
-    _segment_means(space.entity_matrix, enc.value_entities, enc.value_sizes,
+    out = np.empty((len(lexi), 2 * d))
+    _segment_means(space.word_matrix, np.asarray(lexi.key_words),
+                   np.diff(lexi.key_ptr), out[:, :d])
+    _segment_means(space.entity_matrix, value_rows, np.diff(lexi.value_ptr),
                    out[:, d:])
     return out

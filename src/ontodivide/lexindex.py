@@ -9,18 +9,18 @@ are dropped.  Retained entries are the source of candidate mappings.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping as MappingT
+from itertools import accumulate, chain, combinations, islice, product
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .errors import check_int
 from .ontology import EntityRef, Ontology, entity_labels
 from .stemming import porter_stem
-
-if TYPE_CHECKING:
-    from .embedding import IndexEncoding
 
 LexKey = tuple[str, ...]
 
@@ -30,6 +30,7 @@ SUBSUMES = ">"
 RELATIONS = (EQUIVALENCE, SUBSUMED_BY, SUBSUMES)
 
 _TOKEN_SPLIT = re.compile(r"[^0-9A-Za-z]+")
+_REF_ORDER = attrgetter("iri", "kind")  # the order of refs, as a C key
 
 
 def load_default_stopwords() -> frozenset[str]:
@@ -70,13 +71,9 @@ def word_subsets(words: Iterable[str], max_subsets: int) -> list[LexKey]:
     if max_subsets < 1:
         raise ValueError("max_subsets must be >= 1")
     n = len(ordered)
-    keys: list[LexKey] = []
-    for size in range(n, max(1, n - 2) - 1, -1):
-        for combo in combinations(ordered, size):
-            keys.append(combo)
-            if len(keys) == max_subsets:
-                return keys
-    return keys
+    return list(islice(chain.from_iterable(
+        combinations(ordered, size)
+        for size in range(n, max(1, n - 2) - 1, -1)), max_subsets))
 
 
 @dataclass(frozen=True)
@@ -112,21 +109,60 @@ class LexConfig:
 
 @dataclass(frozen=True)
 class LexIndex:
-    entries: MappingT[LexKey, LexValue]
+    """The kept entries, in key order, as integer arrays.
+
+    A word id is a position in `words`, the sorted words of the kept keys.
+    An entity id is a position in `entities`: the source ontology's sorted
+    signature, then the target's, so the source's ids are those below
+    `n_source`.  Entry i's key is `key_words[key_ptr[i]:key_ptr[i + 1]]`;
+    its value is `value_ids[value_ptr[i]:value_ptr[i + 1]]`, the ascending
+    ids of its source entities, then those of its target entities.
+    """
+
     alpha: int
     stats: IndexStats
+    words: tuple[str, ...]
+    entities: tuple[EntityRef, ...]
+    n_source: int
+    key_ptr: array
+    key_words: array
+    value_ptr: array
+    value_ids: array
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.key_ptr) - 1
+
+    def _sides(self, i: int) -> tuple[array, array]:
+        """The source and the target entity ids of entry i."""
+        lo, hi = self.value_ptr[i], self.value_ptr[i + 1]
+        mid = bisect_left(self.value_ids, self.n_source, lo, hi)
+        return self.value_ids[lo:mid], self.value_ids[mid:hi]
 
     @cached_property
     def sorted_entries(self) -> tuple[tuple[LexKey, LexValue], ...]:
-        return tuple(sorted(self.entries.items()))
+        """Every entry as objects, built on first use; `divide` never
+        uses them."""
+        words, ents, ptr, kw = (self.words, self.entities, self.key_ptr,
+                                self.key_words)
+        return tuple(
+            (tuple([words[w] for w in kw[ptr[i]:ptr[i + 1]]]),
+             LexValue(*[frozenset([ents[e] for e in side])
+                        for side in self._sides(i)]))
+            for i in range(len(self)))
 
     @cached_property
-    def encoding(self) -> IndexEncoding:
-        from .embedding import encode_index  # numpy is loaded there
-        return encode_index(self)
+    def entries(self) -> dict[LexKey, LexValue]:
+        return dict(self.sorted_entries)
+
+    def mappings(self, entry_ids: Iterable[int]) -> frozenset[Mapping]:
+        """`mappings_of` the entries `entry_ids`, from their entity ids."""
+        pairs: set[tuple[int, int]] = set()
+        for i in entry_ids:
+            pairs.update(product(*self._sides(i)))
+        # one IRI names one entity of an ontology, so one id pair is one
+        # IRI pair
+        ents = self.entities
+        return frozenset([Mapping(ents[a], ents[b]) for a, b in pairs])
 
 
 def build_lexi(o1: Ontology, o2: Ontology,
@@ -134,34 +170,41 @@ def build_lexi(o1: Ontology, o2: Ontology,
     """Index both ontologies and keep entries that span the two of them."""
     if cfg is None:
         cfg = LexConfig()
-    accum: dict[LexKey, tuple[set[EntityRef], set[EntityRef]]] = {}
+    entities: list[EntityRef] = []
+    postings: dict[LexKey, list[int]] = {}  # key -> ascending entity ids
     # labels repeat their words, so each distinct token is stemmed once per
     # build; not across builds, so every build costs what a fresh one does
     stem = _Stems().__getitem__
-    for side, onto in ((0, o1), (1, o2)):
-        for ent in onto.signature:  # entities go into sets; order unseen
+    for onto in (o1, o2):
+        for ent in sorted(onto.signature, key=_REF_ORDER):
+            i = len(entities)
+            entities.append(ent)
             for label in entity_labels(onto, ent):
                 words = normalize_label(label, _STOPWORDS, stem)
                 if not words:
                     continue
                 for key in word_subsets(words, cfg.max_subsets):
-                    accum.setdefault(key, (set(), set()))[side].add(ent)
+                    ids = postings.get(key)
+                    if ids is None:
+                        postings[key] = [i]
+                    elif ids[-1] != i:  # a key of two labels counts once
+                        ids.append(i)
 
-    entries: dict[LexKey, LexValue] = {}
-    dropped_single = dropped_alpha = 0
-    for key in sorted(accum):
-        s1, s2 = accum[key]
-        if not s1 or not s2:
-            dropped_single += 1
-            continue
-        if len(s1) + len(s2) > cfg.alpha:
-            dropped_alpha += 1
-            continue
-        entries[key] = LexValue(frozenset(s1), frozenset(s2))
-    stats = IndexStats(raw_entries=len(accum), kept_entries=len(entries),
-                       dropped_single_side=dropped_single,
-                       dropped_over_alpha=dropped_alpha)
-    return LexIndex(entries, cfg.alpha, stats)
+    n_source = len(o1.signature)
+    spanning = [key for key in sorted(postings)
+                if postings[key][0] < n_source <= postings[key][-1]]
+    kept = [key for key in spanning if len(postings[key]) <= cfg.alpha]
+    values = list(map(postings.__getitem__, kept))
+    words = sorted({w for key in kept for w in key})
+    word_id = {w: i for i, w in enumerate(words)}
+    stats = IndexStats(len(postings), len(kept), len(postings) - len(spanning),
+                       len(spanning) - len(kept))
+    return LexIndex(
+        cfg.alpha, stats, tuple(words), tuple(entities), n_source,
+        array("q", accumulate(map(len, kept), initial=0)),
+        array("q", [word_id[w] for key in kept for w in key]),
+        array("q", accumulate(map(len, values), initial=0)),
+        array("q", chain.from_iterable(values)))
 
 
 @dataclass(frozen=True, eq=False, slots=True, init=False)
@@ -221,4 +264,4 @@ def mappings_of(entries: Iterable[tuple[LexKey, LexValue]]
 
 
 def all_candidate_mappings(lexi: LexIndex) -> frozenset[Mapping]:
-    return mappings_of(lexi.sorted_entries)
+    return lexi.mappings(range(len(lexi)))

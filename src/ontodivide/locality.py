@@ -9,7 +9,6 @@ to the seed plus the module's own signature.
 
 from __future__ import annotations
 
-import logging
 from typing import Iterable
 
 from .errors import InvariantError
@@ -18,8 +17,6 @@ from .ontology import (AnnotationAssertion, Axiom, ClassExpr, Declaration,
                        EntityRef, EquivalentClasses, IntersectionOf,
                        NamedClass, Nothing, Ontology, SomeValuesFrom,
                        SubClassOf, SubObjectPropertyOf, Thing, UnionOf)
-
-logger = logging.getLogger(__name__)
 
 
 def _is_top(expr: ClassExpr) -> bool:
@@ -174,9 +171,11 @@ def extract_module(onto: Ontology, seed: Iterable[EntityRef]) -> Ontology:
         else:
             unknown.append(e.iri)
     if unknown:
-        logger.warning("ignoring %d seed entit%s outside the signature: %s",
-                       len(unknown), "y" if len(unknown) == 1 else "ies",
-                       ", ".join(sorted(unknown)[:5]))
+        import logging  # only here, so that a division does not load it
+        logging.getLogger(__name__).warning(
+            "ignoring %d seed entit%s outside the signature: %s",
+            len(unknown), "y" if len(unknown) == 1 else "ies",
+            ", ".join(sorted(unknown)[:5]))
     return _module(onto, iris)
 
 
@@ -209,6 +208,8 @@ def context_of(mappings: Iterable[Mapping], o1: Ontology,
         left_seed.add(iri1)
         right_seed.add(iri2)
     if dropped:
-        logger.warning("dropped %d mapping(s) referencing entities outside "
-                       "the ontology signatures", dropped)
+        import logging  # only here, so that a division does not load it
+        logging.getLogger(__name__).warning(
+            "dropped %d mapping(s) referencing entities outside the "
+            "ontology signatures", dropped)
     return _module(o1, left_seed), _module(o2, right_seed)

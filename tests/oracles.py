@@ -16,7 +16,8 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Iterable, Mapping as MappingT, NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from ontodivide.clustering import ClusterAssignment
 from ontodivide.config import MAX_ITERS
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError, check_int)
-from ontodivide.lexindex import RELATIONS, Mapping
+from ontodivide.lexindex import (_STOPWORDS, RELATIONS, IndexStats,
+                                 LexConfig, LexKey, LexValue, Mapping,
+                                 _Stems, normalize_label, word_subsets)
 from ontodivide.metrics import Alignment
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
                                  MAX_EXPR_DEPTH, NOTHING_IRI,
@@ -34,7 +37,8 @@ from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
                                  IntersectionOf, NamedClass, Nothing,
                                  Ontology, SomeValuesFrom, SubClassOf,
                                  SubObjectPropertyOf, Thing, UnionOf,
-                                 axiom_signature, iri_fragment)
+                                 axiom_signature, entity_labels,
+                                 iri_fragment)
 
 logger = logging.getLogger(__name__)
 
@@ -798,6 +802,126 @@ def reference_read_alignment_tsv(path) -> Alignment:
     return Alignment(frozenset(mappings))
 
 
+# --- reference lexical index ----------------------------------------------
+# The 0.2.0 index, which keeps two `EntityRef` frozensets per entry, and its
+# encoding for the trainer, built from those objects: `build_lexi`,
+# `encode_index` and `mappings_of` verbatim (renamed), with the `LexIndex`
+# and `IndexEncoding` classes they build.  The integer index must give the
+# same entries, stats, encoding arrays, candidates and modules.
+
+def _ids(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class ReferenceIndexEncoding:
+    words: tuple[str, ...]
+    entities: tuple[EntityRef, ...]
+    key_words: np.ndarray
+    key_sizes: np.ndarray
+    value_entities: np.ndarray
+    value_sizes: np.ndarray
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Word and entity ids of all pairs: entry, key word, value entity."""
+        runs = np.repeat(self.value_sizes, self.key_sizes)  # per key word
+        # pair p of a key word's run is entity p of its entry's value run
+        first = np.repeat(np.cumsum(self.value_sizes) - self.value_sizes,
+                          self.key_sizes) - (np.cumsum(runs) - runs)
+        pair_e = self.value_entities[np.arange(runs.sum())
+                                     + np.repeat(first, runs)]
+        return _ids(np.repeat(self.key_words, runs)), _ids(pair_e)
+
+
+@dataclass(frozen=True)
+class ReferenceLexIndex:
+    entries: MappingT[LexKey, LexValue]
+    alpha: int
+    stats: IndexStats
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @cached_property
+    def sorted_entries(self) -> tuple[tuple[LexKey, LexValue], ...]:
+        return tuple(sorted(self.entries.items()))
+
+    @cached_property
+    def encoding(self) -> ReferenceIndexEncoding:
+        return reference_encode_index(self)
+
+
+def reference_build_lexi(o1: Ontology, o2: Ontology,
+                         cfg: LexConfig | None = None) -> ReferenceLexIndex:
+    """Index both ontologies and keep entries that span the two of them."""
+    if cfg is None:
+        cfg = LexConfig()
+    accum: dict[LexKey, tuple[set[EntityRef], set[EntityRef]]] = {}
+    # labels repeat their words, so each distinct token is stemmed once per
+    # build; not across builds, so every build costs what a fresh one does
+    stem = _Stems().__getitem__
+    for side, onto in ((0, o1), (1, o2)):
+        for ent in onto.signature:  # entities go into sets; order unseen
+            for label in entity_labels(onto, ent):
+                words = normalize_label(label, _STOPWORDS, stem)
+                if not words:
+                    continue
+                for key in word_subsets(words, cfg.max_subsets):
+                    accum.setdefault(key, (set(), set()))[side].add(ent)
+
+    entries: dict[LexKey, LexValue] = {}
+    dropped_single = dropped_alpha = 0
+    for key in sorted(accum):
+        s1, s2 = accum[key]
+        if not s1 or not s2:
+            dropped_single += 1
+            continue
+        if len(s1) + len(s2) > cfg.alpha:
+            dropped_alpha += 1
+            continue
+        entries[key] = LexValue(frozenset(s1), frozenset(s2))
+    stats = IndexStats(raw_entries=len(accum), kept_entries=len(entries),
+                       dropped_single_side=dropped_single,
+                       dropped_over_alpha=dropped_alpha)
+    return ReferenceLexIndex(entries, cfg.alpha, stats)
+
+
+def reference_encode_index(lexi) -> ReferenceIndexEncoding:
+    """The encoding of `lexi`; use the cached `lexi.encoding` instead."""
+    entries = lexi.sorted_entries
+    words = sorted({w for key, _ in entries for w in key})
+    # (iri, kind) sorts and compares as EntityRef does, but hashes in C
+    by_fields = {(e.iri, e.kind): e for _, value in entries
+                 for e in value.entities1 | value.entities2}
+    word_id = {w: i for i, w in enumerate(words)}
+    ent_id = {f: i for i, f in enumerate(sorted(by_fields))}
+    return ReferenceIndexEncoding(
+        tuple(words), tuple(by_fields[f] for f in ent_id),
+        _ids([word_id[w] for key, _ in entries for w in key]),
+        _ids([len(key) for key, _ in entries]),
+        # ids follow the entity order, so sorting ids sorts each side
+        _ids([i for _, value in entries
+              for side in (value.entities1, value.entities2)
+              for i in sorted(ent_id[e.iri, e.kind] for e in side)]),
+        _ids([len(value) for _, value in entries]))
+
+
+def reference_mappings_of(entries: Iterable[tuple[LexKey, LexValue]]
+                          ) -> frozenset[Mapping]:
+    """Candidate mappings suggested by a subset of index entries."""
+    # one `Mapping` per IRI pair, of the first entity pair met, as adding
+    # each pair's `Mapping` to a set would keep
+    pairs: dict[tuple[str, str], tuple[EntityRef, EntityRef]] = {}
+    for _, value in entries:
+        for e1 in value.entities1:
+            for e2 in value.entities2:
+                pairs.setdefault((e1.iri, e2.iri), (e1, e2))
+    return frozenset([Mapping(e1, e2) for e1, e2 in pairs.values()])
+
+
 # --- reference entry vectors and training pairs -----------------------------
 # The per-entry object code that `LexIndex.encoding` replaced, kept as the
 # differential reference for the encoding and `entry_vectors`; the removed
@@ -873,8 +997,9 @@ def _ref_project(matrix, rows, max_norm):
 
 
 def reference_train_embeddings(lexi, cfg):
-    """(W, E, epoch_losses) as the 0.2.0 trainer computes them."""
-    enc = lexi.encoding
+    """(W, E, epoch_losses) as the 0.2.0 trainer computes them, from the
+    0.2.0 encoding of `lexi`'s entries."""
+    enc = reference_encode_index(lexi)
     pair_w, pair_e = enc.pairs
     multiset = enc.value_entities
     if not len(pair_w):
@@ -924,6 +1049,25 @@ def reference_train_embeddings(lexi, cfg):
                 f"non-finite embedding values after epoch {epoch}; "
                 "lower the learning rate")
     return W, E, tuple(losses)
+
+
+# --- reference projection ----------------------------------------------------
+# The projection of the trainer before its bound test, verbatim: it takes
+# the norm of every touched row.  `embedding._project` must leave the same
+# bits and raise the same errors.
+
+def reference_project(matrix, rows, max_norm):
+    """Rescale the given rows whose norm exceeds max_norm onto the ball."""
+    # a mask dedupes the rows faster than np.unique's hash table
+    touched = np.zeros(len(matrix), dtype=bool)
+    touched[rows] = True
+    rows = np.flatnonzero(touched)
+    norms = np.linalg.norm(matrix[rows], axis=1)
+    if np.isinf(norms).any():  # scaling by max_norm / inf would zero the row
+        raise ValueError("non-finite embedding norm; lower the learning "
+                         "rate or the margin")
+    over = norms > max_norm
+    matrix[rows[over]] *= (max_norm / norms[over])[:, None]
 
 
 # --- reference k-means -------------------------------------------------------

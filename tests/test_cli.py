@@ -484,6 +484,17 @@ print(asg.n_iter, h.hexdigest())
     assert digests[0] == digests[1]
 
 
+def test_divide_logs_its_division(toy_files, tmp_path):
+    """The CLI loads `logging`, so `divide` logs its INFO line."""
+    done = fresh_python("import sys\nfrom ontodivide.cli import main\n"
+                        "sys.exit(main(sys.argv[1:]))\n",
+                        "divide", *map(str, toy_files), "-n", "2",
+                        "--epochs", "1", "--dim", "4",
+                        "-o", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert "INFO divided task into 2 subtasks from " in done.stderr
+
+
 @pytest.mark.parametrize("flag, value", [("--lr", "1e200"),
                                          ("--margin", "1e308")])
 def test_diverging_divide_prints_one_line(flag, value, toy_files, tmp_path):

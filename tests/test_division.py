@@ -138,6 +138,17 @@ class TestDivide:
     def test_task_ids_in_cluster_order(self, toy_division4):
         assert [t.task_id for t in toy_division4.subtasks] == [0, 1, 2, 3]
 
+    def test_builds_no_entry_objects(self):
+        o1, o2 = parse_toy_pair()
+        divide(o1, o2, 4, FAST)
+        lexi = vars(o1)["_division_memo"].lexi
+        assert not {"entries", "sorted_entries"} & set(vars(lexi))
+
+    def test_logs_where_logging_is_loaded(self, toy_pair, caplog):
+        with caplog.at_level("INFO", logger="ontodivide.division"):
+            divide(*toy_pair, 2, FAST)
+        assert "divided task into 2 subtasks from" in caplog.text
+
     def test_n_too_large(self, toy_pair, toy_lexi):
         with pytest.raises(ValueError, match="smaller n"):
             divide(*toy_pair, len(toy_lexi) + 1, FAST)

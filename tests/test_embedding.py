@@ -1,9 +1,13 @@
+from array import array
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
 from conftest import O1_NS, O2_NS, traced_peak
 from oracles import (all_entities, reference_entry_vector,
-                     reference_positive_pairs, reference_train_embeddings,
+                     reference_positive_pairs, reference_project,
+                     reference_train_embeddings,
                      reference_value_entity_multiset)
 
 from ontodivide import embedding
@@ -17,8 +21,26 @@ from ontodivide.ontology import OBJECT_PROPERTY, EntityRef
 
 
 def make_lexi(entries, alpha=60):
-    return LexIndex(entries, alpha,
-                    IndexStats(len(entries), len(entries), 0, 0))
+    """The `LexIndex` of hand-made entries, whose entities are numbered as
+    `build_lexi` numbers two signatures: each side's sorted, the source's
+    first."""
+    sides = [sorted({e for v in entries.values() for e in getattr(v, side)})
+             for side in ("entities1", "entities2")]
+    ids = [{e: i for i, e in enumerate(side, start)}
+           for side, start in zip(sides, (0, len(sides[0])))]
+    keys = sorted(entries)
+    words = sorted({w for key in keys for w in key})
+    word_id = {w: i for i, w in enumerate(words)}
+    values = [sorted(ids[0][e] for e in entries[key].entities1)
+              + sorted(ids[1][e] for e in entries[key].entities2)
+              for key in keys]
+    return LexIndex(
+        alpha, IndexStats(len(entries), len(entries), 0, 0), tuple(words),
+        tuple(sides[0] + sides[1]), len(sides[0]),
+        array("q", accumulate(map(len, keys), initial=0)),
+        array("q", [word_id[w] for key in keys for w in key]),
+        array("q", accumulate(map(len, values), initial=0)),
+        array("q", [e for value in values for e in value]))
 
 
 def ent(ns, name):
@@ -344,8 +366,7 @@ def large_lexi(rng, count):
 def spans_gather_blocks(lexi, dim):
     """Whether some run length of keys or values has more entries than one
     gather block of `entry_vectors` holds."""
-    enc = lexi.encoding
-    for runs in (enc.key_sizes, enc.value_sizes):
+    for runs in (np.diff(lexi.key_ptr), np.diff(lexi.value_ptr)):
         sizes, counts = np.unique(runs, return_counts=True)
         rows = np.maximum(1, embedding._GATHER_BYTES // (sizes * dim * 8))
         if (counts > rows).any():
@@ -357,13 +378,9 @@ class TestEncoding:
     """The integer encoding against the per-entry object code it replaced."""
 
     def check(self, lexi, space):
-        enc = lexi.encoding
-        pair_w, pair_e = enc.pairs
-        pairs = [(enc.words[w], enc.entities[e])
-                 for w, e in zip(pair_w, pair_e)]
-        assert pairs == reference_positive_pairs(lexi)
-        assert positive_pairs(lexi) == pairs
-        assert tuple(enc.entities[i] for i in enc.value_entities) \
+        assert positive_pairs(lexi) == reference_positive_pairs(lexi)
+        entities, multiset = embedding._value_rows(lexi)
+        assert tuple(entities[i] for i in multiset) \
             == reference_value_entity_multiset(lexi)
         expected = np.stack([reference_entry_vector(entry, space)
                              for entry in lexi.sorted_entries])
@@ -407,8 +424,8 @@ class TestEncoding:
     def test_training_vocabulary_is_the_encoding(self, table1_lexi):
         space = train_embeddings(table1_lexi,
                                  TrainingConfig(dim=4, epochs=0, seed=0))
-        assert space.words is table1_lexi.encoding.words
-        assert space.entities is table1_lexi.encoding.entities
+        assert space.words is table1_lexi.words
+        assert space.entities == embedding._value_rows(table1_lexi)[0]
 
 
 def test_entry_vectors_hold_little_but_their_result():
@@ -416,7 +433,6 @@ def test_entry_vectors_hold_little_but_their_result():
     is gathered a bounded block at a time."""
     lexi = large_lexi(np.random.default_rng(2), 5000)
     space = random_space(np.random.default_rng(3), lexi, 64)
-    lexi.encoding  # cached: built before the trace
     out, peak = traced_peak(entry_vectors, lexi, space)
     assert peak < 1.5 * out.nbytes
 
@@ -435,7 +451,7 @@ class TestTrainerDifferential:
         short_batches = 0
         for epochs in range(4):
             lexi = random_lexi(rng)
-            pairs = len(lexi.encoding.pairs[0])
+            pairs = len(positive_pairs(lexi))
             short_batches += pairs % 256 != 0
             cfg = TrainingConfig(dim=dim, epochs=epochs, negatives=negatives,
                                  margin=margin, max_norm=max_norm,
@@ -462,3 +478,65 @@ class TestTrainerDifferential:
         assert np.array_equal(space.word_matrix, W)
         assert np.array_equal(space.entity_matrix, E)
         assert space.epoch_losses == losses
+
+
+def edge_rows(rng, d, max_norm):
+    """Rows at the projection's edges: of norm max_norm as computed, one
+    ulp over or under it, equal entries whose bound is their norm, an inf,
+    a NaN, and finite entries whose squares overflow."""
+    rows = rng.normal(size=(7, d))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    if np.isfinite(max_norm):
+        rows[:3] *= max_norm
+        rows[1] *= np.nextafter(1.0, 2.0)
+        rows[2] *= np.nextafter(1.0, 0.0)
+        rows[3] = max_norm / np.sqrt(d)
+    rows[4, 0] = float(rng.choice([np.inf, -np.inf]))
+    rows[5, 0] = np.nan
+    rows[6] = float(rng.choice([1e153, 1e155, 1e200]))
+    return rows
+
+
+class TestProjectDifferential:
+    """`_project`, which returns early when max|x| sqrt(d) bounds every
+    norm below max_norm, against the projection that takes every norm."""
+
+    def check(self, matrix, rows, max_norm):
+        got, want = matrix.copy(), matrix.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                reference_project(want, rows, max_norm)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    embedding._project(got, rows, max_norm)
+            else:
+                embedding._project(got, rows, max_norm)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("max_norm", [1e-3, 0.05, 1.0, 10.0, np.inf])
+    @pytest.mark.parametrize("edge", range(7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_and_errors(self, seed, edge, max_norm):
+        rng = np.random.default_rng([seed, edge, int(min(max_norm, 1e6))])
+        d = int(rng.integers(1, 9))
+        matrix = rng.normal(size=(20, d)) * 10.0 ** rng.uniform(
+            -4, 1, size=(20, 1))
+        edges = edge_rows(rng, d, max_norm)
+        # the edge row, and another edge row half the time
+        at = rng.choice(20, size=1 + seed % 2, replace=False)
+        matrix[at] = edges[[edge, int(rng.integers(len(edges)))][:len(at)]]
+        rows = np.concatenate([at, rng.integers(0, 20, size=int(
+            rng.integers(0, 40)))])
+        self.check(matrix, rows, max_norm)
+
+    def test_bound_below_max_norm_yet_norm_above(self):
+        # 23 equal entries: max|x| sqrt(d) rounds below 0.05 and the norm
+        # above it, which the bound's margin covers
+        matrix = np.full((1, 23), np.nextafter(0.05 / np.sqrt(23), 0.0))
+        assert np.abs(matrix).max() * np.sqrt(23) < 0.05
+        assert np.linalg.norm(matrix) > 0.05
+        self.check(matrix, np.zeros(1, dtype=np.intp), 0.05)
+
+    def test_nan_row_beside_a_row_to_rescale(self):
+        matrix = np.array([[np.nan, 0.0], [3.0, 4.0]])
+        self.check(matrix, np.array([0, 1]), 1.0)

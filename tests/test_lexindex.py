@@ -3,15 +3,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import O1_NS, O2_NS
+from oracles import (reference_build_lexi, reference_mappings_of,
+                     reference_positive_pairs)
 
 import ontodivide.lexindex
+from ontodivide import embedding
+from ontodivide.division import subtask_from_cluster
+from ontodivide.embedding import positive_pairs
 from ontodivide.lexindex import (LexConfig, LexValue, Mapping,
                                  all_candidate_mappings, build_lexi,
                                  load_default_stopwords, mappings_of,
                                  normalize_label, word_subsets)
+from ontodivide.locality import context_of
 from ontodivide.ontology import EntityRef, entity_labels, parse_ontology
 from ontodivide.stemming import porter_stem
 
@@ -270,3 +276,99 @@ class TestMappings:
             Mapping(e1("A"), e2("B"), "~")
         with pytest.raises(ValueError):
             Mapping(e1("A"), e2("B"), confidence=0.0)
+
+
+# --- the integer index against the 0.2.0 object index -----------------------
+
+SHARED = "http://example.org/shared#"
+WORDS = ["bone", "Bones", "nerve", "nervous", "cell", "cells", "lobe",
+         "gland", "of", "the", "T4", "muscle", "muscular"]
+
+
+@st.composite
+def labelled_pairs(draw):
+    """Two small ontologies that hold, besides random labelled entities:
+    an IRI both declare as a class, one declared as a class in the source
+    and as a property in the target, labels of stop-words only, a word of
+    one side only, two labels that give one key, and an entity labelled by
+    its IRI fragment."""
+    texts = []
+    for side, (ns, kind) in enumerate(((O1_NS, "Class"),
+                                       (O2_NS, "ObjectProperty"))):
+        lines = [f"Prefix(:=<{ns}>)", f"Ontology(<{ns.rstrip('#')}>",
+                 f"Declaration(Class(<{SHARED}X>))",
+                 f'AnnotationAssertion(rdfs:label <{SHARED}X> "bone cell")',
+                 f"Declaration({kind}(<{SHARED}Y>))",
+                 f'AnnotationAssertion(rdfs:label <{SHARED}Y> "gland")',
+                 "Declaration(Class(:Empty))",
+                 'AnnotationAssertion(rdfs:label :Empty "of the")',
+                 "Declaration(Class(:Only))",
+                 f'AnnotationAssertion(rdfs:label :Only '
+                 f'"{("lunate", "hamate")[side]} bone")',
+                 "Declaration(Class(:Twice))",
+                 'AnnotationAssertion(rdfs:label :Twice "Nerve cell")',
+                 'AnnotationAssertion(rdfs:label :Twice "cells of nerves")',
+                 "Declaration(ObjectProperty(:part_of))"]
+        for i in range(draw(st.integers(0, 12))):
+            kind_i = draw(st.sampled_from(["Class", "Class", "ObjectProperty",
+                                           "NamedIndividual"]))
+            lines.append(f"Declaration({kind_i}(:E{i}))")
+            labels = draw(st.lists(st.lists(st.sampled_from(WORDS),
+                                            min_size=1, max_size=4),
+                                   max_size=2))
+            lines += [f'AnnotationAssertion(rdfs:label :E{i} '
+                      f'"{" ".join(words)}")' for words in labels]
+        lines.append(")")
+        texts.append("\n".join(lines))
+    return parse_ontology(texts[0]), parse_ontology(texts[1])
+
+
+class TestIntegerIndex:
+    """`build_lexi`, its views, the trainer's arrays and the candidates
+    of any entry cluster, against the 0.2.0 index of entity objects."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(labelled_pairs(), st.data())
+    def test_same_as_object_index(self, pair, data):
+        o1, o2 = pair
+        max_subsets = data.draw(st.integers(1, 10))
+        sizes = sorted({len(v) for v in reference_build_lexi(
+            o1, o2, LexConfig(10_000, max_subsets)).entries.values()})
+        # an alpha that some entry meets exactly
+        cfg = LexConfig(data.draw(st.sampled_from(sizes)), max_subsets)
+        old, new = reference_build_lexi(o1, o2, cfg), build_lexi(o1, o2, cfg)
+        assert new.stats == old.stats
+        assert new.stats.dropped_single_side
+        assert len(new) == len(old) and new.entries == old.entries
+        assert new.sorted_entries == old.sorted_entries
+        assert any(len(v) == cfg.alpha for v in new.entries.values())
+
+        enc = old.encoding
+        entities, value_rows = embedding._value_rows(new)
+        assert (new.words, entities) == (enc.words, enc.entities)
+        for got, want in ((new.key_words, enc.key_words),
+                          (np.diff(new.key_ptr), enc.key_sizes),
+                          (value_rows, enc.value_entities),
+                          (np.diff(new.value_ptr), enc.value_sizes),
+                          *zip(embedding._pairs(new, value_rows),
+                               enc.pairs)):
+            assert np.array_equal(got, want)
+        assert positive_pairs(new) == reference_positive_pairs(old)
+
+        clusters = data.draw(st.lists(st.integers(0, 3), min_size=len(new),
+                                      max_size=len(new)))
+        for c in set(clusters):
+            ids = [i for i, label in enumerate(clusters) if label == c]
+            got = new.mappings(ids)
+            want = reference_mappings_of([old.sorted_entries[i]
+                                          for i in ids])
+            # the same refs, kinds included, for the same IRI pairs
+            assert {m.key: (m.e1, m.e2) for m in got} \
+                == {m.key: (m.e1, m.e2) for m in want}
+            task = subtask_from_cluster([new.sorted_entries[i]
+                                         for i in ids], o1, o2)
+            assert task.candidates == got
+            assert (task.source, task.target) == context_of(want, o1, o2)
+        assert all_candidate_mappings(new) \
+            == reference_mappings_of(old.sorted_entries)

@@ -133,6 +133,42 @@ def test_import_and_read_load_only_the_parser(version, tmp_path):
         ""]
 
 
+DIVIDED = """\
+import sys
+from pathlib import Path
+
+import numpy  # numpy 1.x loads numpy.ma with it
+import ontodivide
+
+data = Path(ontodivide.__file__).parent / "data"
+o1 = ontodivide.read_ontology(data / "anatomy_toy_1.ofn")
+o2 = ontodivide.read_ontology(data / "anatomy_toy_2.ofn")
+before = set(sys.modules)
+div = ontodivide.divide(o1, o2, 2, ontodivide.DivisionConfig(epochs=1, dim=4))
+ontodivide.write_division(div, (o1, o2), sys.argv[1])
+ontodivide.read_division(sys.argv[1])
+print(" ".join(sorted((set(sys.modules) - before) & {"logging", "numpy.ma"})))
+"""
+
+
+def test_division_loads_neither_logging_nor_numpy_ma(tmp_path):
+    """In a fresh interpreter, `divide`, `write_division` and
+    `read_division` of the toy pair load neither `numpy.ma` (which
+    `np.unique` loads) nor `logging`: a division that logs nothing needs no
+    handler."""
+    import numpy
+
+    src = Path(ontodivide.__file__).resolve().parent
+    paths = [src.parent, Path(numpy.__file__).resolve().parents[1]]
+    # -S: no site hooks, which may load modules; -B: no .pyc in the tree
+    done = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", DIVIDED, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [""]
+
+
 def test_moved_settings_keep_their_old_homes():
     from ontodivide import clustering, config, embedding
     assert embedding.TrainingConfig is config.TrainingConfig
