@@ -101,8 +101,10 @@ def kmeans(points: np.ndarray, n: int, seed: int,
     check_int("n", n)
     if n <= 0:
         raise ValueError("n must be >= 1")
+    check_int("max_iters", max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    check_int("seed", seed)
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or not len(X):
         raise ValueError("points must be a non-empty (m, dim) matrix")

@@ -2,7 +2,9 @@
 
 `DivisionConfig` takes its defaults and checks from here, so building or
 checking a configuration never imports numpy; `embedding` and
-`clustering` import it only when a division runs.
+`clustering` import it only when a division runs.  Every field is also a
+`DivisionConfig` field but the seed, which `divide` derives; any other
+setting, such as `embedding._MAX_NORM`, is a constant of the version.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class TrainingConfig:
     margin: float = 0.05
     learning_rate: float = 0.05
     seed: int = 0
-    max_norm: float = 10.0
 
     def __post_init__(self):
         check_int("dim", self.dim)
@@ -42,6 +43,3 @@ class TrainingConfig:
         check_real("learning_rate", self.learning_rate)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
-        check_real("max_norm", self.max_norm)
-        if not self.max_norm > 0:  # +inf is allowed: no projection
-            raise ValueError("max_norm must be > 0")

@@ -162,7 +162,8 @@ def divide(o1: Ontology, o2: Ontology, n: int,
         sys.modules["logging"].getLogger(__name__).info(
             "divided task into %d subtasks from %d index entries",
             n, len(lexi))
-    return Division(n, subtasks, cfg.provenance())
+    return Division(n, subtasks,
+                    {**cfg.provenance(), "numpy": np.__version__})
 
 
 # --- alignment / division file formats ------------------------------------

@@ -3,9 +3,9 @@
 Every key word and value entity of the index gets a d-dimensional vector.
 Training ranks each observed word-entity pair above sampled negative
 entities by a margin, with mini-batch SGD (`_BATCH` pairs per step,
-colliding updates summed) and a linearly decayed learning rate; per-entry
-vectors are the concatenation of the key-word mean and the value-entity
-mean.
+colliding updates summed, touched rows kept within norm `_MAX_NORM`) and a
+linearly decayed learning rate; per-entry vectors are the concatenation of
+the key-word mean and the value-entity mean.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ def positive_pairs(lexi: LexIndex) -> list[tuple[str, EntityRef]]:
 # benchmark pairs 256 kept planted coverage within 0.02 and size ratio within
 # 5 % of one-pair steps; 1024 raised the size ratio by 13-17 %.
 _BATCH = 256
+_MAX_NORM = 10.0
 
 
 def batch_gaps(v_w: FloatArray, v_cand: FloatArray,
@@ -261,8 +262,8 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
             steps[first] *= c[pair[first], :1]
             steps *= neg_lr[pair]
             np.add.at(flat_e, _flat_rows(rows[hit], d), steps.reshape(-1))
-            _project(W, wi, cfg.max_norm)
-            _project(E, rows, cfg.max_norm)
+            _project(W, wi, _MAX_NORM)
+            _project(E, rows, _MAX_NORM)
         losses.append(epoch_loss)
         # overflowing dot products give NaN gaps while W and E stay finite
         if not (math.isfinite(epoch_loss) and np.isfinite(W).all()

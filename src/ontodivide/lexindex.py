@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import Callable, Iterable
 
 from .errors import check_int
-from .ontology import EntityRef, Ontology, entity_labels
+from .ontology import EntityRef, Ontology, _setters, entity_labels
 from .stemming import porter_stem
 
 LexKey = tuple[str, ...]
@@ -245,9 +245,7 @@ class Mapping:
         return hash((self.e1.iri, self.e2.iri, self.relation))
 
 
-_set_e1, _set_e2, _set_relation, _set_confidence = (
-    Mapping.e1.__set__, Mapping.e2.__set__, Mapping.relation.__set__,
-    Mapping.confidence.__set__)
+_set_e1, _set_e2, _set_relation, _set_confidence = _setters(Mapping)
 
 
 def mappings_of(entries: Iterable[tuple[LexKey, LexValue]]

@@ -22,7 +22,7 @@ import gc
 import re
 from _thread import allocate_lock
 from collections.abc import Iterator
-from functools import cached_property, wraps
+from functools import cached_property, total_ordering, wraps
 from itertools import islice
 
 from .errors import OfnSyntaxError, UnsupportedConstructError
@@ -96,6 +96,7 @@ def _setters(cls: type) -> list:
     return [getattr(cls, name).__set__ for name in cls.__match_args__]
 
 
+@total_ordering
 class EntityRef(_Value):
     """A named entity; `kind` is fixed by its declaration.  Refs order by
     (IRI, kind)."""
@@ -118,21 +119,6 @@ class EntityRef(_Value):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.iri, self.kind) < (other.iri, other.kind)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.iri, self.kind) <= (other.iri, other.kind)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.iri, self.kind) > (other.iri, other.kind)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.iri, self.kind) >= (other.iri, other.kind)
         return NotImplemented
 
 
@@ -1040,8 +1026,7 @@ def _expr_text(expr: ClassExpr) -> str:
     raise TypeError(f"not a class expression: {expr!r}")
 
 
-_DECL_NAMES = {CLASS: "Class", OBJECT_PROPERTY: "ObjectProperty",
-               INDIVIDUAL: "NamedIndividual"}
+_DECL_NAMES = {kind: name for name, kind in _DECL_KEYWORDS.items()}
 
 
 def axiom_text(axiom: Axiom) -> str:

@@ -996,9 +996,9 @@ def _ref_project(matrix, rows, max_norm):
     matrix[rows[over]] *= (max_norm / norms[over])[:, None]
 
 
-def reference_train_embeddings(lexi, cfg):
+def reference_train_embeddings(lexi, cfg, max_norm):
     """(W, E, epoch_losses) as the 0.2.0 trainer computes them, from the
-    0.2.0 encoding of `lexi`'s entries."""
+    0.2.0 encoding of `lexi`'s entries, with rows kept within `max_norm`."""
     enc = reference_encode_index(lexi)
     pair_w, pair_e = enc.pairs
     multiset = enc.value_entities
@@ -1040,8 +1040,8 @@ def reference_train_embeddings(lexi, cfg):
             g_cand *= -lr[:, :, None]
             np.add.at(flat_w, _ref_flat_rows(wi, d), g_w.reshape(-1))
             np.add.at(flat_e, _ref_flat_rows(rows, d), g_cand.reshape(-1))
-            _ref_project(W, wi, cfg.max_norm)
-            _ref_project(E, rows, cfg.max_norm)
+            _ref_project(W, wi, max_norm)
+            _ref_project(E, rows, max_norm)
         losses.append(epoch_loss)
         if not (math.isfinite(epoch_loss) and np.isfinite(W).all()
                 and np.isfinite(E).all()):

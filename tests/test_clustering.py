@@ -64,6 +64,14 @@ class TestKmeansBasics:
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             kmeans(X, 2, seed=0, max_iters=0)
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("max_iters", {"seed": 0, "max_iters": 2.5}),
+        ("seed", {"seed": 1.5})])
+    def test_non_integer_setting(self, name, kwargs):
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            kmeans(X, 2, **kwargs)
+
     def test_one_iteration_cap_default(self):
         default = inspect.signature(kmeans).parameters["max_iters"].default
         assert default == DivisionConfig().kmeans_max_iters == MAX_ITERS

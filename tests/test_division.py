@@ -5,7 +5,7 @@ import pickle
 import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +17,13 @@ from oracles import reference_read_alignment_tsv
 
 import ontodivide
 import ontodivide.embedding
+from ontodivide.config import TrainingConfig
 from ontodivide.division import (Division, DivisionConfig, divide,
                                  read_alignment_tsv, read_division,
                                  read_mappings, subtask_from_cluster,
                                  write_alignment_tsv, write_division)
-from ontodivide.lexindex import (RELATIONS, Mapping, all_candidate_mappings,
-                                 build_lexi)
+from ontodivide.lexindex import (RELATIONS, LexConfig, Mapping,
+                                 all_candidate_mappings, build_lexi)
 from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 size_ratio_division, size_ratio_task)
@@ -190,6 +191,24 @@ class TestDivide:
         with pytest.raises(ValueError, match=message):
             divide(*toy_pair, 2, DivisionConfig(**cfg))
 
+    def test_stage_configs_hold_only_division_settings(self):
+        """Every stage setting but the training seed, which `divide`
+        derives, is a `DivisionConfig` field, so `division.json` records it."""
+        division = [f.name for f in fields(DivisionConfig)]
+        training = [f.name for f in fields(TrainingConfig)]
+        index = [f.name for f in fields(LexConfig)]
+        assert sorted(division) == sorted(
+            ["kmeans_max_iters", *index, *training])
+        cfg = DivisionConfig(seed=3, alpha=40, max_subsets=20, dim=12,
+                             epochs=7, negatives=4, margin=0.1,
+                             learning_rate=0.08, kmeans_max_iters=50)
+        assert asdict(cfg.training(5)) == {
+            **{name: getattr(cfg, name) for name in training}, "seed": 5}
+        assert asdict(cfg.index()) == {
+            name: getattr(cfg, name) for name in index}
+        with pytest.raises(TypeError, match="max_norm"):
+            TrainingConfig(max_norm=2.0)
+
     def test_provenance_snapshot(self, toy_division4):
         prov = toy_division4.provenance
         assert prov["seed"] == 42
@@ -201,8 +220,9 @@ class TestDivide:
         assert prov["learning_rate"] == 0.05
         assert prov["max_subsets"] == 50
         assert prov["kmeans_max_iters"] == 300
+        assert prov["numpy"] == np.__version__
         assert set(prov) == {f.name for f in fields(DivisionConfig)} | {
-            "version"}
+            "version", "numpy"}
 
     def test_provenance_version_is_package_version(self):
         tomllib = pytest.importorskip("tomllib")
@@ -596,7 +616,7 @@ class TestDivisionDirectory:
         pair = parse_toy_pair()
         first = division_files(divide(*pair, 3, cfg), pair, tmp_path / "a")
         provenance = dict(read_division(tmp_path / "a").provenance)
-        del provenance["version"]
+        del provenance["version"], provenance["numpy"]
         rebuilt = DivisionConfig(**provenance)
         assert rebuilt == cfg
         pair = parse_toy_pair()  # a fresh pair redoes index and training

@@ -197,9 +197,9 @@ class TestTraining:
             for e in all_entities(value):
                 assert e in space.entity_index
 
-    def test_all_finite_and_norm_bounded(self, table1_lexi):
-        cfg = TrainingConfig(dim=8, epochs=30, seed=7, learning_rate=0.5,
-                             max_norm=2.0)
+    def test_all_finite_and_norm_bounded(self, table1_lexi, monkeypatch):
+        monkeypatch.setattr(embedding, "_MAX_NORM", 2.0)
+        cfg = TrainingConfig(dim=8, epochs=30, seed=7, learning_rate=0.5)
         space = train_embeddings(table1_lexi, cfg)
         assert np.isfinite(space.word_matrix).all()
         assert np.isfinite(space.entity_matrix).all()
@@ -208,19 +208,19 @@ class TestTraining:
             assert (norms <= 2.0 + 1e-9).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts(self, table1_lexi):
-        cfg = TrainingConfig(dim=4, epochs=60, seed=0, learning_rate=1e120,
-                             max_norm=float("inf"))
+    def test_divergence_aborts(self, table1_lexi, monkeypatch):
+        monkeypatch.setattr(embedding, "_MAX_NORM", float("inf"))
+        cfg = TrainingConfig(dim=4, epochs=60, seed=0, learning_rate=1e120)
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
             train_embeddings(table1_lexi, cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_loss_aborts(self, table1_lexi):
+    def test_nan_loss_aborts(self, table1_lexi, monkeypatch):
         # here v_w.v_e overflows to NaN gaps while W and E stay finite, so
         # only the check on the epoch loss can stop the run
-        cfg = TrainingConfig(dim=4, epochs=5, seed=1, learning_rate=1e200,
-                             max_norm=float("inf"))
+        monkeypatch.setattr(embedding, "_MAX_NORM", float("inf"))
+        cfg = TrainingConfig(dim=4, epochs=5, seed=1, learning_rate=1e200)
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
             train_embeddings(table1_lexi, cfg)
@@ -445,7 +445,9 @@ class TestTrainerDifferential:
     @pytest.mark.parametrize("margin", [0.0, 0.05, 5.0])
     @pytest.mark.parametrize("dim", [1, 8])
     @pytest.mark.parametrize("negatives", [1, 10])
-    def test_random_index(self, negatives, dim, margin, max_norm):
+    def test_random_index(self, negatives, dim, margin, max_norm,
+                          monkeypatch):
+        monkeypatch.setattr(embedding, "_MAX_NORM", max_norm)
         rng = np.random.default_rng(
             [negatives, dim, int(margin * 100), int(max_norm * 100)])
         short_batches = 0
@@ -454,11 +456,11 @@ class TestTrainerDifferential:
             pairs = len(positive_pairs(lexi))
             short_batches += pairs % 256 != 0
             cfg = TrainingConfig(dim=dim, epochs=epochs, negatives=negatives,
-                                 margin=margin, max_norm=max_norm,
+                                 margin=margin,
                                  learning_rate=float(rng.uniform(0.01, 0.5)),
                                  seed=int(rng.integers(2 ** 32)))
             space = train_embeddings(lexi, cfg)
-            W, E, losses = reference_train_embeddings(lexi, cfg)
+            W, E, losses = reference_train_embeddings(lexi, cfg, max_norm)
             assert np.array_equal(space.word_matrix, W)
             assert np.array_equal(space.entity_matrix, E)
             assert space.epoch_losses == losses
@@ -470,11 +472,11 @@ class TestTrainerDifferential:
         assert short_batches
 
     def test_toy_pair_default_shape(self, toy_pair):
-        # dim 64, 10 negatives: the benchmark's step shape
+        # dim 64, 10 negatives, norm 10: the benchmark's step shape
         lexi = build_lexi(*toy_pair)
         cfg = TrainingConfig(epochs=3, seed=11)
         space = train_embeddings(lexi, cfg)
-        W, E, losses = reference_train_embeddings(lexi, cfg)
+        W, E, losses = reference_train_embeddings(lexi, cfg, 10.0)
         assert np.array_equal(space.word_matrix, W)
         assert np.array_equal(space.entity_matrix, E)
         assert space.epoch_losses == losses
