@@ -40,10 +40,15 @@ print(f"raw entries: {lexi.stats.raw_entries}")
 print(f"kept: {lexi.stats.kept_entries} "
       f"(dropped {lexi.stats.dropped_single_side} single-side, "
       f"{lexi.stats.dropped_over_alpha} over alpha)")
-print("a few entries:")
-for key, value in lexi.sorted_entries[:6]:
-    left = sorted(e.iri.rsplit("#", 1)[1] for e in value.entities1)
-    right = sorted(e.iri.rsplit("#", 1)[1] for e in value.entities2)
+print("a few entries, read off the index's integer arrays:")
+for i in range(6):
+    key = tuple(lexi.words[w]
+                for w in lexi.key_words[lexi.key_ptr[i]:lexi.key_ptr[i + 1]])
+    ids = lexi.value_ids[lexi.value_ptr[i]:lexi.value_ptr[i + 1]]
+    names = [lexi.entities[e].iri.rsplit("#", 1)[1] for e in ids]
+    # entity ids below n_source are the source ontology's
+    left = sorted(n for e, n in zip(ids, names) if e < lexi.n_source)
+    right = sorted(n for e, n in zip(ids, names) if e >= lexi.n_source)
     print(f"  {key} -> {left} | {right}")
 
 candidates = all_candidate_mappings(lexi)

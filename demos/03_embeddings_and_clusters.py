@@ -3,13 +3,15 @@
 Training ranks each observed word-entity pair above randomly sampled
 negative entities by a margin.  Each index entry then gets a vector (key
 mean concatenated with value mean) and k-means splits the entries into n
-clusters, the seeds of the future matching subtasks.
+clusters, the seeds of the future matching subtasks: each cluster's
+entries give its candidate mappings.
 """
 
 from importlib import resources
 
-from ontodivide import (TrainingConfig, build_lexi, entry_vectors, kmeans,
-                        parse_ontology, similarity, train_embeddings)
+from ontodivide import (TrainingConfig, build_lexi, clusters_to_entries,
+                        entry_vectors, kmeans, parse_ontology, similarity,
+                        train_embeddings)
 
 data = resources.files("ontodivide.data")
 o1 = parse_ontology(data.joinpath("anatomy_toy_1.ofn").read_text())
@@ -36,7 +38,7 @@ for word in ("heart", "femur"):
           f"sim({word!r}, Femur) = {s_femur:+.3f}")
 
 # Entry vectors concatenate the key-word mean with the value-entity mean:
-# one row per index entry, in `lexi.sorted_entries` order.
+# row i is entry i of the index, and entries are in key order.
 points = entry_vectors(lexi, space)
 print()
 print(f"{points.shape[0]} entry vectors of length {points.shape[1]}")
@@ -46,9 +48,12 @@ print("== k-means over the entry vectors ==")
 assignment = kmeans(points, n=4, seed=0)
 print(f"inertia: {assignment.inertia:.3f} "
       f"after {assignment.n_iter} iterations")
+candidates = clusters_to_entries(assignment, lexi)
+ptr, key_words = lexi.key_ptr, lexi.key_words  # entry i's key word ids
 for cluster_id in range(assignment.n):
-    keys = [k for (k, _), c in zip(lexi.sorted_entries, assignment.labels)
-            if c == cluster_id]
-    words = sorted({w for k in keys for w in k})
-    print(f"cluster {cluster_id}: {len(keys)} entries, "
+    ids = [i for i, c in enumerate(assignment.labels) if c == cluster_id]
+    words = sorted({lexi.words[w] for i in ids
+                    for w in key_words[ptr[i]:ptr[i + 1]]})
+    print(f"cluster {cluster_id}: {len(ids)} entries, "
+          f"{len(candidates[cluster_id])} candidate mappings, "
           f"vocabulary {words[:8]}{' ...' if len(words) > 8 else ''}")

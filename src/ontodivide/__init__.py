@@ -30,8 +30,8 @@ _EXPORTS = {
                      "UnsupportedConstructError"), "errors"),
     **dict.fromkeys(("LexConfig", "LexIndex", "Mapping",
                      "all_candidate_mappings", "build_lexi",
-                     "load_default_stopwords", "mappings_of",
-                     "normalize_label", "word_subsets"), "lexindex"),
+                     "load_default_stopwords", "normalize_label",
+                     "word_subsets"), "lexindex"),
     **dict.fromkeys(("context_of", "extract_module"), "locality"),
     **dict.fromkeys(("Alignment", "coverage", "coverage_ratio",
                      "precision_recall_f", "size_ratio_division",

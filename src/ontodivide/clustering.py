@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import MAX_ITERS
 from .errors import InvariantError, check_int
-from .lexindex import LexIndex, LexKey, LexValue
+from .lexindex import LexIndex, Mapping
 
 # relative slack for the monotonicity assertion; Lloyd is non-increasing in
 # exact arithmetic, float summation may wobble at the last bit
@@ -153,15 +153,19 @@ def kmeans(points: np.ndarray, n: int, seed: int,
 
 
 def clusters_to_entries(asg: ClusterAssignment, lexi: LexIndex
-                        ) -> list[tuple[tuple[LexKey, LexValue], ...]]:
-    """Partition the index entries by cluster id (clusters in id order).
+                        ) -> list[frozenset[Mapping]]:
+    """The candidate mappings of each cluster's index entries, clusters in
+    id order.
 
-    `asg.labels[i]` is the cluster of entry i of `lexi.sorted_entries`.
+    `asg.labels[i]` is the cluster of entry i of `lexi`.  Raises
+    InvariantError if a cluster holds no entry.
     """
     if len(asg.labels) != len(lexi):
         raise ValueError(f"assignment of {len(asg.labels)} labels does not "
                          f"cover the {len(lexi)} index entries")
-    buckets: list[list[tuple[LexKey, LexValue]]] = [[] for _ in range(asg.n)]
-    for entry, c in zip(lexi.sorted_entries, asg.labels.tolist()):
-        buckets[c].append(entry)
-    return [tuple(b) for b in buckets]
+    clusters: list[list[int]] = [[] for _ in range(asg.n)]  # entry ids
+    for i, c in enumerate(asg.labels.tolist()):
+        clusters[c].append(i)
+    if not all(clusters):
+        raise InvariantError("k-means returned an empty cluster")
+    return list(map(lexi.mappings, clusters))

@@ -2,11 +2,13 @@
 
 Stages: build the inverted index, train embeddings for its words and
 entities, compose per-entry vectors, cluster them with k-means, then turn
-each cluster's candidate mappings into a pair of locality modules, in
-cluster id order.  Every stage is serial and seeded, so one configuration
-always gives the same division.  The index and the entry vectors do not
-depend on n: the source ontology remembers those of its last division, so
-dividing one pair again at another n starts at k-means.
+each cluster's entries into its candidate mappings
+(`clustering.clusters_to_entries`) and those into a pair of locality
+modules (`subtask_from_cluster`), in cluster id order.  Every stage is
+serial and seeded, so one configuration always gives the same division.
+The index and the entry vectors do not depend on n: the source ontology
+remembers those of its last division, so dividing one pair again at
+another n starts at k-means.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping as MappingT,
 
 from ._version import __version__
 from .config import MAX_ITERS, TrainingConfig
-from .errors import InvariantError, check_int
-from .lexindex import (RELATIONS, LexConfig, LexIndex, LexKey, LexValue,
-                       Mapping, build_lexi, mappings_of)
+from .errors import check_int
+from .lexindex import RELATIONS, LexConfig, LexIndex, Mapping, build_lexi
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
 from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, EntityRef,
@@ -71,7 +72,7 @@ class DivisionConfig:
             raise ValueError("seed must be >= 0")
         check_int("kmeans_max_iters", self.kmeans_max_iters)
         if self.kmeans_max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValueError("kmeans_max_iters must be >= 1")
         self.index(), self.training(0)  # the stage configs check the rest
 
     def index(self) -> LexConfig:
@@ -85,8 +86,11 @@ class DivisionConfig:
 
     def provenance(self) -> dict[str, object]:
         # every field changes the output, so all of them are needed to rerun,
-        # and so does the package version that trained the embeddings
-        return {**asdict(self), "version": __version__}
+        # and so do the package and numpy versions that trained the
+        # embeddings; numpy is imported here, so a config loads none
+        import numpy as np
+        return {**asdict(self), "version": __version__,
+                "numpy": np.__version__}
 
 
 class _Memo(NamedTuple):
@@ -104,16 +108,13 @@ class _Memo(NamedTuple):
     points: np.ndarray   # read-only entry vectors
 
 
-def subtask_from_cluster(cluster: Iterable[tuple[LexKey, LexValue]],
-                         o1: Ontology, o2: Ontology,
-                         task_id: int = 0) -> MatchingTask:
-    """Candidate mappings of one entry cluster plus their context modules."""
-    cluster = tuple(cluster)
-    if not cluster:
+def subtask_from_cluster(candidates: frozenset[Mapping], o1: Ontology,
+                         o2: Ontology, task_id: int = 0) -> MatchingTask:
+    """The candidate mappings of one entry cluster plus their context
+    modules."""
+    if not candidates:
         raise ValueError("cluster must be non-empty")
-    candidates = mappings_of(cluster)
-    left, right = context_of(candidates, o1, o2)
-    return MatchingTask(left, right, candidates, task_id)
+    return MatchingTask(*context_of(candidates, o1, o2), candidates, task_id)
 
 
 @_gc_paused
@@ -124,7 +125,7 @@ def divide(o1: Ontology, o2: Ontology, n: int,
     # the numeric stages load numpy, which nothing else here needs
     import numpy as np
 
-    from .clustering import kmeans
+    from .clustering import clusters_to_entries, kmeans
     from .embedding import entry_vectors, train_embeddings
 
     if cfg is None:
@@ -150,20 +151,13 @@ def divide(o1: Ontology, o2: Ontology, n: int,
         points.flags.writeable = False
         vars(o1)["_division_memo"] = _Memo(cfg, weakref.ref(o2), lexi, points)
     assignment = kmeans(points, n, km_seed, cfg.kmeans_max_iters)
-    clusters: list[list[int]] = [[] for _ in range(n)]  # entry ids
-    for i, c in enumerate(assignment.labels.tolist()):
-        clusters[c].append(i)
-    if any(not c for c in clusters):
-        raise InvariantError("k-means returned an empty cluster")
-
-    subtasks = tuple(MatchingTask(*context_of(m, o1, o2), m, i)
-                     for i, m in enumerate(map(lexi.mappings, clusters)))
+    subtasks = tuple(subtask_from_cluster(m, o1, o2, i) for i, m in
+                     enumerate(clusters_to_entries(assignment, lexi)))
     if "logging" in sys.modules:  # no handler exists before it is loaded
         sys.modules["logging"].getLogger(__name__).info(
             "divided task into %d subtasks from %d index entries",
             n, len(lexi))
-    return Division(n, subtasks,
-                    {**cfg.provenance(), "numpy": np.__version__})
+    return Division(n, subtasks, cfg.provenance())
 
 
 # --- alignment / division file formats ------------------------------------

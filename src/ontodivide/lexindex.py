@@ -12,7 +12,6 @@ import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from itertools import accumulate, chain, combinations, islice, product
 from operator import attrgetter
@@ -77,15 +76,6 @@ def word_subsets(words: Iterable[str], max_subsets: int) -> list[LexKey]:
 
 
 @dataclass(frozen=True)
-class LexValue:
-    entities1: frozenset[EntityRef]
-    entities2: frozenset[EntityRef]
-
-    def __len__(self) -> int:
-        return len(self.entities1) + len(self.entities2)
-
-
-@dataclass(frozen=True)
 class IndexStats:
     raw_entries: int
     kept_entries: int
@@ -132,33 +122,15 @@ class LexIndex:
     def __len__(self) -> int:
         return len(self.key_ptr) - 1
 
-    def _sides(self, i: int) -> tuple[array, array]:
-        """The source and the target entity ids of entry i."""
-        lo, hi = self.value_ptr[i], self.value_ptr[i + 1]
-        mid = bisect_left(self.value_ids, self.n_source, lo, hi)
-        return self.value_ids[lo:mid], self.value_ids[mid:hi]
-
-    @cached_property
-    def sorted_entries(self) -> tuple[tuple[LexKey, LexValue], ...]:
-        """Every entry as objects, built on first use; `divide` never
-        uses them."""
-        words, ents, ptr, kw = (self.words, self.entities, self.key_ptr,
-                                self.key_words)
-        return tuple(
-            (tuple([words[w] for w in kw[ptr[i]:ptr[i + 1]]]),
-             LexValue(*[frozenset([ents[e] for e in side])
-                        for side in self._sides(i)]))
-            for i in range(len(self)))
-
-    @cached_property
-    def entries(self) -> dict[LexKey, LexValue]:
-        return dict(self.sorted_entries)
-
     def mappings(self, entry_ids: Iterable[int]) -> frozenset[Mapping]:
-        """`mappings_of` the entries `entry_ids`, from their entity ids."""
+        """The candidate mappings of the entries `entry_ids`: one
+        `Mapping` per pair of a source and a target entity of one entry."""
+        ptr, ids = self.value_ptr, self.value_ids
         pairs: set[tuple[int, int]] = set()
         for i in entry_ids:
-            pairs.update(product(*self._sides(i)))
+            lo, hi = ptr[i], ptr[i + 1]
+            mid = bisect_left(ids, self.n_source, lo, hi)  # source ids first
+            pairs.update(product(ids[lo:mid], ids[mid:hi]))
         # one IRI names one entity of an ontology, so one id pair is one
         # IRI pair
         ents = self.entities
@@ -246,19 +218,6 @@ class Mapping:
 
 
 _set_e1, _set_e2, _set_relation, _set_confidence = _setters(Mapping)
-
-
-def mappings_of(entries: Iterable[tuple[LexKey, LexValue]]
-                ) -> frozenset[Mapping]:
-    """Candidate mappings suggested by a subset of index entries."""
-    # one `Mapping` per IRI pair, of the first entity pair met, as adding
-    # each pair's `Mapping` to a set would keep
-    pairs: dict[tuple[str, str], tuple[EntityRef, EntityRef]] = {}
-    for _, value in entries:
-        for e1 in value.entities1:
-            for e2 in value.entities2:
-                pairs.setdefault((e1.iri, e2.iri), (e1, e2))
-    return frozenset([Mapping(e1, e2) for e1, e2 in pairs.values()])
 
 
 def all_candidate_mappings(lexi: LexIndex) -> frozenset[Mapping]:

@@ -26,7 +26,7 @@ from ontodivide.config import MAX_ITERS
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError, check_int)
 from ontodivide.lexindex import (_STOPWORDS, RELATIONS, IndexStats,
-                                 LexConfig, LexKey, LexValue, Mapping,
+                                 LexConfig, LexIndex, LexKey, Mapping,
                                  _Stems, normalize_label, word_subsets)
 from ontodivide.metrics import Alignment
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
@@ -805,9 +805,19 @@ def reference_read_alignment_tsv(path) -> Alignment:
 # --- reference lexical index ----------------------------------------------
 # The 0.2.0 index, which keeps two `EntityRef` frozensets per entry, and its
 # encoding for the trainer, built from those objects: `build_lexi`,
-# `encode_index` and `mappings_of` verbatim (renamed), with the `LexIndex`
-# and `IndexEncoding` classes they build.  The integer index must give the
-# same entries, stats, encoding arrays, candidates and modules.
+# `encode_index` and `mappings_of` verbatim (renamed), with the `LexValue`,
+# `LexIndex` and `IndexEncoding` classes they build.  The integer index must
+# give the same entries, stats, encoding arrays, candidates and modules.
+# `entry_objects` decodes an integer index into that index's objects.
+
+@dataclass(frozen=True)
+class LexValue:
+    entities1: frozenset[EntityRef]
+    entities2: frozenset[EntityRef]
+
+    def __len__(self) -> int:
+        return len(self.entities1) + len(self.entities2)
+
 
 def _ids(values) -> np.ndarray:
     out = np.array(values, dtype=np.intp)
@@ -854,6 +864,28 @@ class ReferenceLexIndex:
         return reference_encode_index(self)
 
 
+def entry_objects(lexi) -> tuple[tuple[LexKey, LexValue], ...]:
+    """The entries of a `ReferenceLexIndex`, or those of a `LexIndex` read
+    off its arrays, as (key, value) objects in key order."""
+    if isinstance(lexi, ReferenceLexIndex):
+        return lexi.sorted_entries
+    assert isinstance(lexi, LexIndex)
+    entries = []
+    for i in range(len(lexi)):
+        key = lexi.key_words[lexi.key_ptr[i]:lexi.key_ptr[i + 1]]
+        value = lexi.value_ids[lexi.value_ptr[i]:lexi.value_ptr[i + 1]]
+        entries.append((tuple(lexi.words[w] for w in key), LexValue(
+            frozenset(lexi.entities[e] for e in value if e < lexi.n_source),
+            frozenset(lexi.entities[e] for e in value
+                      if e >= lexi.n_source))))
+    return tuple(entries)
+
+
+def entry_map(lexi) -> dict[LexKey, LexValue]:
+    """The entries of `lexi` by key, as `entry_objects` gives them."""
+    return dict(entry_objects(lexi))
+
+
 def reference_build_lexi(o1: Ontology, o2: Ontology,
                          cfg: LexConfig | None = None) -> ReferenceLexIndex:
     """Index both ontologies and keep entries that span the two of them."""
@@ -891,7 +923,7 @@ def reference_build_lexi(o1: Ontology, o2: Ontology,
 
 def reference_encode_index(lexi) -> ReferenceIndexEncoding:
     """The encoding of `lexi`; use the cached `lexi.encoding` instead."""
-    entries = lexi.sorted_entries
+    entries = entry_objects(lexi)
     words = sorted({w for key, _ in entries for w in key})
     # (iri, kind) sorts and compares as EntityRef does, but hashes in C
     by_fields = {(e.iri, e.kind): e for _, value in entries
@@ -933,7 +965,7 @@ def all_entities(value) -> tuple[EntityRef, ...]:
 
 def reference_positive_pairs(lexi) -> list[tuple[str, EntityRef]]:
     pairs: list[tuple[str, EntityRef]] = []
-    for key, value in lexi.sorted_entries:
+    for key, value in entry_objects(lexi):
         ents = all_entities(value)
         for w in key:
             for e in ents:
@@ -944,7 +976,7 @@ def reference_positive_pairs(lexi) -> list[tuple[str, EntityRef]]:
 def reference_value_entity_multiset(lexi) -> tuple[EntityRef, ...]:
     """Value entities with one occurrence per containing entry."""
     out: list[EntityRef] = []
-    for _, value in lexi.sorted_entries:
+    for _, value in entry_objects(lexi):
         out.extend(all_entities(value))
     return tuple(out)
 

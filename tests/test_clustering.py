@@ -3,16 +3,18 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import traced_peak
-from oracles import reference_kmeans
+from conftest import O1_NS, O2_NS, traced_peak
+from oracles import entry_objects, reference_kmeans, reference_mappings_of
 
 from ontodivide import clustering
 from ontodivide.clustering import (MAX_ITERS, ClusterAssignment,
                                    clusters_to_entries, kmeans)
 from ontodivide.division import DivisionConfig
+from ontodivide.errors import InvariantError
 from ontodivide.embedding import TrainingConfig, entry_vectors, \
     train_embeddings
-from ontodivide.lexindex import build_lexi
+from ontodivide.lexindex import Mapping, all_candidate_mappings, build_lexi
+from ontodivide.ontology import EntityRef
 
 
 def two_blobs(seed, per_blob=30, sigma=0.1, distance=10.0, dim=4):
@@ -196,26 +198,36 @@ def lexi(table1_pair):
     return build_lexi(*table1_pair)
 
 
+def assignment(labels, n=None):
+    labels = np.asarray(labels, dtype=np.intp)
+    n = int(labels.max()) + 1 if n is None else n
+    return ClusterAssignment(n, labels, np.zeros((n, 2)), 0.0, 1, (0.0,))
+
+
 class TestClustersToEntries:
+    """Each cluster's candidates are those of its entries' objects."""
+
     def test_single_cluster_is_everything(self, lexi):
-        keys = [k for k, _ in lexi.sorted_entries]
-        asg = ClusterAssignment(1, np.zeros(len(keys), dtype=int),
-                                np.zeros((1, 2)), 0.0, 1, (0.0,))
-        clusters = clusters_to_entries(asg, lexi)
-        assert len(clusters) == 1
-        assert set(k for k, _ in clusters[0]) == set(keys)
+        clusters = clusters_to_entries(assignment([0] * len(lexi)), lexi)
+        assert clusters == [all_candidate_mappings(lexi)]
+        assert clusters[0] == reference_mappings_of(entry_objects(lexi))
 
     def test_hand_set_two_clusters(self, lexi):
         # disorder-flavoured entries together, carcinoma-flavoured together
-        labels = np.array([0 if {"disord", "pregnanc"} & set(key) else 1
-                           for key, _ in lexi.sorted_entries])
-        asg = ClusterAssignment(2, labels, np.zeros((2, 2)), 0.0, 1,
-                                (0.0,))
-        clusters = clusters_to_entries(asg, lexi)
-        assert len(clusters) == 2
-        assert all({"disord", "pregnanc"} & set(k) for k, _ in clusters[0])
-        assert all(not ({"disord", "pregnanc"} & set(k))
-                   for k, _ in clusters[1])
+        disorder = [bool({"disord", "pregnanc"} & set(key))
+                    for key, _ in entry_objects(lexi)]
+        clusters = clusters_to_entries(
+            assignment([0 if d else 1 for d in disorder]), lexi)
+        assert clusters == [
+            reference_mappings_of([e for e, d in zip(entry_objects(lexi),
+                                                     disorder) if d == want])
+            for want in (True, False)]
+        stomach = Mapping(EntityRef(O1_NS + "Disorder_of_stomach"),
+                          EntityRef(O2_NS + "Pregnancy_Disorder"))
+        basaloid = Mapping(EntityRef(O1_NS + "Basaloid_carcinoma"),
+                           EntityRef(O2_NS + "Basaloid_Carcinoma"))
+        assert stomach in clusters[0] and stomach not in clusters[1]
+        assert basaloid in clusters[1] and basaloid not in clusters[0]
 
     def test_partition_property(self, lexi):
         space = train_embeddings(lexi, TrainingConfig(dim=4, epochs=2,
@@ -223,17 +235,18 @@ class TestClustersToEntries:
         points = entry_vectors(lexi, space)
         asg = kmeans(points, 3, seed=0)
         clusters = clusters_to_entries(asg, lexi)
-        sizes = [len(c) for c in clusters]
-        assert sum(sizes) == len(lexi)
-        assert all(s > 0 for s in sizes)
-        seen = set()
-        for cluster in clusters:
-            for key, _ in cluster:
-                assert key not in seen
-                seen.add(key)
+        assert len(clusters) == 3 and all(clusters)
+        entries = entry_objects(lexi)
+        for c, cluster in enumerate(clusters):
+            assert cluster == reference_mappings_of(
+                [e for e, label in zip(entries, asg.labels) if label == c])
+        assert frozenset().union(*clusters) == all_candidate_mappings(lexi)
+
+    def test_empty_cluster_is_an_invariant_error(self, lexi):
+        with pytest.raises(InvariantError, match="empty cluster"):
+            clusters_to_entries(assignment([0] * len(lexi), n=2), lexi)
 
     def test_incomplete_assignment_rejected(self, lexi):
-        asg = ClusterAssignment(1, np.zeros(len(lexi) - 1, dtype=int),
-                                np.zeros((1, 2)), 0.0, 1, (0.0,))
+        asg = assignment([0] * (len(lexi) - 1))
         with pytest.raises(ValueError, match="does not cover"):
             clusters_to_entries(asg, lexi)

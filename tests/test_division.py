@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import O1_NS, O2_NS, TOY1_NS, TOY2_NS, load_toy_text
-from oracles import reference_read_alignment_tsv
+from oracles import entry_objects, reference_read_alignment_tsv
 
 import ontodivide
 import ontodivide.embedding
+from ontodivide.clustering import clusters_to_entries, kmeans
 from ontodivide.config import TrainingConfig
+from ontodivide.embedding import entry_vectors, train_embeddings
 from ontodivide.division import (Division, DivisionConfig, divide,
                                  read_alignment_tsv, read_division,
                                  read_mappings, subtask_from_cluster,
@@ -45,13 +47,17 @@ def toy_division4(toy_pair):
     return divide(*toy_pair, 4, FAST)
 
 
+def entry_ids(lexi, keep) -> list[int]:
+    """The ids of the entries of `lexi` whose keys `keep` accepts."""
+    return [i for i, (key, _) in enumerate(entry_objects(lexi)) if keep(key)]
+
+
 class TestSubtaskFromCluster:
     def test_disorder_cluster(self, table1_pair):
         o1, o2 = table1_pair
         lexi = build_lexi(o1, o2)
-        cluster = [(k, v) for k, v in lexi.sorted_entries
-                   if {"disord", "pregnanc"} & set(k)]
-        task = subtask_from_cluster(cluster, o1, o2, task_id=3)
+        ids = entry_ids(lexi, lambda key: {"disord", "pregnanc"} & set(key))
+        task = subtask_from_cluster(lexi.mappings(ids), o1, o2, task_id=3)
         assert Mapping(EntityRef(O1_NS + "Disorder_of_stomach"),
                        EntityRef(O2_NS + "Pregnancy_Disorder")) \
             in task.candidates
@@ -64,8 +70,8 @@ class TestSubtaskFromCluster:
     def test_singleton_cluster(self, table1_pair):
         o1, o2 = table1_pair
         lexi = build_lexi(o1, o2)
-        key = ("basaloid",)
-        task = subtask_from_cluster([(key, lexi.entries[key])], o1, o2)
+        ids = entry_ids(lexi, lambda key: key == ("basaloid",))
+        task = subtask_from_cluster(lexi.mappings(ids), o1, o2)
         assert len(task.candidates) == 2  # one o1 entity times two o2
         left, right = context_of(task.candidates, o1, o2)
         assert task.source.axioms == left.axioms
@@ -74,16 +80,16 @@ class TestSubtaskFromCluster:
     def test_own_candidates_fully_covered(self, table1_pair):
         o1, o2 = table1_pair
         lexi = build_lexi(o1, o2)
-        for key, value in lexi.sorted_entries:
-            task = subtask_from_cluster([(key, value)], o1, o2)
+        for i in range(len(lexi)):
+            task = subtask_from_cluster(lexi.mappings([i]), o1, o2)
             covered = {mp for mp in task.candidates
                        if mp.e1.iri in task.source.entity_by_iri
                        and mp.e2.iri in task.target.entity_by_iri}
             assert covered == task.candidates
 
     def test_empty_cluster_rejected(self, table1_pair):
-        with pytest.raises(ValueError):
-            subtask_from_cluster([], *table1_pair)
+        with pytest.raises(ValueError, match="non-empty"):
+            subtask_from_cluster(frozenset(), *table1_pair)
 
 
 class TestDivide:
@@ -139,11 +145,22 @@ class TestDivide:
     def test_task_ids_in_cluster_order(self, toy_division4):
         assert [t.task_id for t in toy_division4.subtasks] == [0, 1, 2, 3]
 
-    def test_builds_no_entry_objects(self):
-        o1, o2 = parse_toy_pair()
-        divide(o1, o2, 4, FAST)
-        lexi = vars(o1)["_division_memo"].lexi
-        assert not {"entries", "sorted_entries"} & set(vars(lexi))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_is_the_staged_composition(self, toy_pair, toy_lexi, n):
+        """`divide` gives what its stages give, called one by one with the
+        seeds it derives from the config's."""
+        o1, o2 = toy_pair
+        emb_seq, km_seq = np.random.SeedSequence(FAST.seed).spawn(2)
+        space = train_embeddings(toy_lexi, FAST.training(
+            int(emb_seq.generate_state(1, np.uint64)[0])))
+        points = entry_vectors(toy_lexi, space)
+        assignment = kmeans(points, n,
+                            int(km_seq.generate_state(1, np.uint64)[0]),
+                            FAST.kmeans_max_iters)
+        tasks = tuple(subtask_from_cluster(c, o1, o2, task_id=i) for i, c in
+                      enumerate(clusters_to_entries(assignment, toy_lexi)))
+        assert divide(o1, o2, n, FAST) \
+            == Division(n, tasks, FAST.provenance())
 
     def test_logs_where_logging_is_loaded(self, toy_pair, caplog):
         with caplog.at_level("INFO", logger="ontodivide.division"):
@@ -170,6 +187,11 @@ class TestDivide:
     def test_zero_kmeans_iterations(self, toy_pair):
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             divide(*toy_pair, 2, DivisionConfig(epochs=0, kmeans_max_iters=0))
+
+    def test_zero_kmeans_iterations_names_the_field(self):
+        with pytest.raises(ValueError,
+                           match=r"^kmeans_max_iters must be >= 1$"):
+            DivisionConfig(kmeans_max_iters=0)
 
     @pytest.mark.parametrize("cfg, message", [
         ({"kmeans_max_iters": 0}, "max_iters must be >= 1"),
@@ -223,6 +245,8 @@ class TestDivide:
         assert prov["numpy"] == np.__version__
         assert set(prov) == {f.name for f in fields(DivisionConfig)} | {
             "version", "numpy"}
+        # the config decides it all, numpy version included
+        assert prov == FAST.provenance()
 
     def test_provenance_version_is_package_version(self):
         tomllib = pytest.importorskip("tomllib")

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import O1_NS, O2_NS, traced_peak
-from oracles import (all_entities, reference_entry_vector,
-                     reference_positive_pairs, reference_project,
-                     reference_train_embeddings,
+from oracles import (LexValue, all_entities, entry_map, entry_objects,
+                     reference_entry_vector, reference_positive_pairs,
+                     reference_project, reference_train_embeddings,
                      reference_value_entity_multiset)
 
 from ontodivide import embedding
@@ -16,7 +16,7 @@ from ontodivide.embedding import (EmbeddingSpace, TrainingConfig,
                                   entry_vectors, hinge_gradients, hinge_loss,
                                   positive_pairs, similarity,
                                   train_embeddings)
-from ontodivide.lexindex import (IndexStats, LexIndex, LexValue, build_lexi)
+from ontodivide.lexindex import IndexStats, LexIndex, build_lexi
 from ontodivide.ontology import OBJECT_PROPERTY, EntityRef
 
 
@@ -55,7 +55,7 @@ def table1_lexi(table1_pair):
 class TestPositivePairs:
     def test_row_two_gives_four_pairs(self, table1_lexi):
         key = ("disord", "pregnanc")
-        value = table1_lexi.entries[key]
+        value = entry_map(table1_lexi)[key]
         pairs = positive_pairs(make_lexi({key: value}))
         assert len(pairs) == 4
         assert ("disord", ent(O1_NS, "Disorder_of_pregnancy")) in pairs
@@ -67,7 +67,7 @@ class TestPositivePairs:
     def test_count_is_sum_of_products(self, table1_lexi):
         pairs = positive_pairs(table1_lexi)
         expected = sum(len(k) * len(v)
-                       for k, v in table1_lexi.sorted_entries)
+                       for k, v in entry_objects(table1_lexi))
         assert len(pairs) == expected
 
     def test_canonical_order(self, table1_lexi):
@@ -191,7 +191,7 @@ class TestTraining:
     def test_vocabulary_covers_index(self, table1_lexi):
         space = train_embeddings(table1_lexi,
                                  TrainingConfig(dim=4, epochs=1, seed=0))
-        for key, value in table1_lexi.sorted_entries:
+        for key, value in entry_objects(table1_lexi):
             for w in key:
                 assert w in space.word_index
             for e in all_entities(value):
@@ -239,9 +239,9 @@ class TestTraining:
         space = train_embeddings(lexi, TrainingConfig(dim=16, epochs=60,
                                                       seed=9))
         intra, inter = [], []
-        for key, value in lexi.sorted_entries:
+        for key, value in entry_objects(lexi):
             word = key[0]
-            for other_key, other_value in lexi.sorted_entries:
+            for other_key, other_value in entry_objects(lexi):
                 for e in all_entities(other_value):
                     sim = similarity(space.word_vector(word),
                                      space.entity_vector(e))
@@ -383,7 +383,7 @@ class TestEncoding:
         assert tuple(entities[i] for i in multiset) \
             == reference_value_entity_multiset(lexi)
         expected = np.stack([reference_entry_vector(entry, space)
-                             for entry in lexi.sorted_entries])
+                             for entry in entry_objects(lexi)])
         assert np.array_equal(entry_vectors(lexi, space), expected)
 
     def test_table1(self, table1_lexi):

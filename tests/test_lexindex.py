@@ -6,16 +6,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import O1_NS, O2_NS
-from oracles import (reference_build_lexi, reference_mappings_of,
+from oracles import (LexValue, entry_map, entry_objects,
+                     reference_build_lexi, reference_mappings_of,
                      reference_positive_pairs)
 
 import ontodivide.lexindex
 from ontodivide import embedding
+from ontodivide.clustering import ClusterAssignment, clusters_to_entries
 from ontodivide.division import subtask_from_cluster
 from ontodivide.embedding import positive_pairs
-from ontodivide.lexindex import (LexConfig, LexValue, Mapping,
-                                 all_candidate_mappings, build_lexi,
-                                 load_default_stopwords, mappings_of,
+from ontodivide.lexindex import (LexConfig, Mapping, all_candidate_mappings,
+                                 build_lexi, load_default_stopwords,
                                  normalize_label, word_subsets)
 from ontodivide.locality import context_of
 from ontodivide.ontology import EntityRef, entity_labels, parse_ontology
@@ -100,40 +101,40 @@ class TestWordSubsets:
 class TestBuildLexi:
     def test_disord_entry(self, table1_pair):
         lexi = build_lexi(*table1_pair)
-        value = lexi.entries[("disord",)]
+        value = entry_map(lexi)[("disord",)]
         assert value.entities1 == {e1("Disorder_of_pregnancy"),
                                    e1("Disorder_of_stomach")}
         assert value.entities2 == {e2("Pregnancy_Disorder")}
 
     def test_single_side_entry_removed(self, table1_pair):
         lexi = build_lexi(*table1_pair)
-        assert ("hamat", "lunat") not in lexi.entries
-        assert ("lunat",) not in lexi.entries
+        assert ("hamat", "lunat") not in entry_map(lexi)
+        assert ("lunat",) not in entry_map(lexi)
         assert lexi.stats.dropped_single_side > 0
 
     def test_alpha_filter(self, table1_pair):
         lexi = build_lexi(*table1_pair, LexConfig(alpha=2))
-        assert ("disord",) not in lexi.entries
+        assert ("disord",) not in entry_map(lexi)
         assert lexi.stats.dropped_over_alpha > 0
 
     def test_every_entry_spans_both_sides_within_alpha(self, toy_pair):
         lexi = build_lexi(*toy_pair)
-        for _, value in lexi.sorted_entries:
+        for _, value in entry_objects(lexi):
             assert value.entities1 and value.entities2
             assert len(value) <= lexi.alpha
 
     def test_deterministic_sorted_entries(self, toy_pair):
         a = build_lexi(*toy_pair)
         b = build_lexi(*toy_pair)
-        assert a.sorted_entries == b.sorted_entries
+        assert entry_objects(a) == entry_objects(b)
+        assert a == b
 
     def test_threads_get_serial_entries(self, toy_pair,
                                         fast_thread_switching):
-        serial = build_lexi(*toy_pair).entries
+        serial = build_lexi(*toy_pair)
         with ThreadPoolExecutor(4) as pool:
             futures = [pool.submit(build_lexi, *toy_pair) for _ in range(4)]
-            assert all(f.result(timeout=60).entries == serial
-                       for f in futures)
+            assert all(f.result(timeout=60) == serial for f in futures)
 
     def test_shared_stem_entities_co_occur_before_alpha(self, toy_pair):
         # with a huge alpha nothing is size-filtered, so any cross-ontology
@@ -154,7 +155,7 @@ class TestBuildLexi:
             for ent2, s2 in stems2.items():
                 if s1 & s2:
                     assert any(ent1 in v.entities1 and ent2 in v.entities2
-                               for v in lexi.entries.values()), (ent1, ent2)
+                               for v in entry_map(lexi).values()), (ent1, ent2)
 
 
 def entries_from_normalize_label(o1, o2, cfg):
@@ -202,7 +203,7 @@ class TestStemOncePerBuild:
 
     def test_toy_pair(self, toy_pair):
         cfg = LexConfig()
-        assert build_lexi(*toy_pair, cfg).entries == \
+        assert entry_map(build_lexi(*toy_pair, cfg)) == \
             entries_from_normalize_label(*toy_pair, cfg)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -214,7 +215,7 @@ class TestStemOncePerBuild:
                         max_subsets=int(rng.integers(1, 10)))
         expected = entries_from_normalize_label(o1, o2, cfg)
         assert expected
-        assert build_lexi(o1, o2, cfg).entries == expected
+        assert entry_map(build_lexi(o1, o2, cfg)) == expected
 
     def test_one_stem_per_distinct_token_and_build(self, toy_pair,
                                                    monkeypatch):
@@ -236,15 +237,15 @@ class TestStemOncePerBuild:
 class TestMappings:
     def test_row_one_yields_two_mappings(self, table1_pair):
         lexi = build_lexi(*table1_pair)
-        entry = (("disord",), lexi.entries[("disord",)])
-        ms = mappings_of([entry])
+        keys = [key for key, _ in entry_objects(lexi)]
+        ms = lexi.mappings([keys.index(("disord",))])
         assert len(ms) == 2
         assert Mapping(e1("Disorder_of_stomach"),
                        e2("Pregnancy_Disorder")) in ms
         assert all(m.relation == "=" and m.confidence == 1.0 for m in ms)
 
-    def test_empty(self):
-        assert mappings_of([]) == frozenset()
+    def test_empty(self, table1_pair):
+        assert build_lexi(*table1_pair).mappings([]) == frozenset()
 
     def test_far_smaller_than_cartesian_product(self, toy_pair):
         o1, o2 = toy_pair
@@ -255,10 +256,10 @@ class TestMappings:
 
     def test_monotone_in_entries(self, toy_pair):
         lexi = build_lexi(*toy_pair)
-        entries = list(lexi.sorted_entries)
-        for cut in (0, 1, len(entries) // 2, len(entries)):
-            smaller = mappings_of(entries[:cut])
-            assert smaller <= mappings_of(entries)
+        ids = range(len(lexi))
+        for cut in (0, 1, len(ids) // 2, len(ids)):
+            smaller = lexi.mappings(ids[:cut])
+            assert smaller <= lexi.mappings(ids)
 
     def test_identity_ignores_confidence(self):
         a = Mapping(e1("A"), e2("B"), confidence=0.5)
@@ -324,8 +325,8 @@ def labelled_pairs(draw):
 
 
 class TestIntegerIndex:
-    """`build_lexi`, its views, the trainer's arrays and the candidates
-    of any entry cluster, against the 0.2.0 index of entity objects."""
+    """`build_lexi`, the trainer's arrays, and the candidates and modules
+    of any entry clustering, against the 0.2.0 index of entity objects."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -340,9 +341,9 @@ class TestIntegerIndex:
         old, new = reference_build_lexi(o1, o2, cfg), build_lexi(o1, o2, cfg)
         assert new.stats == old.stats
         assert new.stats.dropped_single_side
-        assert len(new) == len(old) and new.entries == old.entries
-        assert new.sorted_entries == old.sorted_entries
-        assert any(len(v) == cfg.alpha for v in new.entries.values())
+        assert len(new) == len(old) and entry_map(new) == old.entries
+        assert entry_objects(new) == old.sorted_entries
+        assert any(len(v) == cfg.alpha for v in old.entries.values())
 
         enc = old.encoding
         entities, value_rows = embedding._value_rows(new)
@@ -356,19 +357,20 @@ class TestIntegerIndex:
             assert np.array_equal(got, want)
         assert positive_pairs(new) == reference_positive_pairs(old)
 
-        clusters = data.draw(st.lists(st.integers(0, 3), min_size=len(new),
-                                      max_size=len(new)))
-        for c in set(clusters):
-            ids = [i for i, label in enumerate(clusters) if label == c]
-            got = new.mappings(ids)
-            want = reference_mappings_of([old.sorted_entries[i]
-                                          for i in ids])
+        drawn = data.draw(st.lists(st.integers(0, 3), min_size=len(new),
+                                   max_size=len(new)))
+        _, labels = np.unique(drawn, return_inverse=True)  # no empty cluster
+        asg = ClusterAssignment(int(labels.max()) + 1, labels,
+                                np.zeros((labels.max() + 1, 1)), 0.0, 1,
+                                (0.0,))
+        for c, got in enumerate(clusters_to_entries(asg, new)):
+            want = reference_mappings_of(
+                [old.sorted_entries[i] for i in np.flatnonzero(labels == c)])
             # the same refs, kinds included, for the same IRI pairs
             assert {m.key: (m.e1, m.e2) for m in got} \
                 == {m.key: (m.e1, m.e2) for m in want}
-            task = subtask_from_cluster([new.sorted_entries[i]
-                                         for i in ids], o1, o2)
-            assert task.candidates == got
+            task = subtask_from_cluster(got, o1, o2, c)
+            assert task.candidates == got and task.task_id == c
             assert (task.source, task.target) == context_of(want, o1, o2)
         assert all_candidate_mappings(new) \
             == reference_mappings_of(old.sorted_entries)

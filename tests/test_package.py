@@ -39,7 +39,7 @@ EXPORTS = {
                "UnsupportedConstructError"],
     "lexindex": ["LexConfig", "LexIndex", "Mapping",
                  "all_candidate_mappings", "build_lexi",
-                 "load_default_stopwords", "mappings_of", "normalize_label",
+                 "load_default_stopwords", "normalize_label",
                  "word_subsets"],
     "locality": ["context_of", "extract_module"],
     "metrics": ["Alignment", "coverage", "coverage_ratio",
@@ -173,6 +173,18 @@ def test_moved_settings_keep_their_old_homes():
     from ontodivide import clustering, config, embedding
     assert embedding.TrainingConfig is config.TrainingConfig
     assert clustering.MAX_ITERS is config.MAX_ITERS
+
+
+def test_entry_object_path_is_gone():
+    """Subtasks are built from entry ids alone: the index has no views of
+    (key, LexValue) objects, and no `mappings_of` reads them; those live on
+    only in the test oracles."""
+    from ontodivide import lexindex
+    for name in ("mappings_of", "LexValue"):
+        assert not hasattr(lexindex, name)
+        assert not hasattr(ontodivide, name)
+    for view in ("entries", "sorted_entries"):
+        assert not hasattr(lexindex.LexIndex, view)
 
 
 def test_unknown_name_is_attribute_error():
