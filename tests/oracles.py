@@ -26,8 +26,8 @@ from ontodivide.config import MAX_ITERS
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError, check_int)
 from ontodivide.lexindex import (_STOPWORDS, RELATIONS, IndexStats,
-                                 LexConfig, LexIndex, LexKey, Mapping,
-                                 _Stems, normalize_label, word_subsets)
+                                 LexConfig, LexKey, Mapping, _Stems,
+                                 normalize_label, word_subsets)
 from ontodivide.metrics import Alignment
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
                                  MAX_EXPR_DEPTH, NOTHING_IRI,
@@ -869,7 +869,6 @@ def entry_objects(lexi) -> tuple[tuple[LexKey, LexValue], ...]:
     off its arrays, as (key, value) objects in key order."""
     if isinstance(lexi, ReferenceLexIndex):
         return lexi.sorted_entries
-    assert isinstance(lexi, LexIndex)
     entries = []
     for i in range(len(lexi)):
         key = lexi.key_words[lexi.key_ptr[i]:lexi.key_ptr[i + 1]]
