@@ -19,11 +19,11 @@ import ontodivide
 import ontodivide.embedding
 from ontodivide.clustering import clusters_to_entries, kmeans
 from ontodivide.config import TrainingConfig
-from ontodivide.embedding import entry_vectors, train_embeddings
 from ontodivide.division import (Division, DivisionConfig, divide,
                                  read_alignment_tsv, read_division,
                                  read_mappings, subtask_from_cluster,
                                  write_alignment_tsv, write_division)
+from ontodivide.embedding import entry_vectors, train_embeddings
 from ontodivide.lexindex import (RELATIONS, LexConfig, Mapping,
                                  all_candidate_mappings, build_lexi)
 from ontodivide.locality import context_of, extract_module
