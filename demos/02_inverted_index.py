@@ -8,8 +8,8 @@ are discarded.  What survives generates the candidate mappings.
 
 from importlib import resources
 
-from ontodivide import (LexConfig, all_candidate_mappings, build_lexi,
-                        load_default_stopwords, normalize_label,
+from ontodivide import (DivisionConfig, all_candidate_mappings,
+                        build_lexi, load_default_stopwords, normalize_label,
                         parse_ontology, porter_stem, word_subsets)
 
 stopwords = load_default_stopwords()
@@ -35,7 +35,7 @@ o2 = parse_ontology(data.joinpath("anatomy_toy_2.ofn").read_text())
 
 print()
 print("== index over the toy pair ==")
-lexi = build_lexi(o1, o2, LexConfig(alpha=60, max_subsets=50))
+lexi = build_lexi(o1, o2, DivisionConfig(alpha=60, max_subsets=50))
 print(f"raw entries: {lexi.stats.raw_entries}")
 print(f"kept: {lexi.stats.kept_entries} "
       f"(dropped {lexi.stats.dropped_single_side} single-side, "

@@ -9,7 +9,7 @@ entries give its candidate mappings.
 
 from importlib import resources
 
-from ontodivide import (TrainingConfig, build_lexi, clusters_to_entries,
+from ontodivide import (DivisionConfig, build_lexi, clusters_to_entries,
                         entry_vectors, kmeans, parse_ontology, similarity,
                         train_embeddings)
 
@@ -18,7 +18,7 @@ o1 = parse_ontology(data.joinpath("anatomy_toy_1.ofn").read_text())
 o2 = parse_ontology(data.joinpath("anatomy_toy_2.ofn").read_text())
 lexi = build_lexi(o1, o2)
 
-cfg = TrainingConfig(dim=32, epochs=60, negatives=10, margin=0.05,
+cfg = DivisionConfig(dim=32, epochs=60, negatives=10, margin=0.05,
                      learning_rate=0.05, seed=0)
 space = train_embeddings(lexi, cfg)
 print(f"trained {len(space.words)} word and {len(space.entities)} entity "

@@ -19,8 +19,9 @@ from ._version import __version__
 _EXPORTS = {
     **dict.fromkeys(("ClusterAssignment", "clusters_to_entries", "kmeans"),
                     "clustering"),
-    "TrainingConfig": "config",
-    **dict.fromkeys(("Division", "DivisionConfig", "MatchingTask", "divide",
+    **dict.fromkeys(("DivisionConfig", "LexConfig", "TrainingConfig"),
+                    "config"),
+    **dict.fromkeys(("Division", "MatchingTask", "divide",
                      "read_alignment_tsv", "read_division",
                      "subtask_from_cluster", "write_alignment_tsv",
                      "write_division"), "division"),
@@ -28,7 +29,7 @@ _EXPORTS = {
                      "similarity", "train_embeddings"), "embedding"),
     **dict.fromkeys(("InvariantError", "OfnSyntaxError",
                      "UnsupportedConstructError"), "errors"),
-    **dict.fromkeys(("LexConfig", "LexIndex", "Mapping",
+    **dict.fromkeys(("LexIndex", "Mapping",
                      "all_candidate_mappings", "build_lexi",
                      "load_default_stopwords", "normalize_label",
                      "word_subsets"), "lexindex"),

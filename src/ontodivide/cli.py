@@ -13,10 +13,11 @@ import logging
 import sys
 from pathlib import Path
 
-from .division import (DivisionConfig, divide, read_alignment_tsv,
-                       read_division, write_division)
+from .config import DivisionConfig
+from .division import (divide, read_alignment_tsv, read_division,
+                       write_division)
 from .errors import InvariantError
-from .lexindex import LexConfig, all_candidate_mappings, build_lexi
+from .lexindex import all_candidate_mappings, build_lexi
 from .metrics import precision_recall_f, size_ratio_task, \
     uncovered_mappings, union_alignments
 from .ontology import read_ontology
@@ -110,7 +111,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    cfg = LexConfig(alpha=args.alpha, max_subsets=args.max_subsets)
+    cfg = DivisionConfig(alpha=args.alpha, max_subsets=args.max_subsets)
     o1 = read_ontology(args.source)
     o2 = read_ontology(args.target)
     s1 = len(o1.signature)

@@ -105,6 +105,8 @@ def kmeans(points: np.ndarray, n: int, seed: int,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     check_int("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or not len(X):
         raise ValueError("points must be a non-empty (m, dim) matrix")

@@ -4,8 +4,11 @@ Stages: build the inverted index, train embeddings for its words and
 entities, compose per-entry vectors, cluster them with k-means, then turn
 each cluster's entries into its candidate mappings
 (`clustering.clusters_to_entries`) and those into a pair of locality
-modules (`subtask_from_cluster`), in cluster id order.  Every stage is
-serial and seeded, so one configuration always gives the same division.
+modules (`subtask_from_cluster`), in cluster id order.  Each stage reads
+its settings from one `DivisionConfig` (see `config`); training and
+k-means take seeds that `divide` derives from the config's, training
+through `replace(cfg, seed=...)`.  Every stage is serial and seeded, so
+one configuration always gives the same division.
 The index and the entry vectors do not depend on n: the source ontology
 remembers those of its last division, so dividing one pair again at
 another n starts at k-means.
@@ -18,15 +21,14 @@ import math
 import shutil
 import sys
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping as MappingT,
                     NamedTuple)
 
-from ._version import __version__
-from .config import MAX_ITERS, TrainingConfig
+from .config import DivisionConfig
 from .errors import check_int
-from .lexindex import RELATIONS, LexConfig, LexIndex, Mapping, build_lexi
+from .lexindex import RELATIONS, LexIndex, Mapping, build_lexi
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
 from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, EntityRef,
@@ -49,48 +51,6 @@ class Division:
     n: int
     subtasks: tuple[MatchingTask, ...]
     provenance: MappingT[str, object]
-
-
-@dataclass(frozen=True)
-class DivisionConfig:
-    """Every setting a division depends on; a bad one raises ValueError
-    when the config is made, before any input is read."""
-
-    seed: int = 0
-    alpha: int = LexConfig.alpha
-    max_subsets: int = LexConfig.max_subsets
-    dim: int = TrainingConfig.dim
-    epochs: int = TrainingConfig.epochs
-    negatives: int = TrainingConfig.negatives
-    margin: float = TrainingConfig.margin
-    learning_rate: float = TrainingConfig.learning_rate
-    kmeans_max_iters: int = MAX_ITERS
-
-    def __post_init__(self):
-        check_int("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        check_int("kmeans_max_iters", self.kmeans_max_iters)
-        if self.kmeans_max_iters < 1:
-            raise ValueError("kmeans_max_iters must be >= 1")
-        self.index(), self.training(0)  # the stage configs check the rest
-
-    def index(self) -> LexConfig:
-        return LexConfig(alpha=self.alpha, max_subsets=self.max_subsets)
-
-    def training(self, seed: int) -> TrainingConfig:
-        """The embedding settings, with `seed` for the embedding stage."""
-        return TrainingConfig(dim=self.dim, epochs=self.epochs,
-                              negatives=self.negatives, margin=self.margin,
-                              learning_rate=self.learning_rate, seed=seed)
-
-    def provenance(self) -> dict[str, object]:
-        # every field changes the output, so all of them are needed to rerun,
-        # and so do the package and numpy versions that trained the
-        # embeddings; numpy is imported here, so a config loads none
-        import numpy as np
-        return {**asdict(self), "version": __version__,
-                "numpy": np.__version__}
 
 
 class _Memo(NamedTuple):
@@ -132,22 +92,22 @@ def divide(o1: Ontology, o2: Ontology, n: int,
         cfg = DivisionConfig()
     if n < 1:
         raise ValueError("n must be ≥ 1")
-    emb_seq, km_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    training = cfg.training(int(emb_seq.generate_state(1, np.uint64)[0]))
-    km_seed = int(km_seq.generate_state(1, np.uint64)[0])
+    emb_seed, km_seed = (int(seq.generate_state(1, np.uint64)[0]) for seq
+                         in np.random.SeedSequence(cfg.seed).spawn(2))
 
     memo = vars(o1).get("_division_memo")
     if memo is not None and memo.config == cfg and memo.target() is o2:
         lexi, points = memo.lexi, memo.points
     else:
-        lexi, points = build_lexi(o1, o2, cfg.index()), None
+        lexi, points = build_lexi(o1, o2, cfg), None
     if n > len(lexi):
         raise ValueError(
             f"n={n} exceeds the number of index entries ({len(lexi)}); "
             "choose a smaller n")
 
     if points is None:
-        points = entry_vectors(lexi, train_embeddings(lexi, training))
+        space = train_embeddings(lexi, replace(cfg, seed=emb_seed))
+        points = entry_vectors(lexi, space)
         points.flags.writeable = False
         vars(o1)["_division_memo"] = _Memo(cfg, weakref.ref(o2), lexi, points)
     assignment = kmeans(points, n, km_seed, cfg.kmeans_max_iters)

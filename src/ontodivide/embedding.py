@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import TrainingConfig
+from .config import DivisionConfig
 from .lexindex import LexIndex
 from .ontology import EntityRef
 
@@ -198,7 +198,7 @@ def _project(matrix: FloatArray, rows: np.ndarray, max_norm: float) -> None:
 # a run that overflows ends in the `_diverged` error; numpy's warnings
 # would only print lines before it
 @np.errstate(over="ignore", invalid="ignore")
-def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
+def train_embeddings(lexi: LexIndex, cfg: DivisionConfig) -> EmbeddingSpace:
     """Mini-batch SGD over positive pairs with sampled negatives.
 
     Vectors start uniform in [-1/d, 1/d].  Every epoch reshuffles the pairs
@@ -207,7 +207,8 @@ def train_embeddings(lexi: LexIndex, cfg: TrainingConfig) -> EmbeddingSpace:
     updates to the same row summed in (pair, candidate) order; an entity
     row moves only for a violated margin.  Each pair keeps its own learning
     rate, decayed linearly to zero over all pairs of all epochs.  Fully
-    deterministic given the seed.
+    deterministic given `cfg.seed`, used as given.  Reads the embedding
+    settings and the seed of `cfg` only.
     """
     entities, multiset = _value_rows(lexi)
     pair_w, pair_e = _pairs(lexi, multiset)

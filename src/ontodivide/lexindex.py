@@ -17,7 +17,7 @@ from itertools import accumulate, chain, combinations, islice, product
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from .errors import check_int
+from .config import DivisionConfig
 from .ontology import EntityRef, Ontology, _setters, entity_labels
 from .stemming import porter_stem
 
@@ -84,20 +84,6 @@ class IndexStats:
 
 
 @dataclass(frozen=True)
-class LexConfig:
-    alpha: int = 60
-    max_subsets: int = 50
-
-    def __post_init__(self):
-        check_int("alpha", self.alpha)
-        if self.alpha < 2:  # an entry holds an entity of each ontology
-            raise ValueError("alpha must be >= 2")
-        check_int("max_subsets", self.max_subsets)
-        if self.max_subsets < 1:
-            raise ValueError("max_subsets must be >= 1")
-
-
-@dataclass(frozen=True)
 class LexIndex:
     """The kept entries, in key order, as integer arrays.
 
@@ -138,10 +124,13 @@ class LexIndex:
 
 
 def build_lexi(o1: Ontology, o2: Ontology,
-               cfg: LexConfig | None = None) -> LexIndex:
-    """Index both ontologies and keep entries that span the two of them."""
+               cfg: DivisionConfig | None = None) -> LexIndex:
+    """Index both ontologies and keep entries that span the two of them.
+
+    Reads `cfg.alpha` and `cfg.max_subsets` only.
+    """
     if cfg is None:
-        cfg = LexConfig()
+        cfg = DivisionConfig()
     entities: list[EntityRef] = []
     postings: dict[LexKey, list[int]] = {}  # key -> ascending entity ids
     # labels repeat their words, so each distinct token is stemmed once per

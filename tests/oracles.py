@@ -22,11 +22,11 @@ from typing import Iterable, Mapping as MappingT, NamedTuple
 import numpy as np
 
 from ontodivide.clustering import ClusterAssignment
-from ontodivide.config import MAX_ITERS
+from ontodivide.config import MAX_ITERS, DivisionConfig
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError, check_int)
 from ontodivide.lexindex import (_STOPWORDS, RELATIONS, IndexStats,
-                                 LexConfig, LexKey, Mapping, _Stems,
+                                 LexKey, Mapping, _Stems,
                                  normalize_label, word_subsets)
 from ontodivide.metrics import Alignment
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
@@ -886,10 +886,11 @@ def entry_map(lexi) -> dict[LexKey, LexValue]:
 
 
 def reference_build_lexi(o1: Ontology, o2: Ontology,
-                         cfg: LexConfig | None = None) -> ReferenceLexIndex:
+                         cfg: DivisionConfig | None = None
+                         ) -> ReferenceLexIndex:
     """Index both ontologies and keep entries that span the two of them."""
     if cfg is None:
-        cfg = LexConfig()
+        cfg = DivisionConfig()
     accum: dict[LexKey, tuple[set[EntityRef], set[EntityRef]]] = {}
     # labels repeat their words, so each distinct token is stemmed once per
     # build; not across builds, so every build costs what a fresh one does

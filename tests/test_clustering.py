@@ -9,10 +9,9 @@ from oracles import entry_objects, reference_kmeans, reference_mappings_of
 from ontodivide import clustering
 from ontodivide.clustering import (MAX_ITERS, ClusterAssignment,
                                    clusters_to_entries, kmeans)
-from ontodivide.division import DivisionConfig
+from ontodivide.config import DivisionConfig
 from ontodivide.errors import InvariantError
-from ontodivide.embedding import TrainingConfig, entry_vectors, \
-    train_embeddings
+from ontodivide.embedding import entry_vectors, train_embeddings
 from ontodivide.lexindex import Mapping, all_candidate_mappings, build_lexi
 from ontodivide.ontology import EntityRef
 
@@ -62,9 +61,13 @@ class TestKmeansBasics:
             kmeans([], 1, seed=0)
 
     def test_zero_iterations_rejected(self):
+        """Out-of-range settings are refused by name, a negative seed too,
+        which numpy would refuse naming no setting."""
         X = np.arange(12, dtype=float).reshape(6, 2)
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             kmeans(X, 2, seed=0, max_iters=0)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            kmeans(X, 2, seed=-1)
 
     @pytest.mark.parametrize("name, kwargs", [
         ("max_iters", {"seed": 0, "max_iters": 2.5}),
@@ -230,7 +233,7 @@ class TestClustersToEntries:
         assert basaloid in clusters[1] and basaloid not in clusters[0]
 
     def test_partition_property(self, lexi):
-        space = train_embeddings(lexi, TrainingConfig(dim=4, epochs=2,
+        space = train_embeddings(lexi, DivisionConfig(dim=4, epochs=2,
                                                       seed=0))
         points = entry_vectors(lexi, space)
         asg = kmeans(points, 3, seed=0)

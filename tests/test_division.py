@@ -3,9 +3,10 @@ import json
 import math
 import pickle
 import random
+import re
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,14 @@ from oracles import entry_objects, reference_read_alignment_tsv
 import ontodivide
 import ontodivide.embedding
 from ontodivide.clustering import clusters_to_entries, kmeans
-from ontodivide.config import TrainingConfig
+from ontodivide.config import LexConfig, TrainingConfig
 from ontodivide.division import (Division, DivisionConfig, divide,
                                  read_alignment_tsv, read_division,
                                  read_mappings, subtask_from_cluster,
                                  write_alignment_tsv, write_division)
 from ontodivide.embedding import entry_vectors, train_embeddings
-from ontodivide.lexindex import (RELATIONS, LexConfig, Mapping,
-                                 all_candidate_mappings, build_lexi)
+from ontodivide.lexindex import (RELATIONS, Mapping, all_candidate_mappings,
+                                 build_lexi)
 from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 size_ratio_division, size_ratio_task)
@@ -151,8 +152,8 @@ class TestDivide:
         seeds it derives from the config's."""
         o1, o2 = toy_pair
         emb_seq, km_seq = np.random.SeedSequence(FAST.seed).spawn(2)
-        space = train_embeddings(toy_lexi, FAST.training(
-            int(emb_seq.generate_state(1, np.uint64)[0])))
+        space = train_embeddings(toy_lexi, replace(
+            FAST, seed=int(emb_seq.generate_state(1, np.uint64)[0])))
         points = entry_vectors(toy_lexi, space)
         assignment = kmeans(points, n,
                             int(km_seq.generate_state(1, np.uint64)[0]),
@@ -210,22 +211,42 @@ class TestDivide:
             divide(*toy_pair, 2, DivisionConfig(**cfg))
 
     def test_stage_configs_hold_only_division_settings(self):
-        """Every stage setting but the training seed, which `divide`
-        derives, is a `DivisionConfig` field, so `division.json` records it."""
-        division = [f.name for f in fields(DivisionConfig)]
-        training = [f.name for f in fields(TrainingConfig)]
-        index = [f.name for f in fields(LexConfig)]
-        assert sorted(division) == sorted(
-            ["kmeans_max_iters", *index, *training])
-        cfg = DivisionConfig(seed=3, alpha=40, max_subsets=20, dim=12,
-                             epochs=7, negatives=4, margin=0.1,
-                             learning_rate=0.08, kmeans_max_iters=50)
-        assert asdict(cfg.training(5)) == {
-            **{name: getattr(cfg, name) for name in training}, "seed": 5}
-        assert asdict(cfg.index()) == {
-            name: getattr(cfg, name) for name in index}
+        """The old stage config names build a `DivisionConfig`, which has
+        no field beyond a division's, so `division.json` records them all."""
+        assert LexConfig is TrainingConfig is DivisionConfig
         with pytest.raises(TypeError, match="max_norm"):
             TrainingConfig(max_norm=2.0)
+
+    def test_index_ignores_other_settings(self, toy_pair):
+        """`build_lexi` reads `alpha` and `max_subsets` alone."""
+        base = DivisionConfig(alpha=2, max_subsets=3)
+        other = replace(base, seed=3, dim=12, epochs=7, negatives=4,
+                        margin=0.1, learning_rate=0.08, kmeans_max_iters=50)
+        assert build_lexi(*toy_pair, other) == build_lexi(*toy_pair, base)
+
+    def test_training_ignores_other_settings(self, toy_lexi):
+        """`train_embeddings` reads neither the index's settings nor
+        k-means'."""
+        base = DivisionConfig(seed=5, dim=8, epochs=3)
+        other = replace(base, alpha=40, max_subsets=20, kmeans_max_iters=50)
+        a = train_embeddings(toy_lexi, base)
+        b = train_embeddings(toy_lexi, other)
+        assert (a.words, a.entities, a.epoch_losses) \
+            == (b.words, b.entities, b.epoch_losses)
+        assert np.array_equal(a.word_matrix, b.word_matrix)
+        assert np.array_equal(a.entity_matrix, b.entity_matrix)
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, not True"),
+        (1.5, "seed must be an integer, not 1.5"),
+        ("3", "seed must be an integer, not '3'"),
+        (-1, "seed must be >= 0"),
+    ])
+    def test_bad_training_seed_fails_when_built(self, seed, message):
+        """A training seed is checked when its config is built, not by
+        numpy when training starts."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainingConfig(seed=seed)
 
     def test_provenance_snapshot(self, toy_division4):
         prov = toy_division4.provenance

@@ -11,8 +11,9 @@ from oracles import (LexValue, all_entities, entry_map, entry_objects,
                      reference_value_entity_multiset)
 
 from ontodivide import embedding
-from ontodivide.embedding import (EmbeddingSpace, TrainingConfig,
-                                  batch_gaps, batch_gradients, batch_loss,
+from ontodivide.config import DivisionConfig
+from ontodivide.embedding import (EmbeddingSpace, batch_gaps,
+                                  batch_gradients, batch_loss,
                                   entry_vectors, hinge_gradients, hinge_loss,
                                   positive_pairs, similarity,
                                   train_embeddings)
@@ -166,7 +167,7 @@ class TestBatchHinge:
 
 class TestTraining:
     def test_zero_epochs_returns_seeded_init(self, table1_lexi):
-        cfg = TrainingConfig(dim=8, epochs=0, seed=4)
+        cfg = DivisionConfig(dim=8, epochs=0, seed=4)
         space = train_embeddings(table1_lexi, cfg)
         rng = np.random.default_rng(4)
         expected_w = rng.uniform(-1 / 8, 1 / 8,
@@ -177,7 +178,7 @@ class TestTraining:
         assert np.array_equal(space.entity_matrix, expected_e)
 
     def test_fixed_seed_bit_identical(self, table1_lexi):
-        cfg = TrainingConfig(dim=8, epochs=5, seed=123)
+        cfg = DivisionConfig(dim=8, epochs=5, seed=123)
         a = train_embeddings(table1_lexi, cfg)
         b = train_embeddings(table1_lexi, cfg)
         assert np.array_equal(a.word_matrix, b.word_matrix)
@@ -186,11 +187,11 @@ class TestTraining:
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError):
-            train_embeddings(make_lexi({}), TrainingConfig(dim=4, epochs=1))
+            train_embeddings(make_lexi({}), DivisionConfig(dim=4, epochs=1))
 
     def test_vocabulary_covers_index(self, table1_lexi):
         space = train_embeddings(table1_lexi,
-                                 TrainingConfig(dim=4, epochs=1, seed=0))
+                                 DivisionConfig(dim=4, epochs=1, seed=0))
         for key, value in entry_objects(table1_lexi):
             for w in key:
                 assert w in space.word_index
@@ -199,7 +200,7 @@ class TestTraining:
 
     def test_all_finite_and_norm_bounded(self, table1_lexi, monkeypatch):
         monkeypatch.setattr(embedding, "_MAX_NORM", 2.0)
-        cfg = TrainingConfig(dim=8, epochs=30, seed=7, learning_rate=0.5)
+        cfg = DivisionConfig(dim=8, epochs=30, seed=7, learning_rate=0.5)
         space = train_embeddings(table1_lexi, cfg)
         assert np.isfinite(space.word_matrix).all()
         assert np.isfinite(space.entity_matrix).all()
@@ -210,7 +211,7 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self, table1_lexi, monkeypatch):
         monkeypatch.setattr(embedding, "_MAX_NORM", float("inf"))
-        cfg = TrainingConfig(dim=4, epochs=60, seed=0, learning_rate=1e120)
+        cfg = DivisionConfig(dim=4, epochs=60, seed=0, learning_rate=1e120)
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
             train_embeddings(table1_lexi, cfg)
@@ -220,7 +221,7 @@ class TestTraining:
         # here v_w.v_e overflows to NaN gaps while W and E stay finite, so
         # only the check on the epoch loss can stop the run
         monkeypatch.setattr(embedding, "_MAX_NORM", float("inf"))
-        cfg = TrainingConfig(dim=4, epochs=5, seed=1, learning_rate=1e200)
+        cfg = DivisionConfig(dim=4, epochs=5, seed=1, learning_rate=1e200)
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
             train_embeddings(table1_lexi, cfg)
@@ -236,7 +237,7 @@ class TestTraining:
 
     def test_groups_separate(self):
         lexi = self._two_group_lexi()
-        space = train_embeddings(lexi, TrainingConfig(dim=16, epochs=60,
+        space = train_embeddings(lexi, DivisionConfig(dim=16, epochs=60,
                                                       seed=9))
         intra, inter = [], []
         for key, value in entry_objects(lexi):
@@ -253,7 +254,7 @@ class TestTraining:
         lexi = self._two_group_lexi()
         first, tenth = [], []
         for seed in range(5):
-            cfg = TrainingConfig(dim=16, epochs=10, seed=seed)
+            cfg = DivisionConfig(dim=16, epochs=10, seed=seed)
             space = train_embeddings(lexi, cfg)
             first.append(space.epoch_losses[0])
             tenth.append(space.epoch_losses[9])
@@ -302,7 +303,7 @@ class TestEntryVector:
 
     def test_length_is_twice_dim(self, table1_lexi):
         space = train_embeddings(table1_lexi,
-                                 TrainingConfig(dim=6, epochs=1, seed=2))
+                                 DivisionConfig(dim=6, epochs=1, seed=2))
         assert entry_vectors(table1_lexi, space).shape == (len(table1_lexi),
                                                            12)
 
@@ -388,12 +389,12 @@ class TestEncoding:
 
     def test_table1(self, table1_lexi):
         space = train_embeddings(table1_lexi,
-                                 TrainingConfig(dim=8, epochs=3, seed=5))
+                                 DivisionConfig(dim=8, epochs=3, seed=5))
         self.check(table1_lexi, space)
 
     def test_toy_pair(self, toy_pair):
         lexi = build_lexi(*toy_pair)
-        space = train_embeddings(lexi, TrainingConfig(dim=16, epochs=3,
+        space = train_embeddings(lexi, DivisionConfig(dim=16, epochs=3,
                                                       seed=6))
         self.check(lexi, space)
 
@@ -423,7 +424,7 @@ class TestEncoding:
 
     def test_training_vocabulary_is_the_encoding(self, table1_lexi):
         space = train_embeddings(table1_lexi,
-                                 TrainingConfig(dim=4, epochs=0, seed=0))
+                                 DivisionConfig(dim=4, epochs=0, seed=0))
         assert space.words is table1_lexi.words
         assert space.entities == embedding._value_rows(table1_lexi)[0]
 
@@ -455,7 +456,7 @@ class TestTrainerDifferential:
             lexi = random_lexi(rng)
             pairs = len(positive_pairs(lexi))
             short_batches += pairs % 256 != 0
-            cfg = TrainingConfig(dim=dim, epochs=epochs, negatives=negatives,
+            cfg = DivisionConfig(dim=dim, epochs=epochs, negatives=negatives,
                                  margin=margin,
                                  learning_rate=float(rng.uniform(0.01, 0.5)),
                                  seed=int(rng.integers(2 ** 32)))
@@ -474,7 +475,7 @@ class TestTrainerDifferential:
     def test_toy_pair_default_shape(self, toy_pair):
         # dim 64, 10 negatives, norm 10: the benchmark's step shape
         lexi = build_lexi(*toy_pair)
-        cfg = TrainingConfig(epochs=3, seed=11)
+        cfg = DivisionConfig(epochs=3, seed=11)
         space = train_embeddings(lexi, cfg)
         W, E, losses = reference_train_embeddings(lexi, cfg, 10.0)
         assert np.array_equal(space.word_matrix, W)

@@ -13,11 +13,12 @@ from oracles import (LexValue, entry_map, entry_objects,
 import ontodivide.lexindex
 from ontodivide import embedding
 from ontodivide.clustering import ClusterAssignment, clusters_to_entries
+from ontodivide.config import DivisionConfig
 from ontodivide.division import subtask_from_cluster
 from ontodivide.embedding import positive_pairs
-from ontodivide.lexindex import (LexConfig, Mapping, all_candidate_mappings,
-                                 build_lexi, load_default_stopwords,
-                                 normalize_label, word_subsets)
+from ontodivide.lexindex import (Mapping, all_candidate_mappings, build_lexi,
+                                 load_default_stopwords, normalize_label,
+                                 word_subsets)
 from ontodivide.locality import context_of
 from ontodivide.ontology import EntityRef, entity_labels, parse_ontology
 from ontodivide.stemming import porter_stem
@@ -113,7 +114,7 @@ class TestBuildLexi:
         assert lexi.stats.dropped_single_side > 0
 
     def test_alpha_filter(self, table1_pair):
-        lexi = build_lexi(*table1_pair, LexConfig(alpha=2))
+        lexi = build_lexi(*table1_pair, DivisionConfig(alpha=2))
         assert ("disord",) not in entry_map(lexi)
         assert lexi.stats.dropped_over_alpha > 0
 
@@ -141,7 +142,7 @@ class TestBuildLexi:
         # pair sharing a stem must meet in some entry (toy labels are short
         # enough that singleton keys always exist)
         o1, o2 = toy_pair
-        lexi = build_lexi(o1, o2, LexConfig(alpha=10_000))
+        lexi = build_lexi(o1, o2, DivisionConfig(alpha=10_000))
 
         def stems(onto, ent):
             out = set()
@@ -202,7 +203,7 @@ class TestStemOncePerBuild:
     """`build_lexi` stems each distinct token once, as `normalize_label`."""
 
     def test_toy_pair(self, toy_pair):
-        cfg = LexConfig()
+        cfg = DivisionConfig()
         assert entry_map(build_lexi(*toy_pair, cfg)) == \
             entries_from_normalize_label(*toy_pair, cfg)
 
@@ -211,8 +212,8 @@ class TestStemOncePerBuild:
         rng = np.random.default_rng(seed)
         o1 = random_labelled_ontology(rng, O1_NS, 40)
         o2 = random_labelled_ontology(rng, O2_NS, 40)
-        cfg = LexConfig(alpha=int(rng.integers(2, 40)),
-                        max_subsets=int(rng.integers(1, 10)))
+        cfg = DivisionConfig(alpha=int(rng.integers(2, 40)),
+                             max_subsets=int(rng.integers(1, 10)))
         expected = entries_from_normalize_label(o1, o2, cfg)
         assert expected
         assert entry_map(build_lexi(o1, o2, cfg)) == expected
@@ -334,10 +335,12 @@ class TestIntegerIndex:
     def test_same_as_object_index(self, pair, data):
         o1, o2 = pair
         max_subsets = data.draw(st.integers(1, 10))
+        wide = DivisionConfig(alpha=10_000, max_subsets=max_subsets)
         sizes = sorted({len(v) for v in reference_build_lexi(
-            o1, o2, LexConfig(10_000, max_subsets)).entries.values()})
+            o1, o2, wide).entries.values()})
         # an alpha that some entry meets exactly
-        cfg = LexConfig(data.draw(st.sampled_from(sizes)), max_subsets)
+        cfg = DivisionConfig(alpha=data.draw(st.sampled_from(sizes)),
+                             max_subsets=max_subsets)
         old, new = reference_build_lexi(o1, o2, cfg), build_lexi(o1, o2, cfg)
         assert new.stats == old.stats
         assert new.stats.dropped_single_side
