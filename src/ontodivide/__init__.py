@@ -7,7 +7,8 @@ locality modules, giving n independent matching subtasks.  Quality of a
 division is measured by alignment coverage and search-space size ratios.
 
 Importing the package loads none of its stages: every public name loads
-its module on first use.  Reading an ontology thus loads only the parser,
+its module on first use.  Reading a file laid out one flat axiom per line
+thus loads only `ontology`, any other file also the grammar (`_ofn`),
 and only the embedding and clustering stages load numpy.
 """
 
@@ -29,8 +30,8 @@ _EXPORTS = {
                      "similarity", "train_embeddings"), "embedding"),
     **dict.fromkeys(("InvariantError", "OfnSyntaxError",
                      "UnsupportedConstructError"), "errors"),
-    **dict.fromkeys(("LexIndex", "Mapping",
-                     "all_candidate_mappings", "build_lexi",
+    **dict.fromkeys(("LexIndex", "Mapping", "all_candidate_mappings",
+                     "build_lexi", "entity_labels", "fragment_label",
                      "load_default_stopwords", "normalize_label",
                      "word_subsets"), "lexindex"),
     **dict.fromkeys(("context_of", "extract_module"), "locality"),
@@ -43,9 +44,9 @@ _EXPORTS = {
                      "EquivalentClasses", "IntersectionOf", "NamedClass",
                      "Nothing", "Ontology", "SomeValuesFrom", "SubClassOf",
                      "SubObjectPropertyOf", "Thing", "UnionOf",
-                     "axiom_signature", "entity_labels", "fragment_label",
-                     "parse_ontology", "read_ontology", "serialize"),
+                     "axiom_signature", "parse_ontology", "read_ontology"),
                     "ontology"),
+    "serialize": "_ofn",
     "porter_stem": "stemming",
 }
 # the submodules that are attributes of the package, imported on first

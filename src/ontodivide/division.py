@@ -32,7 +32,7 @@ from .lexindex import RELATIONS, LexIndex, Mapping, build_lexi
 from .locality import context_of
 from .metrics import Alignment, size_ratio_task
 from .ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY, EntityRef,
-                       Ontology, _gc_paused, _parse, _read_text, _serialize)
+                       Ontology, _gc_paused, _parse, _read_text)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -243,6 +243,8 @@ def write_division(div: Division, orig: tuple[Ontology, Ontology],
     part-way leaves a directory that `read_division` refuses, not a mix of
     old and new tasks.
     """
+    from ._ofn import _serialize  # not loaded by a read of the division
+
     ids = [task.task_id for task in div.subtasks]
     if len(ids) != div.n:
         raise ValueError(f"division has n={div.n} but {len(ids)} subtasks")
@@ -301,7 +303,8 @@ def _stale_task_dirs(out: Path, ids: set[int]) -> list[Path]:
 def _read_division_meta(path: Path) -> dict:
     """The `division.json` at `path`.  Raise ValueError, naming `path`,
     unless it is JSON with the fields `read_division` uses, with one row per
-    task, each a distinct task id."""
+    task, each a distinct task id, and a `provenance`, if any, that is an
+    object."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -314,6 +317,8 @@ def _read_division_meta(path: Path) -> dict:
             for row in tasks):
         raise ValueError(f"{path}: 'tasks' must be a list of rows with an "
                          "integer 'task'")
+    if not isinstance(meta.get("provenance", {}), dict):
+        raise ValueError(f"{path}: 'provenance' must be an object")
     ids = [row["task"] for row in tasks]
     if len(ids) != meta["n"]:
         raise ValueError(f"{path}: 'n' is {meta['n']} but there are "

@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Callable, Iterable
 
 from .config import DivisionConfig
-from .ontology import EntityRef, Ontology, _setters, entity_labels
+from .ontology import EntityRef, Ontology, _setters
 from .stemming import porter_stem
 
 LexKey = tuple[str, ...]
@@ -30,6 +30,35 @@ RELATIONS = (EQUIVALENCE, SUBSUMED_BY, SUBSUMES)
 
 _TOKEN_SPLIT = re.compile(r"[^0-9A-Za-z]+")
 _REF_ORDER = attrgetter("iri", "kind")  # the order of refs, as a C key
+_CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
+
+def iri_fragment(iri: str) -> str:
+    if "#" in iri:
+        return iri.rsplit("#", 1)[1]
+    return iri.rsplit("/", 1)[-1]
+
+
+def fragment_label(iri: str) -> str:
+    """Human-readable label from an IRI fragment.
+
+    Underscores and camel-case boundaries become spaces, e.g.
+    ``Lunate_facet_of_hamate`` -> "Lunate facet of hamate" and
+    ``PregnancyDisorder`` -> "Pregnancy Disorder".
+    """
+    text = _CAMEL_BOUNDARY.sub(" ", iri_fragment(iri))
+    text = text.replace("_", " ")
+    return " ".join(text.split())
+
+
+def entity_labels(onto: Ontology, entity: EntityRef) -> list[str]:
+    """Label literals for an entity, in axiom order; IRI fragment fallback."""
+    if entity not in onto.signature:
+        raise ValueError(f"entity not in signature: {entity.iri}")
+    found = onto._label_map.get(entity)
+    if found:
+        return list(found)
+    return [fragment_label(entity.iri)]
 
 
 def load_default_stopwords() -> frozenset[str]:

@@ -13,7 +13,10 @@ A text laid out one axiom per line is read by one line pass
 (`_parse_lines`), any other text by the grammar as a whole.
 `read_division` runs the same pass over every file of a division, with
 one ref table and one memo of the lines read, so that the files share
-their refs and each distinct line is read once.
+their refs and each distinct line is read once.  The grammar and the
+writer live in `_ofn`, which is imported only when a line or a text needs
+the grammar, or an ontology is written: reading a file of flat lines does
+not load it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ import re
 from _thread import allocate_lock
 from collections.abc import Iterator
 from functools import cached_property, total_ordering, wraps
-from itertools import islice
-
-from .errors import OfnSyntaxError, UnsupportedConstructError
 
 # entity kinds
 CLASS = "class"
@@ -315,67 +315,12 @@ class Ontology(_Value):
         return {e: tuple(ls) for e, ls in out.items()}
 
 
-_CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+# --- parse state ------------------------------------------------------------
 
-
-def iri_fragment(iri: str) -> str:
-    if "#" in iri:
-        return iri.rsplit("#", 1)[1]
-    return iri.rsplit("/", 1)[-1]
-
-
-def fragment_label(iri: str) -> str:
-    """Human-readable label from an IRI fragment.
-
-    Underscores and camel-case boundaries become spaces, e.g.
-    ``Lunate_facet_of_hamate`` -> "Lunate facet of hamate" and
-    ``PregnancyDisorder`` -> "Pregnancy Disorder".
-    """
-    text = _CAMEL_BOUNDARY.sub(" ", iri_fragment(iri))
-    text = text.replace("_", " ")
-    return " ".join(text.split())
-
-
-def entity_labels(onto: Ontology, entity: EntityRef) -> list[str]:
-    """Label literals for an entity, in axiom order; IRI fragment fallback."""
-    if entity not in onto.signature:
-        raise ValueError(f"entity not in signature: {entity.iri}")
-    found = onto._label_map.get(entity)
-    if found:
-        return list(found)
-    return [fragment_label(entity.iri)]
-
-
-# --- tokenizer ----------------------------------------------------------------
-# A token is its text: `(`, `)`, `=`, an IRI in brackets, a quoted string, a
-# prefixed name or an identifier; "" ends the text.  An IRI holds no tab/CR/LF
-# (they would split its row in the TSV files written for a division).  In a
-# string a backslash always pairs with the next character, but only \" and \\
-# are escapes.  A name is scanned once: an identifier, made a prefixed name by
-# a following `:local`; or `:local` alone, in the default prefix.
-_NAME_CHARS = r"[A-Za-z0-9_.\-]*"
-_WORD = rf"""
-    [()=]
-  | <[^>\t\r\n]*>
-  | "[^"\\]*(?:\\[\s\S][^"\\]*)*"
-  | [A-Za-z_]{_NAME_CHARS}(?::{_NAME_CHARS})?
-  | :{_NAME_CHARS}
-"""
-_ONE_TOKEN = re.compile(_WORD, re.VERBOSE)
-# Blanks and comments prefix each match: blanks, then comments, each running
-# up to a CR or LF and followed by blanks.  The group then always matches: a
-# token, else a catch-all taking the rest of the text (a scan error), else
-# `\Z`; so no prefix is given back and trailing blanks are not rescanned.
-_TOKEN = re.compile(rf"""[ \t\r\n]* (?:\#[^\r\n]* [ \t\r\n]*)*
-                         ({_WORD}|[\s\S]+|\Z)""", re.VERBOSE)
+_DECL_KEYWORDS = {"Class": CLASS, "ObjectProperty": OBJECT_PROPERTY,
+                  "NamedIndividual": INDIVIDUAL}
+_NAME_CHARS = r"[A-Za-z0-9_.\-]*"  # the characters of a name, after its first
 _ESCAPE = re.compile(r'\\(["\\])')
-_IRI_FORBIDDEN = re.compile(r"[\t\r\n]")
-_KINDS = {"(": "(", ")": ")", "=": "=", "<": "iri", '"': "string", "": "eof"}
-
-
-def _kind(tok: str) -> str:
-    """One of "(", ")", "=", "iri", "string", "pname", "ident", "eof"."""
-    return _KINDS.get(tok[:1]) or ("pname" if ":" in tok else "ident")
 
 
 def _value(tok: str) -> str:
@@ -386,79 +331,13 @@ def _value(tok: str) -> str:
     return tok[1:-1] if tok[:1] == "<" else tok
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of the character at offset `pos`."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+class _ParseState:
+    """What a read of one text has built so far, shared by the line pass
+    and the grammar (`_ofn._Parser`, which extends it).  Every `EntityRef`
+    comes from `refs`, one per (IRI, kind), which reads may share."""
 
-
-def _token_offset(text: str, i: int) -> int:
-    """Offset of token `i` of `_tokenize(text)`, by scanning again."""
-    return next(islice(_TOKEN.finditer(text), i, None)).start(1)
-
-
-def _scan_error(text: str, pos: int, line: int = 0) -> OfnSyntaxError:
-    """Why no token starts at offset `pos`, in a document whose first
-    `line` lines come before `text`."""
-    ch = text[pos]
-    if ch == "<":
-        end = text.find(">", pos + 1)
-        if end < 0:
-            message = "unterminated IRI"
-        else:
-            pos = _IRI_FORBIDDEN.search(text, pos + 1, end).start()
-            message = f"control character {text[pos]!r} in IRI"
-    elif ch == '"':
-        message = "unterminated string literal"
-    else:
-        message = f"unexpected character {ch!r}"
-    row, column = _line_col(text, pos)
-    return OfnSyntaxError(message, line + row, column)
-
-
-def _tokenize(text: str, line: int = 0) -> list[str]:
-    """Token strings of `text`, ending in one "".  A scan error counts the
-    `line` lines of the document before `text`."""
-    tokens = _TOKEN.findall(text)
-    if len(tokens) > 1:
-        last = tokens[-2]
-        if not last:  # trailing blanks leave a second "" at the very end
-            tokens.pop()
-        elif last != ")" and not _ONE_TOKEN.fullmatch(last):
-            # the catch-all took the rest of the text: a scan error
-            raise _scan_error(text, len(text) - len(last), line)
-    return tokens
-
-
-# --- parser -----------------------------------------------------------------
-
-_AXIOM_KEYWORDS = {"Declaration", "SubClassOf", "EquivalentClasses",
-                   "SubObjectPropertyOf", "AnnotationAssertion"}
-_EXPR_KEYWORDS = {"ObjectIntersectionOf", "ObjectUnionOf",
-                  "ObjectSomeValuesFrom"}
-_DECL_KEYWORDS = {"Class": CLASS, "ObjectProperty": OBJECT_PROPERTY,
-                  "NamedIndividual": INDIVIDUAL}
-# keeps every recursive walk over a parsed expression within Python's stack
-MAX_EXPR_DEPTH = 100
-
-
-class _Parser:
-    """Recursive descent over the token strings of one text.
-
-    A production reads its tokens by index, checks each before it reads the
-    next (so it never reads past the final ""), and leaves `pos` after
-    itself.  It calls out to resolve a prefixed name, to check the kind
-    of an entity (`use`), or to fail.  Every `EntityRef` comes from `refs`,
-    one per (IRI, kind), which parsers may share.  `text` may be the rest
-    of a document, after its first `line` lines.
-    """
-
-    def __init__(self, text: str,
-                 refs: dict[tuple[str, str], EntityRef] | None = None):
-        self.text = text
-        self.line = 0
+    def __init__(self, refs: dict[tuple[str, str], EntityRef] | None = None):
         self.refs = {} if refs is None else refs
-        self.tokens = _tokenize(text)
-        self.pos = 0                              # index of the next token
         self.prefixes = dict(BUILTIN_PREFIXES)
         # prefixed name -> its IRI; the prefixes are fixed once an axiom
         # is read, as a `Prefix` only comes before the first
@@ -472,54 +351,11 @@ class _Parser:
         self.unresolved: list[int] = []
         self.ontology_iri: str | None = None
 
-    def fail(self, message: str, at: int,
-             error: type[OfnSyntaxError] = OfnSyntaxError):
-        """Raise `error` at the line and column of token `at`."""
-        row, column = _line_col(self.text, _token_offset(self.text, at))
-        raise error(message, self.line + row, column)
-
-    def fail_expected(self, punct: str, at: int):
-        self.fail(f"expected {punct!r} but found "
-                  f"{_value(self.tokens[at])!r}", at)
-
-    def fail_keyword(self, at: int, expected: str):
-        """Token `at` is no keyword allowed there; `expected` formats it."""
-        tok = self.tokens[at]
-        if _kind(tok) == "ident":
-            self.fail(tok, at, UnsupportedConstructError)
-        self.fail(expected.format(_value(tok)), at)
-
-    def name_iri(self, at: int) -> str:
-        """The full IRI of prefixed name `at`.  An <IRI> is read in place,
-        so any other token is an error."""
-        tok = self.tokens[at]
-        iri = self.names.get(tok)
-        if iri is None:
-            if _kind(tok) != "pname":
-                self.fail(f"expected an IRI but found {_value(tok)!r}", at)
-            prefix, local = tok.split(":", 1)
-            if prefix not in self.prefixes:
-                self.fail(f"undeclared prefix {prefix + ':'!r}", at)
-            iri = self.names[tok] = self.prefixes[prefix] + local
-        return iri
-
     def new_ref(self, iri: str, kind: str) -> EntityRef:
-        """The ref of `iri` as `kind`; the parser makes none else."""
+        """The ref of `iri` as `kind`; a read makes none else."""
         ref = self.refs.get((iri, kind))
         if ref is None:
             ref = self.refs[iri, kind] = EntityRef(iri, kind)
-        return ref
-
-    def use(self, iri: str, kind: str, at: int, verb: str = "used"
-            ) -> EntityRef:
-        """`known[iri]`, made of `kind` if `iri` is new; fails if `iri` is
-        known as another kind.  `verb` says how token `at` met `iri`."""
-        ref = self.known.get(iri)
-        if ref is None:
-            ref = self.known[iri] = self.new_ref(iri, kind)
-        elif ref.kind != kind:
-            self.fail(f"{iri} {verb} as {kind} but already known as "
-                      f"{ref.kind}", at)
         return ref
 
     def finish(self) -> Ontology:
@@ -541,200 +377,6 @@ class _Parser:
             axioms.extend(Declaration(known[iri]) for iri in missing)
         return Ontology(tuple(axioms), self.ontology_iri)
 
-    # grammar
-
-    def parse_document(self) -> None:
-        self.parse_body(self.parse_head())
-
-    def parse_body(self, wrapped: bool) -> None:
-        """Read axioms up to the end of the text or a `)`, which closes
-        `Ontology(` if `wrapped`, and check that nothing follows."""
-        tokens = self.tokens
-        axioms = self.axioms
-        while tokens[self.pos] not in ("", ")"):
-            axioms.append(self.parse_axiom())
-        at = self.pos  # the end of the text or a ')'
-        if wrapped and not tokens[at]:
-            self.fail("missing ')' closing Ontology(...)", at)
-        if tokens[at] and not wrapped:
-            self.fail("unexpected ')'", at)
-        if wrapped and tokens[at + 1]:
-            self.fail("content after closing ')' of Ontology(...)", at + 1)
-
-    def parse_head(self) -> bool:
-        """Read the prefixes, then `Ontology(` and its IRI if they come
-        next; whether they came."""
-        tokens = self.tokens
-        while tokens[self.pos] == "Prefix":
-            self.parse_prefix()
-        at = self.pos
-        if tokens[at] != "Ontology":
-            return False
-        if tokens[at + 1] != "(":
-            self.fail_expected("(", at + 1)
-        self.pos = at + 2
-        self.parse_ontology_iri()
-        return True
-
-    def parse_ontology_iri(self) -> None:
-        """Read the ontology IRI, if it comes next."""
-        tok = self.tokens[self.pos]
-        if tok[:1] == "<":
-            self.ontology_iri = tok[1:-1]
-            self.pos += 1
-
-    def parse_alone(self, line: str
-                    ) -> tuple[Axiom, tuple[EntityRef, ...]] | None:
-        """The one axiom `line` holds and the entities it uses, in order of
-        first use, as a fresh parser with these prefixes reads them; None
-        unless `line` is one axiom."""
-        self.known = {}
-        try:
-            self.text, self.pos = line, 0
-            self.tokens = _tokenize(line)
-            axiom = self.parse_axiom()
-        except OfnSyntaxError:
-            return None
-        return None if self.tokens[self.pos] \
-            else (axiom, tuple(self.known.values()))
-
-    def parse_prefix(self) -> None:
-        tokens = self.tokens
-        at = self.pos  # Prefix
-        if tokens[at + 1] != "(":
-            self.fail_expected("(", at + 1)
-        name = tokens[at + 2]
-        if _kind(name) != "pname" or not name.endswith(":"):
-            self.fail("expected prefix declaration like p:=<iri>", at + 2)
-        if tokens[at + 3] != "=":
-            self.fail_expected("=", at + 3)
-        iri = tokens[at + 4]
-        if iri[:1] != "<":
-            self.fail("prefix must expand to a full <IRI>", at + 4)
-        self.prefixes[name[:-1]] = iri[1:-1]
-        if tokens[at + 5] != ")":
-            self.fail_expected(")", at + 5)
-        self.pos = at + 6
-
-    def parse_axiom(self) -> Axiom:
-        tokens = self.tokens
-        at = self.pos
-        kw = tokens[at]
-        if kw not in _AXIOM_KEYWORDS:
-            self.fail_keyword(at, "expected an axiom but found {!r}")
-        if tokens[at + 1] != "(":
-            self.fail_expected("(", at + 1)
-        pos = at + 2
-        if kw == "Declaration":  # Declaration(Kind(iri))
-            kind = _DECL_KEYWORDS.get(tokens[pos])
-            if kind is None:
-                self.fail_keyword(
-                    pos, "expected Class/ObjectProperty/NamedIndividual")
-            if tokens[pos + 1] != "(":
-                self.fail_expected("(", pos + 1)
-            tok = tokens[pos + 2]
-            iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(pos + 2)
-            if iri in (THING_IRI, NOTHING_IRI):
-                self.fail("owl:Thing and owl:Nothing cannot be declared",
-                          pos + 2)
-            ref = self.use(iri, kind, pos + 2, "declared")
-            self.declared.add(iri)
-            if tokens[pos + 3] != ")":
-                self.fail_expected(")", pos + 3)
-            axiom = Declaration(ref)
-            pos += 4
-        elif kw == "AnnotationAssertion":  # (property subject "literal")
-            tok = tokens[pos]
-            prop_iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(pos)
-            tok = tokens[pos + 1]
-            subj_iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(pos + 1)
-            subject = self.known.get(subj_iri)
-            if subject is None and subj_iri in (THING_IRI, NOTHING_IRI):
-                self.fail("owl:Thing/owl:Nothing cannot carry annotations",
-                          pos + 1)
-            literal = tokens[pos + 2]
-            if literal[:1] != '"':
-                self.fail("annotation value must be a quoted string", pos + 2)
-            if subject is None:
-                subject = self.new_ref(subj_iri, CLASS)
-                self.unresolved.append(len(self.axioms))
-            axiom = AnnotationAssertion(subject, prop_iri, _value(literal))
-            pos += 3
-        else:
-            self.pos = pos
-            if kw == "SubClassOf":
-                axiom = SubClassOf(self.parse_class_expr(),
-                                   self.parse_class_expr())
-            elif kw == "EquivalentClasses":
-                parts = []
-                while tokens[self.pos] != ")":
-                    parts.append(self.parse_class_expr())
-                if len(parts) < 2:
-                    self.fail("EquivalentClasses requires ≥ 2 members", at)
-                axiom = EquivalentClasses(tuple(parts))
-            else:
-                axiom = SubObjectPropertyOf(self.parse_property(),
-                                            self.parse_property())
-            pos = self.pos
-        if tokens[pos] != ")":
-            self.fail_expected(")", pos)
-        self.pos = pos + 1
-        return axiom
-
-    def parse_property(self) -> EntityRef:
-        at = self.pos
-        self.pos = at + 1
-        tok = self.tokens[at]
-        iri = tok[1:-1] if tok[:1] == "<" else self.name_iri(at)
-        if iri in (THING_IRI, NOTHING_IRI):
-            self.fail(f"owl:{iri_fragment(iri)} is not allowed here", at)
-        return self.use(iri, OBJECT_PROPERTY, at)
-
-    def parse_class_expr(self, depth: int = 0) -> ClassExpr:
-        """`depth` counts the constructors enclosing this expression."""
-        at = self.pos
-        tok = self.tokens[at]
-        if tok[:1] == "<":
-            iri = tok[1:-1]
-        elif tok in _EXPR_KEYWORDS:
-            return self.parse_constructor(tok, depth)
-        elif _kind(tok) == "pname":
-            iri = self.name_iri(at)
-        else:
-            self.fail_keyword(at, "expected a class expression but found {!r}")
-        self.pos = at + 1
-        if iri == THING_IRI:
-            return Thing()
-        if iri == NOTHING_IRI:
-            return Nothing()
-        return NamedClass(self.use(iri, CLASS, at))
-
-    def parse_constructor(self, kw: str, depth: int) -> ClassExpr:
-        """The expression built by keyword `kw`, the token at `pos`."""
-        tokens = self.tokens
-        at = self.pos
-        if depth == MAX_EXPR_DEPTH:
-            self.fail(f"class expression nested deeper than {MAX_EXPR_DEPTH}",
-                      at)
-        if tokens[at + 1] != "(":
-            self.fail_expected("(", at + 1)
-        self.pos = at + 2
-        if kw == "ObjectSomeValuesFrom":
-            expr = SomeValuesFrom(self.parse_property(),
-                                  self.parse_class_expr(depth + 1))
-            if tokens[self.pos] != ")":
-                self.fail_expected(")", self.pos)
-        else:
-            parts = []
-            while tokens[self.pos] != ")":
-                parts.append(self.parse_class_expr(depth + 1))
-            if len(parts) < 2:
-                self.fail(f"{kw} requires ≥ 2 members", at)
-            expr = IntersectionOf(tuple(parts)) \
-                if kw == "ObjectIntersectionOf" else UnionOf(tuple(parts))
-        self.pos += 1
-        return expr
-
 
 # --- line pass ----------------------------------------------------------------
 # The flat axiom lines, maybe indented: a declaration (groups 1-2), a subclass
@@ -747,6 +389,12 @@ _SHAPE = re.compile(
     rf"[ \t]*(?:Declaration\((Class|ObjectProperty|NamedIndividual)\({_NAME}\)\)"
     rf"|SubClassOf\({_NAME} (?:{_NAME}|ObjectSomeValuesFrom\({_NAME} {_NAME}\))\)"
     rf'|AnnotationAssertion\({_NAME} {_NAME} ("[^"\\]*(?:\\.[^"\\]*)*")\))')
+_PNAME = re.compile(rf"(?:[A-Za-z_]{_NAME_CHARS})?:{_NAME_CHARS}")
+# The head lines, each alone on its line, with blanks between its tokens:
+# `Prefix(p:=<iri>)` (groups 1-2), and `Ontology(` with at most its IRI (3).
+_HEAD = re.compile(
+    rf"[ \t]*(?:Prefix[ \t]*\([ \t]*((?:[A-Za-z_]{_NAME_CHARS})?):[ \t]*=[ \t]*"
+    r"<([^>\t\r\n]*)>[ \t]*\)|Ontology[ \t]*\([ \t]*(?:<([^>\t\r\n]*)>)?)[ \t]*")
 
 
 def _flat_iri(tok: str, prefixes: dict[str, str]) -> str | None:
@@ -759,8 +407,7 @@ def _flat_iri(tok: str, prefixes: dict[str, str]) -> str | None:
         iri = tok[1:-1]
     else:
         prefix, colon, local = tok.partition(":")
-        if not colon or prefix not in prefixes \
-                or not _ONE_TOKEN.fullmatch(tok):
+        if not colon or prefix not in prefixes or not _PNAME.fullmatch(tok):
             return None
         iri = prefixes[prefix] + local
     return None if iri == THING_IRI or iri == NOTHING_IRI else iri
@@ -768,17 +415,19 @@ def _flat_iri(tok: str, prefixes: dict[str, str]) -> str | None:
 
 def _parse_lines(text: str, refs: dict | None = None,
                  memo: dict | None = None) -> Ontology | None:
-    """The ontology of `text` as `_Parser.parse_document` reads it, read
-    line by line; None where the whole text must be parsed.
+    """The ontology of `text` as `_ofn._Parser.parse_document` reads it,
+    read line by line; None where the whole text must be parsed.
 
-    The grammar reads the prefixes and the `Ontology(` header, up to the
-    header's line.  Then each line is blank, a comment, a flat shape, or one
-    axiom that the grammar reads alone.  A flat line meets its entities in
-    the grammar's order, against the file's kind table; a line read alone
-    is replayed against it.  At the first other line (the closing `)`, a
-    line the grammar refuses alone, an entity of two kinds) the grammar
-    reads the rest of the text from the state read so far, and gives the
-    result or the error.  None for another head, a CR, or no `)` line.
+    The head is blank and comment lines, `Prefix(p:=<iri>)` lines, then an
+    `Ontology(` line with at most its <IRI>, each alone on its line.  Then
+    each line is blank, a comment, a flat shape, or one axiom that the
+    grammar reads alone.  A flat line meets its entities in the grammar's
+    order, against the file's kind table; a line read alone is replayed
+    against it.  A `)` line followed by blank and comment lines ends the
+    text.  At the first other line (a line the grammar refuses alone, an
+    entity of two kinds, more after the `)`) the grammar reads the rest of
+    the text from the state read so far, and gives the result or the
+    error.  None for another head, a CR, or no `)` line.
 
     Every `EntityRef` comes from `refs`, keyed by (IRI, kind).  `memo`
     maps each line read to its axiom and the entities it uses, in order of
@@ -789,22 +438,21 @@ def _parse_lines(text: str, refs: dict | None = None,
     if "\r" in text:  # a CR ends a comment but not a line
         return None
     lines = text.split("\n")
+    state = _ParseState(refs)
     for at, line in enumerate(lines):
-        word = line.lstrip(" \t")[:8]
-        if word == "Ontology":
+        m = _HEAD.fullmatch(line)
+        if m is None:
+            if line.strip(" \t")[:1] not in ("", "#"):
+                return None
+        elif m[2] is not None:  # Prefix(p:=<iri>)
+            state.prefixes[m[1]] = m[2]
+        else:  # Ontology(, maybe with its IRI
+            state.ontology_iri = m[3]
             break
-        if word and word[0] != "#" and word[:6] != "Prefix":
-            return None
     else:
         return None
-    try:
-        parser = _Parser("\n".join(lines[:at + 1]), refs)
-        if not parser.parse_head() or parser.tokens[parser.pos]:
-            return None
-    except OfnSyntaxError:
-        return None
-    prefixes, known, axioms = parser.prefixes, parser.known, parser.axioms
-    declared, new_ref, shape = parser.declared, parser.new_ref, _SHAPE.fullmatch
+    prefixes, known, axioms = state.prefixes, state.known, state.axioms
+    declared, new_ref, shape = state.declared, state.new_ref, _SHAPE.fullmatch
     if prefixes != BUILTIN_PREFIXES:
         memo = None
     alone = None  # parses each line no shape takes, made for the first
@@ -812,7 +460,7 @@ def _parse_lines(text: str, refs: dict | None = None,
     properties: dict[str, str] = {}  # annotation property token -> its IRI
 
     def use(tok: str, kind: str) -> EntityRef | None:
-        """`parser.use` of name slot `tok`; None if it would fail, or if
+        """`_Parser.use` of name slot `tok`; None if it would fail, or if
         `_flat_iri` does not take the slot."""
         ref = seen.get(tok)
         if ref is None:
@@ -849,7 +497,7 @@ def _parse_lines(text: str, refs: dict | None = None,
                         ref = known.get(iri)
                         if ref is None:  # a placeholder, as `parse_axiom` makes
                             ref = new_ref(iri, CLASS)
-                            parser.unresolved.append(len(axioms))
+                            state.unresolved.append(len(axioms))
                         else:
                             seen[subject] = ref
                 if ref is not None and prop is not None:
@@ -885,10 +533,14 @@ def _parse_lines(text: str, refs: dict | None = None,
             if not word or word[0] == "#":
                 continue
             if word == ")":
+                if all(rest.strip(" \t")[:1] in ("", "#")
+                       for rest in lines[at + 1:]):
+                    return state.finish()
                 break
             if alone is None:
-                alone = _Parser("", parser.refs)
-                alone.prefixes, alone.names = prefixes, parser.names
+                from ._ofn import _Parser
+                alone = _Parser("", state.refs)
+                alone.prefixes, alone.names = prefixes, state.names
             entry = alone.parse_alone(line)
             if entry is None:
                 break
@@ -908,7 +560,7 @@ def _parse_lines(text: str, refs: dict | None = None,
                 subject = known.get(axiom.subject.iri)
                 if subject is None:
                     subject = new_ref(axiom.subject.iri, CLASS)
-                    parser.unresolved.append(len(axioms))
+                    state.unresolved.append(len(axioms))
                 if subject is not axiom.subject:
                     axiom = AnnotationAssertion(subject, axiom.property,
                                                 axiom.literal)
@@ -918,12 +570,8 @@ def _parse_lines(text: str, refs: dict | None = None,
     else:
         return None  # no closing ')'
     # the grammar reads the rest, from line `at` on, with the state so far
-    rest = parser.text = "\n".join(lines[at:])
-    parser.line, parser.pos, parser.tokens = at, 0, _tokenize(rest, at)
-    if not axioms and parser.ontology_iri is None:
-        parser.parse_ontology_iri()  # on a line after `Ontology(`
-    parser.parse_body(True)
-    return parser.finish()
+    from ._ofn import _parse_rest
+    return _parse_rest(state, "\n".join(lines[at:]), at)
 
 
 # the paused calls running in this process, and whether the cyclic collector
@@ -979,6 +627,7 @@ def _parse(text: str, refs: dict | None = None, memo: dict | None = None
     """`parse_ontology(text)`, through `_parse_lines`' `refs` and `memo`."""
     onto = _parse_lines(text, refs, memo)
     if onto is None:
+        from ._ofn import _Parser
         parser = _Parser(text, refs)
         parser.parse_document()
         onto = parser.finish()
@@ -993,74 +642,3 @@ def _read_text(path) -> str:
 
 def read_ontology(path) -> Ontology:
     return parse_ontology(_read_text(path))
-
-
-# --- serializer ---------------------------------------------------------------
-
-def _escape(literal: str) -> str:
-    return literal.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _iri(iri: str) -> str:
-    """`<iri>`; ValueError if the parser would not read it back."""
-    if ">" in iri or "\t" in iri or "\r" in iri or "\n" in iri:
-        raise ValueError(f"cannot write IRI {iri!r}: it holds '>', a tab, "
-                         "CR or LF")
-    return f"<{iri}>"
-
-
-def _expr_text(expr: ClassExpr) -> str:
-    match expr:
-        case NamedClass(ref):
-            return _iri(ref.iri)
-        case Thing():
-            return "owl:Thing"
-        case Nothing():
-            return "owl:Nothing"
-        case IntersectionOf(parts):
-            return "ObjectIntersectionOf(" + " ".join(map(_expr_text, parts)) + ")"
-        case UnionOf(parts):
-            return "ObjectUnionOf(" + " ".join(map(_expr_text, parts)) + ")"
-        case SomeValuesFrom(prop, filler):
-            return f"ObjectSomeValuesFrom({_iri(prop.iri)} {_expr_text(filler)})"
-    raise TypeError(f"not a class expression: {expr!r}")
-
-
-_DECL_NAMES = {kind: name for name, kind in _DECL_KEYWORDS.items()}
-
-
-def axiom_text(axiom: Axiom) -> str:
-    match axiom:
-        case Declaration(entity):
-            return f"Declaration({_DECL_NAMES[entity.kind]}({_iri(entity.iri)}))"
-        case SubClassOf(sub, sup):
-            return f"SubClassOf({_expr_text(sub)} {_expr_text(sup)})"
-        case EquivalentClasses(parts):
-            return "EquivalentClasses(" + " ".join(map(_expr_text, parts)) + ")"
-        case SubObjectPropertyOf(sub, sup):
-            return f"SubObjectPropertyOf({_iri(sub.iri)} {_iri(sup.iri)})"
-        case AnnotationAssertion(subject, prop, literal):
-            return (f"AnnotationAssertion({_iri(prop)} {_iri(subject.iri)} "
-                    f'"{_escape(literal)}")')
-    raise TypeError(f"not an axiom: {axiom!r}")
-
-
-def serialize(onto: Ontology) -> str:
-    """Render back to `.ofn` text (full IRIs, one axiom per line)."""
-    return _serialize(onto, {})
-
-
-def _serialize(onto: Ontology, lines: dict[int, str]) -> str:
-    """`serialize(onto)`, taking each axiom's line from `lines`, keyed by the
-    axiom's id, and adding the lines it lacks.  The caller keeps every axiom
-    rendered into `lines` alive while it uses `lines`, since a dead object's
-    id can be reused."""
-    out = [f"Ontology({_iri(onto.iri)}" if onto.iri is not None
-           else "Ontology("]
-    for a in onto.axioms:
-        line = lines.get(id(a))
-        if line is None:
-            line = lines[id(a)] = "  " + axiom_text(a)
-        out.append(line)
-    out.append(")")
-    return "\n".join(out) + "\n"

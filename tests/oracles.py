@@ -21,24 +21,24 @@ from typing import Iterable, Mapping as MappingT, NamedTuple
 
 import numpy as np
 
+from ontodivide._ofn import MAX_EXPR_DEPTH
 from ontodivide.clustering import ClusterAssignment
 from ontodivide.config import MAX_ITERS, DivisionConfig
 from ontodivide.errors import (InvariantError, OfnSyntaxError,
                                UnsupportedConstructError, check_int)
 from ontodivide.lexindex import (_STOPWORDS, RELATIONS, IndexStats,
-                                 LexKey, Mapping, _Stems,
-                                 normalize_label, word_subsets)
+                                 LexKey, Mapping, _Stems, entity_labels,
+                                 iri_fragment, normalize_label,
+                                 word_subsets)
 from ontodivide.metrics import Alignment
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, INDIVIDUAL,
-                                 MAX_EXPR_DEPTH, NOTHING_IRI,
-                                 OBJECT_PROPERTY, THING_IRI,
+                                 NOTHING_IRI, OBJECT_PROPERTY, THING_IRI,
                                  AnnotationAssertion, Axiom, ClassExpr,
                                  Declaration, EntityRef, EquivalentClasses,
                                  IntersectionOf, NamedClass, Nothing,
                                  Ontology, SomeValuesFrom, SubClassOf,
                                  SubObjectPropertyOf, Thing, UnionOf,
-                                 axiom_signature, entity_labels,
-                                 iri_fragment)
+                                 axiom_signature)
 
 logger = logging.getLogger(__name__)
 
@@ -347,7 +347,7 @@ def reference_extract_module(onto: Ontology,
 
 # --- reference tokenizer ----------------------------------------------------
 # The character-at-a-time `.ofn` scanner the token pattern replaced, kept
-# verbatim as the differential reference for `ontology._tokenize`, except
+# verbatim as the differential reference for `_ofn._tokenize`, except
 # that a comment ends at CR as well as at LF.
 
 @dataclass(frozen=True)

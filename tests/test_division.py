@@ -18,6 +18,7 @@ from oracles import entry_objects, reference_read_alignment_tsv
 
 import ontodivide
 import ontodivide.embedding
+from ontodivide._ofn import serialize
 from ontodivide.clustering import clusters_to_entries, kmeans
 from ontodivide.config import LexConfig, TrainingConfig
 from ontodivide.division import (Division, DivisionConfig, divide,
@@ -26,14 +27,13 @@ from ontodivide.division import (Division, DivisionConfig, divide,
                                  write_alignment_tsv, write_division)
 from ontodivide.embedding import entry_vectors, train_embeddings
 from ontodivide.lexindex import (RELATIONS, Mapping, all_candidate_mappings,
-                                 build_lexi)
+                                 build_lexi, entity_labels)
 from ontodivide.locality import context_of, extract_module
 from ontodivide.metrics import (Alignment, coverage_ratio,
                                 size_ratio_division, size_ratio_task)
 from ontodivide.ontology import (BUILTIN_PREFIXES, CLASS, OBJECT_PROPERTY,
                                  AnnotationAssertion, Declaration, EntityRef,
-                                 Ontology, entity_labels, parse_ontology,
-                                 serialize)
+                                 Ontology, parse_ontology)
 
 FAST = DivisionConfig(seed=42, epochs=15, dim=16)
 
@@ -716,6 +716,8 @@ class TestDivisionDirectory:
         [],
         {"n": 3, "tasks": [{"task": 0}, {"task": 1}]},
         {"n": 2, "tasks": [{"task": 0}, {"task": 0}]},
+        {"n": 0, "tasks": [], "provenance": [1, 2]},
+        {"n": 0, "tasks": [], "provenance": None},
     ])
     def test_malformed_division_json_rejected(self, tmp_path, meta):
         (tmp_path / "division.json").write_text(json.dumps(meta))

@@ -17,10 +17,10 @@ from ontodivide.config import DivisionConfig
 from ontodivide.division import subtask_from_cluster
 from ontodivide.embedding import positive_pairs
 from ontodivide.lexindex import (Mapping, all_candidate_mappings, build_lexi,
-                                 load_default_stopwords, normalize_label,
-                                 word_subsets)
+                                 entity_labels, load_default_stopwords,
+                                 normalize_label, word_subsets)
 from ontodivide.locality import context_of
-from ontodivide.ontology import EntityRef, entity_labels, parse_ontology
+from ontodivide.ontology import EntityRef, parse_ontology
 from ontodivide.stemming import porter_stem
 
 STOPWORDS = load_default_stopwords()

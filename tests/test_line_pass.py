@@ -19,8 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import TABLE1_O1, TABLE1_O2
 from oracles import reference_parse_ontology
 
+from ontodivide import _ofn
+from ontodivide._ofn import _Parser
 from ontodivide.errors import OfnSyntaxError
-from ontodivide.ontology import _parse_lines, _Parser, parse_ontology
+from ontodivide.ontology import _parse_lines, parse_ontology
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 P = "http://x.org/p#"
@@ -253,3 +255,92 @@ def test_line_pass_reads_one_axiom_per_line_files(text):
     lines = outcome(_parse_lines, text, "ontodivide.ontology")
     assert lines[0] is not None
     assert lines == outcome(whole, text, "ontodivide.ontology")
+
+
+# heads and tails around flat lines: those the line pass reads itself, and
+# others, which the grammar reads or refuses
+BETWEEN = ["", "  ", "\t", "# a comment", "  # an indented comment"]
+PREFIX_LINES = ["Prefix(:=<http://x.org/d#>)", "Prefix(p:=<http://x.org/p#>)",
+                "Prefix(rdfs:=<http://x.org/r#>)",
+                "Prefix(owl:=<http://x.org/w#>)",
+                "Prefix( : = <http://x.org/e#> )",
+                "\tPrefix (\tp: =<http://x.org/t#>\t) ",
+                "Prefix(p.-_1:=<>)", "Prefix(p:=<http://x.org/p#>) # c",
+                "Prefix(p:=<http://x.org/p#>) Prefix(q:=<http://x.org/q#>)",
+                "Prefix(p:=<http://x.org/p#>", "Prefix(p=<http://x.org/p#>)",
+                "Prefix(p:a=<http://x.org/p#>)", "Prefix(p:=p:a)",
+                "Prefix(1p:=<http://x.org/p#>)", "Prefix",
+                "Prefix(p:=<http://x.org/p#>)x"]
+ONTOLOGY_LINES = ["Ontology(", "Ontology(<http://x.org/o>",
+                  "  Ontology ( <http://x.org/o> ", "Ontology(<>",
+                  "Ontology(\n<http://x.org/o>",
+                  "Ontology(\n# c\n  <http://x.org/o>",
+                  "Ontology(<http://x.org/o> <http://x.org/v>",
+                  "Ontology(<http://x.org/o> Declaration(Class(:A))",
+                  "Ontology(<http://x.org/o> )", "Ontology(<http://x.org/o",
+                  "Ontology(<http://x.org/o> # c", "Ontology",
+                  "Ontology(x", "Ontologyx("]
+BODY_LINES = ["Declaration(Class(:A))", "Declaration(Class(p:B))",
+              'AnnotationAssertion(rdfs:label :A "a")',
+              "SubClassOf(p:B :A)", "SubClassOf(:A owl:Thing)",
+              "SubClassOf(:A ObjectSomeValuesFrom(p:r :C))",
+              "EquivalentClasses(:A p:B)"]
+TAILS = [[")"], [")", ""], ["  )\t", "", "# done", "  "], [") # done"],
+         [")", "Declaration(Class(:A))"], [")", ")"], [")", "", ")"],
+         [")", "# c", "<http://x.org/o>"], [], ["# no close"],
+         [")Declaration(Class(:A))"]]
+
+
+@st.composite
+def head_tail_texts(draw) -> str:
+    """Flat lines between a head of prefixes, blank and comment lines and
+    an `Ontology(` line, and a tail from the closing `)` on; each of them
+    one that the line pass reads or one that it leaves to the grammar."""
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        lines += draw(st.lists(st.sampled_from(BETWEEN), max_size=2))
+        lines.append(draw(st.sampled_from(PREFIX_LINES)))
+    lines += draw(st.lists(st.sampled_from(BETWEEN), max_size=2))
+    lines.append(draw(st.sampled_from(ONTOLOGY_LINES)))
+    lines += draw(st.lists(st.sampled_from(BODY_LINES + BETWEEN),
+                           max_size=4))
+    lines += draw(st.sampled_from(TAILS))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(head_tail_texts())
+@example(LAYOUT)
+@example("Prefix( : = <http://x.org/e#> )\nOntology(\n"
+         "Declaration(Class(:A))\n)\n# done\n")
+@example("Ontology(<http://x.org/o>\nDeclaration(Class(:A))\n) # done")
+def test_head_and_tail_match_grammar_and_reference(text):
+    """On every head and tail, the line pass gives what the grammar and the
+    reference parser give: the same ontology and warnings, or the same
+    error at the same line and column."""
+    expected = outcome(reference_parse_ontology, text, "oracles")
+    assert outcome(whole, text, "ontodivide.ontology") == expected
+    assert outcome(parse_ontology, text, "ontodivide.ontology") == expected
+    lines = outcome(_parse_lines, text, "ontodivide.ontology")
+    if lines[0] is not None:
+        assert lines == expected
+
+
+@pytest.mark.parametrize("head", [
+    "Ontology(", "Ontology(<http://x.org/o>",
+    "# c\n\nPrefix(:=<http://x.org/d#>)\n  \nOntology(<http://x.org/o>",
+    "Prefix( : = <http://x.org/e#> )\n\tPrefix (p: =<http://x.org/p#>\t) "
+    "\nPrefix(rdfs:=<http://x.org/r#>)\nPrefix(p.-_1:=<http://x.org/q#>)"
+    "\n  Ontology ( <> "])
+@pytest.mark.parametrize("tail", [")", ")\n", "  )\t\n\n# done\n  "])
+def test_line_pass_reads_flat_head_and_tail_itself(head, tail, monkeypatch):
+    """The line pass reads a head of prefix, blank and comment lines and an
+    `Ontology(` line with at most its IRI, and a `)` followed only by blank
+    and comment lines, without the grammar's tokenizer."""
+    text = "\n".join([head, "  Declaration(Class(:A))",
+                      '  AnnotationAssertion(rdfs:label :A "a")', tail])
+    expected = outcome(whole, text, "ontodivide.ontology")
+    tokenized = []
+    monkeypatch.setattr(_ofn, "_tokenize", tokenized.append)
+    assert outcome(_parse_lines, text, "ontodivide.ontology") == expected
+    assert tokenized == []

@@ -9,6 +9,7 @@ from oracles import (is_bot_equivalent, is_local, is_top_equivalent,
                      reference_extract_module, semantically_bot,
                      semantically_local, semantically_top)
 
+from ontodivide._ofn import serialize
 from ontodivide.errors import InvariantError
 from ontodivide.lexindex import Mapping
 from ontodivide.locality import _LocalityGraph, context_of, extract_module
@@ -18,7 +19,7 @@ from ontodivide.ontology import (CLASS, OBJECT_PROPERTY, AnnotationAssertion,
                                  IntersectionOf, NamedClass, Nothing,
                                  Ontology, SomeValuesFrom, SubClassOf,
                                  SubObjectPropertyOf, Thing, UnionOf,
-                                 parse_ontology, serialize)
+                                 parse_ontology)
 
 NS = "http://example.org/ontology#"
 A = EntityRef(NS + "A")
@@ -205,7 +206,7 @@ class TestExtractModule:
         o1, _ = toy_pair
         mitral = EntityRef(TOY1_NS + "Mitral_valve")
         module = extract_module(o1, {mitral})
-        from ontodivide.ontology import entity_labels
+        from ontodivide.lexindex import entity_labels
         assert entity_labels(module, mitral) == \
             ["Mitral valve", "Left atrioventricular valve"]
 

@@ -7,17 +7,19 @@ import pytest
 from conftest import ANNOTATED_BEFORE_USE, TOY1_NS, load_toy_text
 from oracles import random_ontology, reference_parse_ontology
 
-from ontodivide import ontology
+from ontodivide import _ofn
+from ontodivide._ofn import MAX_EXPR_DEPTH, serialize
 from ontodivide.errors import OfnSyntaxError, UnsupportedConstructError
-from ontodivide.ontology import (CLASS, INDIVIDUAL, MAX_EXPR_DEPTH,
-                                 OBJECT_PROPERTY, AnnotationAssertion,
+from ontodivide.lexindex import entity_labels, fragment_label
+from ontodivide.ontology import (CLASS, INDIVIDUAL, OBJECT_PROPERTY,
+                                 AnnotationAssertion,
                                  Declaration, EntityRef,
                                  EquivalentClasses, IntersectionOf,
                                  NamedClass, Ontology,
                                  SomeValuesFrom, SubClassOf,
                                  SubObjectPropertyOf, axiom_signature,
-                                 entity_labels, expr_entities, fragment_label,
-                                 parse_ontology, read_ontology, serialize)
+                                 expr_entities, parse_ontology,
+                                 read_ontology)
 
 NS = "http://example.org/ontology#"  # default prefix expansion
 LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
@@ -189,13 +191,13 @@ class TestLinePassHandOff:
         assert (close, end) == (")", "")
         text = "\n".join([body, last.replace(" ", "\n", 1), close, end])
         tokenized = []
-        tokenize = ontology._tokenize
+        tokenize = _ofn._tokenize
 
         def counted(part, *args):
             tokenized.append(len(part))
             return tokenize(part, *args)
 
-        monkeypatch.setattr(ontology, "_tokenize", counted)
+        monkeypatch.setattr(_ofn, "_tokenize", counted)
         onto = parse_ontology(text)
         # the head's two lines and the rest from the broken axiom on
         assert 0 < sum(tokenized) < len(text) // 100

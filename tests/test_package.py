@@ -38,8 +38,8 @@ EXPORTS = {
     "errors": ["InvariantError", "OfnSyntaxError",
                "UnsupportedConstructError"],
     "lexindex": ["LexIndex", "Mapping", "all_candidate_mappings",
-                 "build_lexi", "load_default_stopwords", "normalize_label",
-                 "word_subsets"],
+                 "build_lexi", "entity_labels", "fragment_label",
+                 "load_default_stopwords", "normalize_label", "word_subsets"],
     "locality": ["context_of", "extract_module"],
     "metrics": ["Alignment", "coverage", "coverage_ratio",
                 "precision_recall_f", "size_ratio_division",
@@ -49,8 +49,8 @@ EXPORTS = {
                  "EquivalentClasses", "IntersectionOf", "NamedClass",
                  "Nothing", "Ontology", "SomeValuesFrom", "SubClassOf",
                  "SubObjectPropertyOf", "Thing", "UnionOf",
-                 "axiom_signature", "entity_labels", "fragment_label",
-                 "parse_ontology", "read_ontology", "serialize"],
+                 "axiom_signature", "parse_ontology", "read_ontology"],
+    "_ofn": ["serialize"],
     "stemming": ["porter_stem"],
     "_version": ["__version__"],
 }
@@ -88,6 +88,23 @@ def test_submodule_is_an_attribute(name, monkeypatch):
     assert getattr(ontodivide, name) is module
 
 
+def flat_text(name: str) -> str:
+    """An ontology laid out one flat axiom per line, all declared, so that
+    its read neither needs the grammar nor logs."""
+    return f"""\
+# one flat axiom per line
+Prefix(:=<http://x.org/{name}#>)
+Ontology(<http://x.org/{name}>
+  Declaration(Class(:Heart))
+  Declaration(Class(:Heart_valve))
+  Declaration(ObjectProperty(:part_of))
+  SubClassOf(:Heart_valve :Heart)
+  SubClassOf(:Heart_valve ObjectSomeValuesFrom(:part_of :Heart))
+  AnnotationAssertion(rdfs:label :Heart_valve "heart valve")
+)
+"""
+
+
 LOADED = """\
 import sys
 
@@ -98,8 +115,9 @@ def loaded():
 import ontodivide
 print(loaded())
 before = set(sys.modules)
-ontodivide.read_ontology(sys.argv[1])
-print(loaded())
+for path in sys.argv[1:]:
+    ontodivide.read_ontology(path)
+    print(loaded())
 print(" ".join(sorted((set(sys.modules) - before)
                       & {"contextlib", "dataclasses", "inspect", "logging",
                          "threading", "traceback", "typing"})))
@@ -109,27 +127,63 @@ print(" ".join(sorted((set(sys.modules) - before)
 @pytest.mark.parametrize("version", ["this", "3.10"])
 def test_import_and_read_load_only_the_parser(version, tmp_path):
     """In a fresh interpreter without numpy on its path, `import ontodivide`
-    loads only `_version`, and reading an ontology only `ontology` and
-    `errors`, and none of the stdlib's `contextlib`, `dataclasses`,
-    `inspect`, `logging`, `threading`, `traceback` or `typing`: the
-    collector's pause takes only the built-in `gc` and `_thread`."""
+    loads only `_version`; reading a file of flat axiom lines loads only
+    `ontology`, and reading the toy file, which holds a line only the
+    grammar reads, then loads `_ofn` and `errors`.  Neither read loads any
+    of the stdlib's `contextlib`, `dataclasses`, `inspect`, `logging`,
+    `threading`, `traceback` or `typing`: the collector's pause takes only
+    the built-in `gc` and `_thread`."""
     this = "%d.%d" % sys.version_info[:2]
     exe = sys.executable if version in ("this", this) \
         else OTHER_PYTHONS.get(version)
     if exe is None:
         pytest.skip(f"no Python {version} interpreter found")
     src = Path(ontodivide.__file__).resolve().parent
+    flat = tmp_path / "flat.ofn"
+    flat.write_text(flat_text("o"), encoding="utf-8")
     # -S: no site-packages, so no numpy; -B: no .pyc in the source tree
     done = subprocess.run(
-        [exe, "-S", "-B", "-c", LOADED,
+        [exe, "-S", "-B", "-c", LOADED, str(flat),
          str(src / "data" / "anatomy_toy_1.ofn")],
         env={**os.environ, "PYTHONPATH": str(src.parent)}, cwd=tmp_path,
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "ontodivide ontodivide._version",
-        "ontodivide ontodivide._version ontodivide.errors ontodivide.ontology",
+        "ontodivide ontodivide._version ontodivide.ontology",
+        "ontodivide ontodivide._ofn ontodivide._version ontodivide.errors "
+        "ontodivide.ontology",
         ""]
+
+
+READ_BACK = """\
+import sys
+
+import ontodivide
+
+ontodivide.read_division(sys.argv[1])
+print("ontodivide._ofn" in sys.modules)
+"""
+
+
+def test_flat_division_read_back_loads_no_grammar(tmp_path):
+    """The modules `write_division` writes for flat inputs hold only flat
+    axiom lines, so reading the division back, in a fresh interpreter,
+    does not load the grammar."""
+    from ontodivide.division import DivisionConfig, divide, write_division
+    from ontodivide.ontology import parse_ontology
+
+    pair = parse_ontology(flat_text("s")), parse_ontology(flat_text("t"))
+    div = divide(*pair, 1, DivisionConfig(epochs=1, dim=4))
+    assert div.subtasks[0].candidates
+    write_division(div, pair, tmp_path / "div")
+    src = Path(ontodivide.__file__).resolve().parent
+    done = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", READ_BACK, str(tmp_path / "div")],
+        env={**os.environ, "PYTHONPATH": str(src.parent)}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 DIVIDED = """\

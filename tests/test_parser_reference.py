@@ -14,8 +14,9 @@ import pytest
 from conftest import ANNOTATED_BEFORE_USE, TABLE1_O1, TABLE1_O2
 from oracles import random_ontology, reference_parse_ontology
 
+from ontodivide._ofn import serialize
 from ontodivide.errors import OfnSyntaxError
-from ontodivide.ontology import parse_ontology, serialize
+from ontodivide.ontology import parse_ontology
 
 # lexical pieces plus the fragments that reach the grammar's branches
 PIECES = ["(", ")", "=", "<", ">", '"', "\\", ":", "#", "é", "\t", "\r", "\n",

@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import TOY1_NS, TOY2_NS
 from oracles import random_ontology
 
-from ontodivide import ontology
+from ontodivide import _ofn, ontology
+from ontodivide._ofn import serialize
 from ontodivide.division import (DivisionConfig, divide, read_alignment_tsv,
                                  read_division, write_division)
 from ontodivide.errors import OfnSyntaxError
 from ontodivide.ontology import (CLASS, OBJECT_PROPERTY, AnnotationAssertion,
                                  Declaration, EntityRef, Ontology,
-                                 axiom_signature, read_ontology, serialize)
+                                 axiom_signature, read_ontology)
 
 FAST = DivisionConfig(seed=42, epochs=5, dim=16)
 NS = "http://example.org/x#"
@@ -230,7 +231,7 @@ def test_each_distinct_line_parsed_once(toy_pair, tmp_path, monkeypatch):
     assert len(set(axiom_lines)) < len(axiom_lines)  # the tasks share axioms
     met, parsed = [], []
     shape = ontology._SHAPE
-    parse_axiom = ontology._Parser.parse_axiom
+    parse_axiom = _ofn._Parser.parse_axiom
 
     class CountedShape:
         def fullmatch(self, line):
@@ -243,7 +244,7 @@ def test_each_distinct_line_parsed_once(toy_pair, tmp_path, monkeypatch):
         return parse_axiom(self)
 
     monkeypatch.setattr(ontology, "_SHAPE", CountedShape())
-    monkeypatch.setattr(ontology._Parser, "parse_axiom", counted_parse)
+    monkeypatch.setattr(_ofn._Parser, "parse_axiom", counted_parse)
     read_division(out)
     assert sorted(met) == sorted(set(axiom_lines))
     # the toy modules hold lines of both kinds
@@ -314,7 +315,7 @@ def test_reused_parser_gives_fresh_parser_entries():
             pass
     assert len(memo) > 300
     for line, (axiom, uses) in memo.items():
-        fresh = ontology._Parser(line, refs)
+        fresh = _ofn._Parser(line, refs)
         assert fresh.parse_axiom() == axiom
         assert not fresh.tokens[fresh.pos]
         assert len(fresh.known) == len(uses)

@@ -5,8 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, strategies as st
 
-from ontodivide.lexindex import normalize_label
-from ontodivide.ontology import entity_labels
+from ontodivide.lexindex import entity_labels, normalize_label
 from ontodivide.stemming import porter_stem
 from oracles import ReferencePorterStemmer
 

@@ -18,9 +18,10 @@ from conftest import TABLE1_O1, TABLE1_O2
 from oracles import _tokenize as reference_tokenize
 from oracles import random_ontology
 
+from ontodivide._ofn import (_kind, _line_col, _token_offset, _tokenize,
+                             _value, serialize)
 from ontodivide.errors import OfnSyntaxError
-from ontodivide.ontology import (_kind, _line_col, _token_offset, _tokenize,
-                                 _value, parse_ontology, serialize)
+from ontodivide.ontology import parse_ontology
 
 PIECES = ["(", ")", "=", "<", ">", '"', "\\", ":", "#", "é", "\t", "\r", "\n",
           " ", "a", "Z", "_", "7", ".", "-", "%", "rdfs:label", ":A",
