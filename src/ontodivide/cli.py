@@ -200,6 +200,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:  # e.g. a --dim or --negatives too large
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
     except (InvariantError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

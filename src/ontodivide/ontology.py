@@ -382,7 +382,7 @@ class _ParseState:
 # The flat axiom lines, maybe indented: a declaration (groups 1-2), a subclass
 # of a class (3-4) or of an existential (3, 5-6), and an annotation (7-9).  A
 # name slot takes any run of characters but controls, spaces, parentheses
-# and quotes, and `_flat_iri` checks that it is one <IRI> or prefixed name:
+# and quotes, and `_FlatNames` checks that it is one <IRI> or prefixed name:
 # a loose slot keeps the pattern quick to compile.
 _NAME = r'([^\x00- ()"]+)'
 _SHAPE = re.compile(
@@ -397,20 +397,29 @@ _HEAD = re.compile(
     r"<([^>\t\r\n]*)>[ \t]*\)|Ontology[ \t]*\([ \t]*(?:<([^>\t\r\n]*)>)?)[ \t]*")
 
 
-def _flat_iri(tok: str, prefixes: dict[str, str]) -> str | None:
-    """The IRI of name slot `tok` of a `_SHAPE` match, if `tok` is an <IRI>
-    or a prefixed name of a prefix in `prefixes`, and names neither
-    owl:Thing nor owl:Nothing; else None, and the grammar reads the line."""
-    if tok[0] == "<":
-        if tok.find(">") != len(tok) - 1:
-            return None
-        iri = tok[1:-1]
-    else:
-        prefix, colon, local = tok.partition(":")
-        if not colon or prefix not in prefixes or not _PNAME.fullmatch(tok):
-            return None
-        iri = prefixes[prefix] + local
-    return None if iri == THING_IRI or iri == NOTHING_IRI else iri
+class _FlatNames(dict):
+    """Name slot token of a `_SHAPE` match -> its ref of `kind` from
+    `state`, or its IRI if `kind` is None; the token is resolved on its
+    first lookup.  None unless the token is an <IRI> or a prefixed name of
+    a prefix of `state`, and names neither owl:Thing nor owl:Nothing: the
+    grammar then reads the line."""
+
+    def __init__(self, state: _ParseState, kind: str | None = None):
+        self.state, self.kind = state, kind
+
+    def __missing__(self, tok: str) -> EntityRef | str | None:
+        prefixes = self.state.prefixes
+        if tok[0] == "<":
+            iri = tok[1:-1] if tok.find(">") == len(tok) - 1 else None
+        else:
+            prefix, colon, local = tok.partition(":")
+            iri = prefixes[prefix] + local if colon and prefix in prefixes \
+                and _PNAME.fullmatch(tok) else None
+        if iri == THING_IRI or iri == NOTHING_IRI:
+            iri = None
+        value = self[tok] = iri if iri is None or self.kind is None \
+            else self.state.new_ref(iri, self.kind)
+        return value
 
 
 def _parse_lines(text: str, refs: dict | None = None,
@@ -420,20 +429,21 @@ def _parse_lines(text: str, refs: dict | None = None,
 
     The head is blank and comment lines, `Prefix(p:=<iri>)` lines, then an
     `Ontology(` line with at most its <IRI>, each alone on its line.  Then
-    each line is blank, a comment, a flat shape, or one axiom that the
-    grammar reads alone.  A flat line meets its entities in the grammar's
-    order, against the file's kind table; a line read alone is replayed
-    against it.  A `)` line followed by blank and comment lines ends the
-    text.  At the first other line (a line the grammar refuses alone, an
-    entity of two kinds, more after the `)`) the grammar reads the rest of
-    the text from the state read so far, and gives the result or the
-    error.  None for another head, a CR, or no `)` line.
+    each line is blank, a comment, or one axiom, which becomes the entry a
+    fresh `_Parser(line, refs)` gives: its axiom and the entities it uses,
+    in order of first use.  A flat shape builds its entry itself, the
+    grammar reads any other line alone, and every entry is replayed the
+    same way against the file's kind table.  A `)` line followed by blank
+    and comment lines ends the text.  At the first other line (a line the
+    grammar refuses alone, an entity of two kinds, more after the `)`) the
+    grammar reads the rest of the text from the state read so far, and
+    gives the result or the error.  None for another head, a CR, or no `)`
+    line.
 
     Every `EntityRef` comes from `refs`, keyed by (IRI, kind).  `memo`
-    maps each line read to its axiom and the entities it uses, in order of
-    first use, as a fresh `_Parser(line, refs)` gives them, and a line met
-    again is replayed from it.  It serves only a text with the built-in
-    prefixes, as an entry holds the IRIs its names have under them.
+    maps each line read to its entry, and a line met again is replayed
+    from it.  It serves only a text with the built-in prefixes, as an entry
+    holds the IRIs its names have under them.
     """
     if "\r" in text:  # a CR ends a comment but not a line
         return None
@@ -452,101 +462,62 @@ def _parse_lines(text: str, refs: dict | None = None,
     else:
         return None
     prefixes, known, axioms = state.prefixes, state.known, state.axioms
-    declared, new_ref, shape = state.declared, state.new_ref, _SHAPE.fullmatch
+    declared, unresolved = state.declared, state.unresolved
+    shape, iris = _SHAPE.fullmatch, _FlatNames(state)
+    refs_as = {word: _FlatNames(state, kind)  # by declaration keyword
+               for word, kind in _DECL_KEYWORDS.items()}
+    classes, properties = refs_as["Class"], refs_as["ObjectProperty"]
     if prefixes != BUILTIN_PREFIXES:
         memo = None
     alone = None  # parses each line no shape takes, made for the first
-    seen: dict[str, EntityRef] = {}  # name token -> its known ref
-    properties: dict[str, str] = {}  # annotation property token -> its IRI
-
-    def use(tok: str, kind: str) -> EntityRef | None:
-        """`_Parser.use` of name slot `tok`; None if it would fail, or if
-        `_flat_iri` does not take the slot."""
-        ref = seen.get(tok)
-        if ref is None:
-            iri = _flat_iri(tok, prefixes)
-            if iri is None:
-                return None
-            ref = known.get(iri)
-            if ref is None:
-                ref = known[iri] = new_ref(iri, kind)
-            seen[tok] = ref
-        return ref if ref.kind == kind else None
-
     for at in range(at + 1, len(lines)):
         line = lines[at]
         entry = None if memo is None else memo.get(line)
-        m = shape(line) if entry is None else None
-        if m is not None:
-            kind, name, sub, sup, prop, filler, annotation, subject, literal \
-                = m.groups()
-            if kind is not None:  # Declaration(Kind(name))
-                ref = use(name, _DECL_KEYWORDS[kind])
-                if ref is not None:
-                    declared.add(ref.iri)
-                    entry = Declaration(ref), (ref,)
-            elif literal is not None:  # AnnotationAssertion(p subject "…")
-                prop = properties.get(annotation)
-                if prop is None:
-                    prop = _flat_iri(annotation, prefixes)
-                    properties[annotation] = prop
-                ref = seen.get(subject)
-                if ref is None and prop is not None:
-                    iri = _flat_iri(subject, prefixes)
-                    if iri is not None:
-                        ref = known.get(iri)
-                        if ref is None:  # a placeholder, as `parse_axiom` makes
-                            ref = new_ref(iri, CLASS)
-                            state.unresolved.append(len(axioms))
-                        else:
-                            seen[subject] = ref
-                if ref is not None and prop is not None:
-                    axiom = AnnotationAssertion(ref, prop, _value(literal))
-                    axioms.append(axiom)
-                    if memo is not None:  # read alone, the subject is a class
-                        if ref.kind != CLASS:
-                            axiom = AnnotationAssertion(
-                                new_ref(ref.iri, CLASS), prop, axiom.literal)
-                        memo[line] = axiom, ()
-                    continue
-            # every name is met even after one fails: the grammar then reads
-            # the line again, meeting the same names, or refuses it
-            elif prop is None:  # SubClassOf(sub sup)
-                a, b = use(sub, CLASS), use(sup, CLASS)
-                if a is not None and b is not None:
-                    entry = (SubClassOf(NamedClass(a), NamedClass(b)),
-                             (a,) if a is b else (a, b))
-            else:  # SubClassOf(sub ObjectSomeValuesFrom(prop filler))
-                a, p = use(sub, CLASS), use(prop, OBJECT_PROPERTY)
-                f = use(filler, CLASS)
-                if a is not None and p is not None and f is not None:
-                    entry = (SubClassOf(NamedClass(a),
-                                        SomeValuesFrom(p, NamedClass(f))),
-                             (a, p) if a is f else (a, p, f))
-            if entry is not None:
-                axioms.append(entry[0])
-                if memo is not None:
-                    memo[line] = entry
-                continue
         if entry is None:
-            word = line.strip(" \t")
-            if not word or word[0] == "#":
-                continue
-            if word == ")":
-                if all(rest.strip(" \t")[:1] in ("", "#")
-                       for rest in lines[at + 1:]):
-                    return state.finish()
-                break
-            if alone is None:
-                from ._ofn import _Parser
-                alone = _Parser("", state.refs)
-                alone.prefixes, alone.names = prefixes, state.names
-            entry = alone.parse_alone(line)
+            m = shape(line)
+            if m is not None:
+                kind, name, sub, sup, prop, filler, annotation, subject, \
+                    literal = m.groups()
+                if kind is not None:  # Declaration(Kind(name))
+                    ref = refs_as[kind][name]
+                    if ref is not None:
+                        entry = Declaration(ref), (ref,)
+                elif literal is not None:  # AnnotationAssertion(p subject "…")
+                    p, s = iris[annotation], classes[subject]
+                    if p is not None and s is not None:
+                        entry = AnnotationAssertion(s, p, _value(literal)), ()
+                elif prop is None:  # SubClassOf(sub sup)
+                    a, b = classes[sub], classes[sup]
+                    if a is not None and b is not None:
+                        entry = (SubClassOf(NamedClass(a), NamedClass(b)),
+                                 (a,) if a is b else (a, b))
+                else:  # SubClassOf(sub ObjectSomeValuesFrom(prop filler))
+                    a, p, f = classes[sub], properties[prop], classes[filler]
+                    # the grammar refuses the property's IRI as a class
+                    if a is not None and p is not None and f is not None \
+                            and p.iri != a.iri and p.iri != f.iri:
+                        entry = (SubClassOf(NamedClass(a),
+                                            SomeValuesFrom(p, NamedClass(f))),
+                                 (a, p) if a is f else (a, p, f))
             if entry is None:
-                break
+                word = line.strip(" \t")
+                if not word or word[0] == "#":
+                    continue
+                if word == ")":
+                    if all(rest.strip(" \t")[:1] in ("", "#")
+                           for rest in lines[at + 1:]):
+                        return state.finish()
+                    break
+                if alone is None:
+                    from ._ofn import _Parser
+                    alone = _Parser("", state.refs)
+                    alone.prefixes, alone.names = prefixes, state.names
+                entry = alone.parse_alone(line)
+                if entry is None:
+                    break
             if memo is not None:
                 memo[line] = entry
-        # replay the line read alone against the file's kind table
+        # replay the entry against the file's kind table
         axiom, uses = entry
         for ref in uses:  # refs are shared, so another kind is another ref
             if known.setdefault(ref.iri, ref) is not ref:
@@ -556,12 +527,11 @@ def _parse_lines(text: str, refs: dict | None = None,
                 declared.add(axiom.entity.iri)
             elif type(axiom) is AnnotationAssertion:
                 # the subject as the grammar takes it here: the known
-                # entity, else a class placeholder
+                # entity, else the entry's class placeholder
                 subject = known.get(axiom.subject.iri)
                 if subject is None:
-                    subject = new_ref(axiom.subject.iri, CLASS)
-                    state.unresolved.append(len(axioms))
-                if subject is not axiom.subject:
+                    unresolved.append(len(axioms))
+                elif subject is not axiom.subject:
                     axiom = AnnotationAssertion(subject, axiom.property,
                                                 axiom.literal)
             axioms.append(axiom)

@@ -155,6 +155,23 @@ class TestDivide:
                   "-o", str(tmp_path / "out")])
         assert seen == [DivisionConfig()]
 
+    def test_out_of_memory_is_one_error_line(self, toy_files, tmp_path,
+                                             capsys, monkeypatch):
+        """Running out of memory, as a huge `--dim` or `--negatives` does,
+        ends in one `error:` line and exit 1, not a traceback."""
+        from ontodivide import cli
+
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli, "divide", boom)
+        src, tgt = toy_files
+        code = main(["divide", str(src), str(tgt), "-n", "1",
+                     "-o", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "error: out of memory: Unable to allocate 7.45 GiB for an array"
+
     def test_invariant_violation_exits_two(self, toy_files, tmp_path,
                                            capsys, monkeypatch):
         from ontodivide import cli

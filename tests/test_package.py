@@ -90,17 +90,21 @@ def test_submodule_is_an_attribute(name, monkeypatch):
 
 def flat_text(name: str) -> str:
     """An ontology laid out one flat axiom per line, all declared, so that
-    its read neither needs the grammar nor logs."""
+    its read neither needs the grammar nor logs.  One label comes before
+    its subject's declaration and one labels an object property, so the
+    read replays a placeholder and rebuilds a subject too."""
     return f"""\
 # one flat axiom per line
 Prefix(:=<http://x.org/{name}#>)
 Ontology(<http://x.org/{name}>
+  AnnotationAssertion(rdfs:label :Heart "heart")
   Declaration(Class(:Heart))
   Declaration(Class(:Heart_valve))
   Declaration(ObjectProperty(:part_of))
   SubClassOf(:Heart_valve :Heart)
   SubClassOf(:Heart_valve ObjectSomeValuesFrom(:part_of :Heart))
   AnnotationAssertion(rdfs:label :Heart_valve "heart valve")
+  AnnotationAssertion(rdfs:label :part_of "part of")
 )
 """
 

@@ -187,6 +187,11 @@ DAMAGED = [
     [PREFIX_DEFAULT + lines(SUB_NAMES), lines(SUB_NAMES)],
     [lines(SUB_THING), PREFIX_OWL + lines(SUB_THING)],
     [PREFIX_OWL + lines(SUB_THING), lines(SUB_THING)],
+    # one label line from the memo, into a file where its subject has the
+    # other kind
+    [lines(DECLARE_R, LABEL_R), lines(R_AS_CLASS, LABEL_R)],
+    [lines(R_AS_CLASS, LABEL_R), lines(DECLARE_R, LABEL_R)],
+    [lines(LABEL_R, DECLARE_R), lines(LABEL_R, R_AS_CLASS)],
 ]
 
 
@@ -208,7 +213,7 @@ def test_files_parsed_whole_share_refs(tmp_path):
         assert_refs_shared([Ontology(tuple(
             a for task in div.subtasks
             for onto in (task.source, task.target) for a in onto.axioms))])
-    assert read == 20
+    assert read == 23
 
 
 def test_empty_ontology_iri_round_trips(tmp_path):
