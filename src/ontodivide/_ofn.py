@@ -1,10 +1,12 @@
 """The `.ofn` grammar and writer, imported on first need.
 
-`ontology._parse_lines` reads a text laid out one axiom per line by itself;
-this module holds what it hands any other line or text to: the tokenizer
+`ontology._parse` reads a text laid out one axiom per line by itself;
+this module holds what it hands any other line to, and any other text
+from the offset where the line pass stops (`_parse_rest`): the tokenizer
 and the recursive-descent `_Parser`, which reads the whole subset and
-places every error at its line and column.  The writer renders an ontology
-back to text, one axiom per line, as `write_division` writes each module.
+places every error at its line and column in the whole text.  The writer
+renders an ontology back to text, one axiom per line, as `write_division`
+writes each module.
 """
 
 from __future__ import annotations
@@ -55,14 +57,13 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _token_offset(text: str, i: int) -> int:
-    """Offset of token `i` of `_tokenize(text)`, by scanning again."""
-    return next(islice(_TOKEN.finditer(text), i, None)).start(1)
+def _token_offset(text: str, i: int, start: int = 0) -> int:
+    """Offset of token `i` of `_tokenize(text, start)`, by scanning again."""
+    return next(islice(_TOKEN.finditer(text, start), i, None)).start(1)
 
 
-def _scan_error(text: str, pos: int, line: int = 0) -> OfnSyntaxError:
-    """Why no token starts at offset `pos`, in a document whose first
-    `line` lines come before `text`."""
+def _scan_error(text: str, pos: int) -> OfnSyntaxError:
+    """Why no token starts at offset `pos`."""
     ch = text[pos]
     if ch == "<":
         end = text.find(">", pos + 1)
@@ -75,21 +76,19 @@ def _scan_error(text: str, pos: int, line: int = 0) -> OfnSyntaxError:
         message = "unterminated string literal"
     else:
         message = f"unexpected character {ch!r}"
-    row, column = _line_col(text, pos)
-    return OfnSyntaxError(message, line + row, column)
+    return OfnSyntaxError(message, *_line_col(text, pos))
 
 
-def _tokenize(text: str, line: int = 0) -> list[str]:
-    """Token strings of `text`, ending in one "".  A scan error counts the
-    `line` lines of the document before `text`."""
-    tokens = _TOKEN.findall(text)
+def _tokenize(text: str, start: int = 0) -> list[str]:
+    """Token strings of `text` from offset `start` on, ending in one ""."""
+    tokens = _TOKEN.findall(text, start)
     if len(tokens) > 1:
         last = tokens[-2]
         if not last:  # trailing blanks leave a second "" at the very end
             tokens.pop()
         elif last != ")" and not _ONE_TOKEN.fullmatch(last):
             # the catch-all took the rest of the text: a scan error
-            raise _scan_error(text, len(text) - len(last), line)
+            raise _scan_error(text, len(text) - len(last))
     return tokens
 
 
@@ -104,28 +103,28 @@ MAX_EXPR_DEPTH = 100
 
 
 class _Parser(_ParseState):
-    """Recursive descent over the token strings of one text.
+    """Recursive descent over the token strings of one text, from offset
+    `start` on (`_parse_rest`).
 
     A production reads its tokens by index, checks each before it reads the
     next (so it never reads past the final ""), and leaves `pos` after
     itself.  It calls out to resolve a prefixed name, to check the kind
-    of an entity (`use`), or to fail.  `text` may be the rest of a
-    document, after its first `line` lines (`_parse_rest`).
+    of an entity (`use`), or to fail.
     """
 
     def __init__(self, text: str,
-                 refs: dict[tuple[str, str], EntityRef] | None = None):
+                 refs: dict[tuple[str, str], EntityRef] | None = None,
+                 start: int = 0):
         super().__init__(refs)
-        self.text = text
-        self.line = 0
-        self.tokens = _tokenize(text)
+        self.text, self.start = text, start
+        self.tokens = _tokenize(text, start)
         self.pos = 0                              # index of the next token
 
     def fail(self, message: str, at: int,
              error: type[OfnSyntaxError] = OfnSyntaxError):
         """Raise `error` at the line and column of token `at`."""
-        row, column = _line_col(self.text, _token_offset(self.text, at))
-        raise error(message, self.line + row, column)
+        raise error(message, *_line_col(
+            self.text, _token_offset(self.text, at, self.start)))
 
     def fail_expected(self, punct: str, at: int):
         self.fail(f"expected {punct!r} but found "
@@ -166,9 +165,6 @@ class _Parser(_ParseState):
 
     # grammar
 
-    def parse_document(self) -> None:
-        self.parse_body(self.parse_head())
-
     def parse_body(self, wrapped: bool) -> None:
         """Read axioms up to the end of the text or a `)`, which closes
         `Ontology(` if `wrapped`, and check that nothing follows."""
@@ -186,7 +182,7 @@ class _Parser(_ParseState):
 
     def parse_head(self) -> bool:
         """Read the prefixes, then `Ontology(` and its IRI if they come
-        next; whether they came."""
+        next; whether `Ontology(` came."""
         tokens = self.tokens
         while tokens[self.pos] == "Prefix":
             self.parse_prefix()
@@ -196,28 +192,26 @@ class _Parser(_ParseState):
         if tokens[at + 1] != "(":
             self.fail_expected("(", at + 1)
         self.pos = at + 2
-        self.parse_ontology_iri()
-        return True
-
-    def parse_ontology_iri(self) -> None:
-        """Read the ontology IRI, if it comes next."""
-        tok = self.tokens[self.pos]
-        if tok[:1] == "<":
+        tok = tokens[at + 2]
+        if tok[:1] == "<":  # the ontology IRI
             self.ontology_iri = tok[1:-1]
             self.pos += 1
+        return True
 
     def parse_alone(self, line: str
                     ) -> tuple[Axiom, tuple[EntityRef, ...]] | None:
         """The one axiom `line` holds and the entities it uses, in order of
         first use, as a fresh parser with these prefixes reads them; None
-        unless `line` is one axiom."""
-        self.known = {}
+        unless `line` is one axiom.  `unresolved` is left as it was."""
+        self.known, unresolved = {}, len(self.unresolved)
         try:
             self.text, self.pos = line, 0
             self.tokens = _tokenize(line)
             axiom = self.parse_axiom()
         except OfnSyntaxError:
             return None
+        finally:  # drop an annotation's placeholder index
+            del self.unresolved[unresolved:]
         return None if self.tokens[self.pos] \
             else (axiom, tuple(self.known.values()))
 
@@ -359,17 +353,15 @@ class _Parser(_ParseState):
         return expr
 
 
-def _parse_rest(state: _ParseState, text: str, line: int) -> Ontology:
-    """The ontology of a document whose first `line` lines the line pass
-    read into `state`, and whose rest, `text`, the grammar reads on from
-    that state."""
-    parser = _Parser.__new__(_Parser)
-    vars(parser).update(vars(state))
-    parser.text, parser.line, parser.pos = text, line, 0
-    parser.tokens = _tokenize(text, line)
-    if not parser.axioms and parser.ontology_iri is None:
-        parser.parse_ontology_iri()  # on a line after `Ontology(`
-    parser.parse_body(True)
+def _parse_rest(state: _ParseState, text: str, start: int, body: bool
+                ) -> Ontology:
+    """The ontology of `text`, whose part before offset `start` the line
+    pass read into `state`: the grammar reads on from that state and
+    offset, the head first unless `body` (the pass read `Ontology(`)."""
+    parser = _Parser(text, state.refs, start)
+    for name, value in vars(state).items():
+        setattr(parser, name, value)
+    parser.parse_body(body or parser.parse_head())
     return parser.finish()
 
 

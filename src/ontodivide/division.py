@@ -333,7 +333,7 @@ def read_division(path) -> Division:
     """Load a division directory written by `write_division`.
 
     Each task's modules read as `read_ontology` reads them, through one
-    line pass (`ontology._parse_lines`) with one ref table and one line
+    line pass (`ontology._parse`) with one ref table and one line
     memo for the whole division: an axiom line repeated across its files
     is read once, and all the ontologies and candidates share one
     `EntityRef` per (IRI, kind).
@@ -343,7 +343,7 @@ def read_division(path) -> Division:
     if not meta_path.is_file():
         raise FileNotFoundError(f"not a division directory: {root}")
     meta = _read_division_meta(meta_path)
-    refs, memo = {}, {}  # shared by every file: see `ontology._parse_lines`
+    refs, memo = {}, {}  # shared by every file: see `ontology._parse`
     subtasks = []
     for row in meta["tasks"]:
         task_dir = root / f"task_{row['task']}"

@@ -9,14 +9,15 @@ cached on the instance, where `division.divide` also keeps the index of
 the ontology's last division.  One parse hands out one `EntityRef` per
 (IRI, kind).
 
-A text laid out one axiom per line is read by one line pass
-(`_parse_lines`), any other text by the grammar as a whole.
-`read_division` runs the same pass over every file of a division, with
-one ref table and one memo of the lines read, so that the files share
-their refs and each distinct line is read once.  The grammar and the
-writer live in `_ofn`, which is imported only when a line or a text needs
-the grammar, or an ontology is written: reading a file of flat lines does
-not load it.
+Every text is read by one line pass (`_parse`), which reads a text laid
+out one axiom per line by itself, and hands any other text to the grammar
+at the offset where the layout ends, from the text's start if it holds a
+CR.  `read_division` runs the same pass over every file of a division,
+with one ref table and one memo of the lines read, so that the files
+share their refs and each distinct line is read once.  The grammar and
+the writer live in `_ofn`, which is imported only when a line or a text
+needs the grammar, or an ontology is written: reading a file of flat
+lines does not load it.
 """
 
 from __future__ import annotations
@@ -422,10 +423,10 @@ class _FlatNames(dict):
         return value
 
 
-def _parse_lines(text: str, refs: dict | None = None,
-                 memo: dict | None = None) -> Ontology | None:
-    """The ontology of `text` as `_ofn._Parser.parse_document` reads it,
-    read line by line; None where the whole text must be parsed.
+def _parse(text: str, refs: dict | None = None, memo: dict | None = None
+           ) -> Ontology:
+    """`parse_ontology(text)`: the ontology of `text` as the grammar reads
+    it, read line by line as far as the text allows.
 
     The head is blank and comment lines, `Prefix(p:=<iri>)` lines, then an
     `Ontology(` line with at most its <IRI>, each alone on its line.  Then
@@ -434,33 +435,39 @@ def _parse_lines(text: str, refs: dict | None = None,
     in order of first use.  A flat shape builds its entry itself, the
     grammar reads any other line alone, and every entry is replayed the
     same way against the file's kind table.  A `)` line followed by blank
-    and comment lines ends the text.  At the first other line (a line the
-    grammar refuses alone, an entity of two kinds, more after the `)`) the
-    grammar reads the rest of the text from the state read so far, and
-    gives the result or the error.  None for another head, a CR, or no `)`
-    line.
+    and comment lines ends the text.  Elsewhere the grammar reads on from
+    the state read so far (`_ofn._parse_rest`), and gives the result or
+    the error: from the start of a text with a CR, from another head line,
+    from the first other body line (a line the grammar refuses alone, an
+    entity of two kinds, more after the `)`; from `Ontology(` if no axiom
+    came yet), or from the end of a text with no `Ontology(` or `)` line.
 
     Every `EntityRef` comes from `refs`, keyed by (IRI, kind).  `memo`
     maps each line read to its entry, and a line met again is replayed
     from it.  It serves only a text with the built-in prefixes, as an entry
     holds the IRIs its names have under them.
     """
+    state, lines = _ParseState(refs), text.split("\n")
+
+    def rest(at: int, body: bool) -> Ontology:  # from line `at` on
+        from ._ofn import _parse_rest
+        start = sum(map(len, lines[:at])) + at  # len(text) + 1 past the last
+        return _parse_rest(state, text, min(start, len(text)), body)
+
     if "\r" in text:  # a CR ends a comment but not a line
-        return None
-    lines = text.split("\n")
-    state = _ParseState(refs)
-    for at, line in enumerate(lines):
+        return rest(0, False)
+    for head, line in enumerate(lines):
         m = _HEAD.fullmatch(line)
         if m is None:
             if line.strip(" \t")[:1] not in ("", "#"):
-                return None
+                return rest(head, False)
         elif m[2] is not None:  # Prefix(p:=<iri>)
             state.prefixes[m[1]] = m[2]
         else:  # Ontology(, maybe with its IRI
             state.ontology_iri = m[3]
             break
     else:
-        return None
+        return rest(len(lines), False)
     prefixes, known, axioms = state.prefixes, state.known, state.axioms
     declared, unresolved = state.declared, state.unresolved
     shape, iris = _SHAPE.fullmatch, _FlatNames(state)
@@ -470,7 +477,7 @@ def _parse_lines(text: str, refs: dict | None = None,
     if prefixes != BUILTIN_PREFIXES:
         memo = None
     alone = None  # parses each line no shape takes, made for the first
-    for at in range(at + 1, len(lines)):
+    for at in range(head + 1, len(lines)):
         line = lines[at]
         entry = None if memo is None else memo.get(line)
         if entry is None:
@@ -538,10 +545,9 @@ def _parse_lines(text: str, refs: dict | None = None,
             continue
         break  # an entity of two kinds
     else:
-        return None  # no closing ')'
-    # the grammar reads the rest, from line `at` on, with the state so far
-    from ._ofn import _parse_rest
-    return _parse_rest(state, "\n".join(lines[at:]), at)
+        return rest(len(lines), True)  # no closing ')'
+    # before any axiom, from `Ontology(`, as its IRI may be on a later line
+    return rest(at, True) if axioms else rest(head, False)
 
 
 # the paused calls running in this process, and whether the cyclic collector
@@ -585,23 +591,11 @@ def parse_ontology(text: str) -> Ontology:
 
     Axiom order is preserved.  Entities referenced by logical axioms or
     annotations without a Declaration are auto-declared (appended after the
-    explicit axioms, sorted by IRI) and reported via a warning log.  A text
-    laid out one axiom per line is read line by line (`_parse_lines`), any
-    other text as a whole; the two give one result.
+    explicit axioms, sorted by IRI) and reported via a warning log.  A line
+    pass (`_parse`) reads the text as far as it holds one axiom per line,
+    the grammar reads on from there, and the result is the grammar's.
     """
     return _parse(text)
-
-
-def _parse(text: str, refs: dict | None = None, memo: dict | None = None
-           ) -> Ontology:
-    """`parse_ontology(text)`, through `_parse_lines`' `refs` and `memo`."""
-    onto = _parse_lines(text, refs, memo)
-    if onto is None:
-        from ._ofn import _Parser
-        parser = _Parser(text, refs)
-        parser.parse_document()
-        onto = parser.finish()
-    return onto
 
 
 def _read_text(path) -> str:

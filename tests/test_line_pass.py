@@ -1,11 +1,13 @@
 """Differential test: the `.ofn` line pass against the reference parser.
 
-`parse_ontology` reads a text laid out one axiom per line one line at a
-time (`ontology._parse_lines`), and any other text as a whole.  On every
-text the line pass reads, it must give the reference parser's ontology and
-auto-declaration warning, or its error, also where it hands the rest of
-the text to the grammar; on every other text it must give None, so that
-the whole-text parse gives the reference parser's result or error.
+`parse_ontology` reads a text one line at a time (`ontology._parse`) as
+far as it is laid out one axiom per line, and hands the rest to the
+grammar (`_ofn._parse_rest`), which reads on from that offset of the whole
+text.  On every text it must give the reference parser's ontology and
+auto-declaration warning, or its error at the same line and column,
+wherever the grammar takes over: at the start of a text with a CR, at
+another head line, at a body line, or at the end of a text with no
+`Ontology(` or no `)` line.
 """
 
 import logging
@@ -20,9 +22,9 @@ from conftest import TABLE1_O1, TABLE1_O2
 from oracles import reference_parse_ontology
 
 from ontodivide import _ofn
-from ontodivide._ofn import _Parser
+from ontodivide._ofn import _parse_rest
 from ontodivide.errors import OfnSyntaxError
-from ontodivide.ontology import _parse_lines, parse_ontology
+from ontodivide.ontology import _parse, _ParseState, parse_ontology
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 P = "http://x.org/p#"
@@ -156,9 +158,7 @@ def outcome(parse, text, logger: str):
 
 def whole(text: str):
     """The parse of `text` as a whole, without the line pass."""
-    parser = _Parser(text)
-    parser.parse_document()
-    return parser.finish()
+    return _parse_rest(_ParseState(), text, 0, False)
 
 
 # one axiom per line, in each layout the line pass reads
@@ -199,22 +199,28 @@ SubClassOf(<{P}A> ObjectSomeValuesFrom(:r owl:Thing))
 def test_line_pass_matches_reference(text):
     expected = outcome(reference_parse_ontology, text, "oracles")
     assert outcome(parse_ontology, text, "ontodivide.ontology") == expected
-    lines = outcome(_parse_lines, text, "ontodivide.ontology")
-    if lines[0] is not None:  # read line by line, so read right
-        assert lines == expected
+    assert outcome(_parse, text, "ontodivide.ontology") == expected
 
 
-def test_line_pass_reads_most_generated_texts():
+def test_line_pass_reads_most_generated_texts(monkeypatch):
     """The strategy reaches both paths: the line pass reads a good share of
-    its texts, and leaves others to the grammar, which reads them whole or
-    refuses them from the line the pass hands it."""
-    taken = []
+    its texts itself, and leaves others to the grammar, which reads them
+    or refuses them from the offset the pass hands it."""
+    taken, handed = [], []
+
+    def counted(*args):
+        handed.append(True)
+        return _parse_rest(*args)
+
+    monkeypatch.setattr(_ofn, "_parse_rest", counted)
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(flat_texts())
     def count(text):
+        handed.clear()
         try:
-            taken.append(_parse_lines(text) is not None)
+            _parse(text)
+            taken.append(not handed)
         except OfnSyntaxError:
             taken.append(None)
 
@@ -248,13 +254,15 @@ def packaged_texts():
     pytest.param(text, id=name) for name, text in
     [*packaged_texts(), ("table1-o1", TABLE1_O1), ("table1-o2", TABLE1_O2),
      ("layout", LAYOUT), *generated_pairs()]])
-def test_line_pass_reads_one_axiom_per_line_files(text):
+def test_line_pass_reads_one_axiom_per_line_files(text, monkeypatch):
     """The line pass itself reads the generator's files, the packaged toy
     files, the inverted-index fixtures and every layout it takes, as the
     whole-text parse does."""
-    lines = outcome(_parse_lines, text, "ontodivide.ontology")
-    assert lines[0] is not None
-    assert lines == outcome(whole, text, "ontodivide.ontology")
+    expected = outcome(whole, text, "ontodivide.ontology")
+    handed = []
+    monkeypatch.setattr(_ofn, "_parse_rest", lambda *args: handed.append(1))
+    assert outcome(_parse, text, "ontodivide.ontology") == expected
+    assert handed == []
 
 
 # heads and tails around flat lines: those the line pass reads itself, and
@@ -321,9 +329,7 @@ def test_head_and_tail_match_grammar_and_reference(text):
     expected = outcome(reference_parse_ontology, text, "oracles")
     assert outcome(whole, text, "ontodivide.ontology") == expected
     assert outcome(parse_ontology, text, "ontodivide.ontology") == expected
-    lines = outcome(_parse_lines, text, "ontodivide.ontology")
-    if lines[0] is not None:
-        assert lines == expected
+    assert outcome(_parse, text, "ontodivide.ontology") == expected
 
 
 @pytest.mark.parametrize("head", [
@@ -342,5 +348,18 @@ def test_line_pass_reads_flat_head_and_tail_itself(head, tail, monkeypatch):
     expected = outcome(whole, text, "ontodivide.ontology")
     tokenized = []
     monkeypatch.setattr(_ofn, "_tokenize", tokenized.append)
-    assert outcome(_parse_lines, text, "ontodivide.ontology") == expected
+    assert outcome(_parse, text, "ontodivide.ontology") == expected
     assert tokenized == []
+
+
+def test_alone_parser_keeps_no_placeholder_index():
+    """The line pass's parser of single lines leaves `unresolved` as it
+    found it, read or refused, so that it keeps nothing per line."""
+    parser = _ofn._Parser("")
+    for line in ['AnnotationAssertion(rdfs:label :A "a") # c'] * 3 + [
+            'AnnotationAssertion(rdfs:label :A "a" :B)']:
+        parser.parse_alone(line)
+    assert parser.unresolved == []
+    parser.unresolved.append(7)
+    assert parser.parse_alone('AnnotationAssertion(rdfs:label :A "a")')
+    assert parser.unresolved == [7]

@@ -193,15 +193,49 @@ class TestLinePassHandOff:
         tokenized = []
         tokenize = _ofn._tokenize
 
-        def counted(part, *args):
-            tokenized.append(len(part))
-            return tokenize(part, *args)
+        def counted(part, start=0):
+            tokenized.append(len(part) - start)
+            return tokenize(part, start)
 
         monkeypatch.setattr(_ofn, "_tokenize", counted)
         onto = parse_ontology(text)
-        # the head's two lines and the rest from the broken axiom on
+        # the rest from the broken axiom on
         assert 0 < sum(tokenized) < len(text) // 100
         assert onto == reference_parse_ontology(text)
+
+    def test_missing_close_is_read_once(self, monkeypatch):
+        """A file of flat lines without its closing `)` line is read line
+        by line to its end, where the grammar reports the missing `)`
+        without tokenizing the text again, at the reference parser's line
+        and column."""
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            from gen import generate
+            from workloads import WORKLOADS
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        _, text, _ = generate(WORKLOADS["anatomy-n10"].pair, 201)
+        body, close, end = text.rsplit("\n", 2)
+        assert (close, end) == (")", "")
+        text = body + "\n"
+        with pytest.raises(OfnSyntaxError) as expected:
+            reference_parse_ontology(text)
+        tokenized = []
+        tokenize = _ofn._tokenize
+
+        def counted(part, start=0):
+            tokenized.append(len(part) - start)
+            return tokenize(part, start)
+
+        monkeypatch.setattr(_ofn, "_tokenize", counted)
+        with pytest.raises(OfnSyntaxError) as err:
+            parse_ontology(text)
+        assert tokenized[-1:] == [0]  # from the end of the text
+        assert sum(tokenized) < len(text) // 100
+        assert (type(err.value), str(err.value), err.value.line,
+                err.value.column) == (type(expected.value),
+                                      str(expected.value), expected.value.line,
+                                      expected.value.column)
 
 
 class TestNestingLimit:

@@ -315,7 +315,7 @@ def test_reused_parser_gives_fresh_parser_entries():
     refs, memo = {}, {}
     for text in texts:
         try:
-            ontology._parse_lines(text, refs, memo)
+            ontology._parse(text, refs, memo)
         except OfnSyntaxError:
             pass
     assert len(memo) > 300
